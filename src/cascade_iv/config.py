@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise ValueError("need r_max >= 1 and t_max >= 0")
         if self.num_trials < 1:
             raise ValueError("num_trials must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
+            )
         if self.velocities is not None:
             if not self.velocities:
                 raise ValueError("velocity list must be non-empty when given")

@@ -201,22 +201,31 @@ def tally_errors(
     n_trials, n_bits = decoded.shape
     if n_bits % packet_bits:
         raise ValueError("prefix length must be a whole number of packets")
-    mism = decoded != truth
+    n_packets = n_bits // packet_bits
+    # packet tau is tallied iff tau * period <= t
+    if t < 0:
+        n_gen = 0
+    elif period < 1:
+        n_gen = n_packets
+    else:
+        n_gen = min(n_packets, t // period + 1)
+    if n_gen == 0:
+        return
+    width = n_gen * packet_bits
+    # bit-major mismatches: every count below reduces contiguous trial rows
+    mism = np.ascontiguousarray((decoded[:, :width] != truth[:, :width]).T)
+    per_bit = [int(np.count_nonzero(row)) for row in mism]
+    packet_any = np.logical_or.reduce(mism.reshape(n_gen, packet_bits, n_trials), axis=1)
     prefix_any = np.zeros(n_trials, dtype=bool)
-    for tau in range(n_bits // packet_bits):
-        gen_time = tau * period
-        if gen_time > t:
-            break
-        delta = t - gen_time
-        sl = mism[:, tau * packet_bits : (tau + 1) * packet_bits]
-        prefix_any |= sl.any(axis=1)
-        cell = stats.cell(r, delta)
+    for tau in range(n_gen):
+        prefix_any |= packet_any[tau]  # running OR: any error in packets 0..tau
+        cell = stats.cell(r, t - tau * period)
         cell.n_trials += n_trials
-        per_bit_err = sl.sum(axis=0)
-        cell.bit_errors += int(per_bit_err.sum())
-        cell.packet_errors += int(sl.any(axis=1).sum())
-        cell.prefix_errors += int(prefix_any.sum())
-        for j in range(packet_bits):
+        bits = per_bit[tau * packet_bits : (tau + 1) * packet_bits]
+        cell.bit_errors += sum(bits)
+        cell.packet_errors += int(np.count_nonzero(packet_any[tau]))
+        cell.prefix_errors += int(np.count_nonzero(prefix_any))
+        for j, err in enumerate(bits):
             cur = cell.per_bit.setdefault((tau, j), [0, 0])
-            cur[0] += int(per_bit_err[j])
+            cur[0] += err
             cur[1] += n_trials

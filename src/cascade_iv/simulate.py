@@ -10,11 +10,19 @@ hops are the same dynamics with node r retarded by exactly r steps, handled
 at evaluation time rather than by a second engine.
 
 Reproducibility: trial i draws everything from its own counter-based stream
-``Philox(key=(master_seed, i))`` in a fixed order (source draw, then the hop
-noise lattice in r-major layout, then any decoder dither), so every sample is
-addressable and independent of batching and thread count.  Monte Carlo
-aggregation uses fixed-size batches merged in batch order with compensated
-summation, making aggregates bit-identical for any parallelism degree.
+``Philox(key=(master_seed, i))``, read from counter 0 in a fixed order
+(source draw, then the hop noise lattice in r-major layout, then any decoder
+dither), so every sample is addressable and independent of batching and
+thread count.  A batch builds one generator and resets its state to trial
+i's key rather than building a generator per trial, and stores the noise
+trial-contiguous, (r_max, T, B), for the recursion.  Monte Carlo aggregation
+uses fixed-size batches merged in batch order with compensated summation,
+making aggregates bit-identical for any parallelism degree.
+
+One recursion, ``_sweep``, serves every caller; what each keeps is an
+observer of its time steps: the moments and probes of ``run_monte_carlo``,
+the captured estimates of ``run_decoding_monte_carlo`` (nothing else), or
+the full traces of ``run_trial``.
 """
 
 from __future__ import annotations
@@ -86,18 +94,100 @@ def trial_generator(master_seed: int, trial_index: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-def draw_noise(gen: Generator, kind: str, shape) -> np.ndarray:
-    """Zero-mean unit-variance hop noise in a fixed r-major layout."""
+def draw_noise(gen: Generator, kind: str, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-mean unit-variance hop noise in a fixed r-major layout.
+
+    With ``out`` (of shape ``shape``) the draw is written there and ``out``
+    is returned; the values are the same as those of the returning form.
+    """
     if kind == "gaussian":
-        return gen.standard_normal(shape)
+        return gen.standard_normal(shape, out=out)
     if kind == "uniform":
         s = math.sqrt(3.0)
-        return gen.uniform(-s, s, size=shape)
-    if kind == "rademacher":
-        return 2.0 * gen.integers(0, 2, size=shape).astype(float) - 1.0
-    if kind == "zero":
-        return np.zeros(shape)
-    raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+        z = gen.uniform(-s, s, size=shape)
+    elif kind == "rademacher":
+        z = 2.0 * gen.integers(0, 2, size=shape).astype(float) - 1.0
+    elif kind == "zero":
+        z = np.zeros(shape)
+    else:
+        raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+    if out is None:
+        return z
+    out[...] = z
+    return out
+
+
+# Trials whose r-major noise is drawn before one transposed copy into the
+# trial-contiguous batch array; about 1 MB on the criterion-8 lattice.
+_NOISE_CHUNK = 128
+
+
+class _TrialStreams:
+    """The per-trial streams of one batch, read from one Philox reset per trial.
+
+    Trial i reads ``Philox(key=(master_seed, i))`` from counter 0: its
+    source draw, then its hop noise in r-major (r_max, T) order, then
+    ``n_dither`` dither values.  Resetting the state of one generator gives
+    the same numbers as a fresh ``trial_generator`` per trial.
+
+    A source's ``draw_batch`` iterates this object once, in trial order,
+    and draws from the generator it is handed.  When it asks for the next
+    trial, the current trial's noise and dither are drawn; ``finish`` draws
+    them for the trials the source did not iterate over.  Noise lands in
+    ``noise``, a trial-contiguous (r_max, T, B) array, so the recursion
+    reads each hop cell as one contiguous vector.
+    """
+
+    def __init__(self, master_seed, start, count, noise_kind, noise_shape,
+                 n_dither=0, dither_half=0.0):
+        shape = tuple(noise_shape)
+        self.count = count
+        self.noise = np.empty(shape + (count,))
+        self.dither = np.empty((count, n_dither)) if n_dither else None
+        self._trials = self._draw(master_seed, start, noise_kind, shape, dither_half)
+        self._iterated = False
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        if self._iterated:
+            raise RuntimeError("a batch's trial streams can be iterated only once")
+        self._iterated = True
+        return self._trials
+
+    def finish(self) -> None:
+        self._iterated = True
+        for _ in self._trials:
+            pass
+
+    def _draw(self, master_seed, start, noise_kind, shape, dither_half):
+        gen = trial_generator(master_seed, start)
+        bitgen = gen.bit_generator
+        fresh = bitgen.state
+        key = fresh["state"]["key"]
+        chunk = np.empty((min(_NOISE_CHUNK, self.count),) + shape)
+        for i in range(self.count):
+            key[1] = start + i
+            bitgen.state = fresh
+            yield gen
+            j = i % len(chunk)
+            draw_noise(gen, noise_kind, shape, chunk[j])
+            if self.dither is not None:
+                self.dither[i] = gen.uniform(-dither_half, dither_half, size=self.dither.shape[1])
+            if j == len(chunk) - 1 or i == self.count - 1:
+                lo = i - j
+                self.noise[..., lo : i + 1] = np.moveaxis(chunk[: j + 1], 0, -1)
+
+
+def _draw_inputs(source, noise_kind, master_seed, start, count, r_max, t_max,
+                 n_dither=0, dither_half=0.0):
+    """Source draws, (r_max, T, B) noise and (B, n_dither) dither of one batch."""
+    streams = _TrialStreams(master_seed, start, count, noise_kind, (r_max, t_max + 1),
+                            n_dither, dither_half)
+    src = source.draw_batch(streams, t_max)
+    streams.finish()
+    return src, streams.noise, streams.dither
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -374,136 +464,149 @@ def precompute_gains(grid: MseGrid, eps_degenerate: float = EPS_DEGENERATE) -> G
 # Engine
 # ---------------------------------------------------------------------------
 
-def _simulate_batch(
-    gains: GainTable,
-    source,
-    noise_kind: str,
-    master_seed: int,
-    start_trial: int,
-    count: int,
-    *,
-    probes: bool = False,
-    capture_cells=None,
-    dither_bits: int | None = None,
-    record_traces: bool = False,
-    identity_check: bool = True,
-):
-    """Run ``count`` trials and return partial sums (see run_monte_carlo)."""
-    r_max, t_max = gains.r_max, gains.t_max
-    pbar = gains.channel.snr_bar
-    T = t_max + 1
-    gens = [trial_generator(master_seed, start_trial + i) for i in range(count)]
-    src = source.draw_batch(gens, t_max)
-    z = np.stack([draw_noise(g, noise_kind, (r_max, T)) for g in gens])
+def _sweep(gains: GainTable, shat0: np.ndarray, z: np.ndarray, on_step, first_trial: int,
+           hops=None) -> None:
+    """Run the lattice recursion for a batch, in place on one (r_max+1, B) state.
 
-    capture_by_t: dict[int, list[tuple[int, int]]] = {}
-    if capture_cells:
-        for idx, (r, t) in enumerate(capture_cells):
-            if not (0 <= r <= r_max and 0 <= t <= t_max):
-                raise ValueError(f"capture cell {(r, t)} outside lattice")
-            capture_by_t.setdefault(t, []).append((idx, r))
-        captures = np.empty((count, len(capture_cells)))
-    else:
-        captures = None
-
-    err_sum = np.zeros((r_max + 1, T))
-    sq_sum = np.zeros((r_max + 1, T))
-    sq2_sum = np.zeros((r_max + 1, T))
-    pow_sum = np.zeros((r_max, T))
-    pow2_sum = np.zeros((r_max, T))
-    identity_max = 0.0
-    if probes:
-        y_all = np.empty((r_max, T, count))
-        d_sum = np.zeros((r_max + 1, T))
-        d2_sum = np.zeros((r_max + 1, T))
-    if record_traces:
-        tr_est = np.empty((count, r_max + 1, T))
-        tr_x = np.empty((count, r_max, T))
-        tr_y = np.empty((count, r_max, T))
-
-    prev = np.zeros((r_max + 1, count))
+    ``shat0`` is the (B, T) node-0 estimate and ``z`` the (r_max, T, B) hop
+    noise.  Row r+1 of the state still holds time t-1 when hop r updates it
+    at time t, so no second state is needed.  After each time step
+    ``on_step(t, est)`` sees every node's estimate.  If ``hops`` is an
+    ``(x, y)`` pair of (r_max, B) arrays, each step also leaves there its
+    channel inputs and outputs.
+    """
+    r_max, T, count = z.shape
+    silent = gains.silent.tolist()
+    beta = gains.beta.tolist()
+    gamma = gains.gamma.tolist()
+    shat0 = np.ascontiguousarray(shat0.T)
+    est = np.zeros((r_max + 1, count))
+    x = np.empty(count)
+    y = np.empty(count)
+    scaled = np.empty(count)
     for t in range(T):
-        cur = np.empty_like(prev)
-        cur[0] = src.shat0[:, t]
+        est[0] = shat0[t]
         # an inf state makes transient nan arithmetic before the finite-state
         # guard below raises; keep that path quiet
         with np.errstate(invalid="ignore"):
             for r in range(r_max):
-                zslice = z[:, r, t]
-                if gains.silent[r, t]:
-                    x = np.zeros(count)
-                    y = zslice
-                    cur[r + 1] = prev[r + 1]
-                else:
-                    x = gains.beta[r, t] * (cur[r] - prev[r + 1])
-                    y = x + zslice
-                    cur[r + 1] = prev[r + 1] + gains.gamma[r + 1, t] * y
-                    if identity_check:
-                        resid = cur[r + 1] - (
-                            pbar * cur[r]
-                            + (1.0 - pbar) * prev[r + 1]
-                            + gains.gamma[r + 1, t] * zslice
-                        )
-                        identity_max = max(identity_max, float(np.abs(resid).max()))
-                x2 = x * x
-                pow_sum[r, t] = x2.sum()
-                pow2_sum[r, t] = (x2 * x2).sum()
-                if probes:
-                    y_all[r, t] = y
-                if record_traces:
-                    tr_x[:, r, t] = x
-                    tr_y[:, r, t] = y
-        if not np.isfinite(cur).all():
-            bad_r = int(np.argwhere(~np.isfinite(cur))[0, 0])
+                if hops is not None:
+                    x, y = hops[0][r], hops[1][r]
+                if silent[r][t]:
+                    if hops is not None:
+                        x.fill(0.0)
+                        y[...] = z[r, t]
+                    continue
+                np.subtract(est[r], est[r + 1], out=x)
+                x *= beta[r][t]
+                np.add(x, z[r, t], out=y)
+                np.multiply(y, gamma[r + 1][t], out=scaled)
+                est[r + 1] += scaled
+        if not np.isfinite(est).all():
+            bad_r = int(np.argwhere(~np.isfinite(est))[0, 0])
             raise FloatingPointError(
                 f"non-finite estimate at node r={bad_r}, t={t} "
-                f"(trials {start_trial}..{start_trial + count - 1})"
+                f"(trials {first_trial}..{first_trial + count - 1})"
             )
-        err = src.s[None, :] - cur
-        sq = err * err
-        err_sum[:, t] = err.sum(axis=1)
-        sq_sum[:, t] = sq.sum(axis=1)
-        sq2_sum[:, t] = (sq * sq).sum(axis=1)
-        if probes:
-            for r in range(1, r_max):
-                d = err[r] * (src.s - prev[r + 1]) - sq[r]
-                d_sum[r, t] = d.sum()
-                d2_sum[r, t] = (d * d).sum()
-        for idx, r in capture_by_t.get(t, ()):
-            captures[:, idx] = cur[r]
-        if record_traces:
-            tr_est[:, :, t] = cur.T
-        prev = cur
+        on_step(t, est)
 
-    out = {
-        "n": count,
-        "err_sum": err_sum,
-        "sq_sum": sq_sum,
-        "sq2_sum": sq2_sum,
-        "pow_sum": pow_sum,
-        "pow2_sum": pow2_sum,
-        "identity_max": identity_max,
-    }
-    if probes:
-        y_sum = y_all.sum(axis=2)
-        yy_sum = np.empty((r_max, T, T))
-        y2y2_sum = np.empty((r_max, T, T))
-        for r in range(r_max):
-            yy_sum[r] = np.einsum("tb,ub->tu", y_all[r], y_all[r])
-            ysq = y_all[r] * y_all[r]
-            y2y2_sum[r] = np.einsum("tb,ub->tu", ysq, ysq)
-        out.update(y_sum=y_sum, yy_sum=yy_sum, y2y2_sum=y2y2_sum, d_sum=d_sum, d2_sum=d2_sum)
-    if captures is not None:
-        out["captures"] = captures
-        out["source"] = src
-        if dither_bits is not None:
-            half = 0.5 * pam.min_distance(dither_bits)
-            out["dither"] = np.stack(
-                [g.uniform(-half, half, size=len(capture_cells)) for g in gens]
+
+class _Moments:
+    """Per-step observer of ``_sweep`` accumulating the Monte Carlo partial sums."""
+
+    def __init__(self, gains: GainTable, s: np.ndarray, z: np.ndarray, probes: bool):
+        r_max, T, count = z.shape
+        self.gains, self.s, self.z, self.probes = gains, s, z, probes
+        self.hops = (np.empty((r_max, count)), np.empty((r_max, count)))
+        self.prev = np.zeros((r_max + 1, count))
+        self.sums = {
+            "n": count,
+            "err_sum": np.zeros((r_max + 1, T)),
+            "sq_sum": np.zeros((r_max + 1, T)),
+            "sq2_sum": np.zeros((r_max + 1, T)),
+            "pow_sum": np.zeros((r_max, T)),
+            "pow2_sum": np.zeros((r_max, T)),
+            "identity_max": 0.0,
+        }
+        if probes:
+            self.y_all = np.empty((r_max, T, count))
+            self.sums.update(d_sum=np.zeros((r_max + 1, T)), d2_sum=np.zeros((r_max + 1, T)))
+
+    def __call__(self, t: int, est: np.ndarray) -> None:
+        sums, s, prev = self.sums, self.s, self.prev
+        x, y = self.hops
+        err = s[None, :] - est
+        sq = err * err
+        sums["err_sum"][:, t] = err.sum(axis=1)
+        sums["sq_sum"][:, t] = sq.sum(axis=1)
+        sums["sq2_sum"][:, t] = (sq * sq).sum(axis=1)
+        x2 = x * x
+        sums["pow_sum"][:, t] = x2.sum(axis=1)
+        sums["pow2_sum"][:, t] = (x2 * x2).sum(axis=1)
+        # per-hop identity:
+        # Shat_{r+1}(t) = pbar Shat_r(t) + (1-pbar) Shat_{r+1}(t-1) + gamma Z
+        active = ~self.gains.silent[:, t]
+        if active.any():
+            pbar = self.gains.channel.snr_bar
+            resid = est[1:][active] - (
+                pbar * est[:-1][active]
+                + (1.0 - pbar) * prev[1:][active]
+                + self.gains.gamma[1:, t][active, None] * self.z[:, t][active]
             )
-    if record_traces:
-        out.update(traces_est=tr_est, traces_x=tr_x, traces_y=tr_y, noise=z, source=src)
-    return out
+            sums["identity_max"] = max(sums["identity_max"], float(np.abs(resid).max()))
+        if self.probes:
+            self.y_all[:, t] = y
+            d = err[1:-1] * (s - prev[2:]) - sq[1:-1]
+            sums["d_sum"][1:-1, t] = d.sum(axis=1)
+            sums["d2_sum"][1:-1, t] = (d * d).sum(axis=1)
+        prev[...] = est
+
+    def result(self) -> dict:
+        out = self.sums
+        if self.probes:
+            y_all = self.y_all
+            r_max, T, _ = y_all.shape
+            yy_sum = np.empty((r_max, T, T))
+            y2y2_sum = np.empty((r_max, T, T))
+            for r in range(r_max):
+                yy_sum[r] = np.einsum("tb,ub->tu", y_all[r], y_all[r])
+                ysq = y_all[r] * y_all[r]
+                y2y2_sum[r] = np.einsum("tb,ub->tu", ysq, ysq)
+            out.update(y_sum=y_all.sum(axis=2), yy_sum=yy_sum, y2y2_sum=y2y2_sum)
+        return out
+
+
+def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
+                    start_trial: int, count: int, *, probes: bool = False) -> dict:
+    """Run ``count`` trials and return partial sums (see run_monte_carlo)."""
+    src, z, _ = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
+                             gains.r_max, gains.t_max)
+    moments = _Moments(gains, src.s, z, probes)
+    _sweep(gains, src.shat0, z, moments, start_trial, hops=moments.hops)
+    return moments.result()
+
+
+def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
+                   start_trial: int, count: int, cells, n_dither: int = 0,
+                   dither_half: float = 0.0):
+    """Run ``count`` trials keeping only the estimates at ``cells``.
+
+    Returns the source batch, the (n_cells, B) captured estimates and the
+    (B, n_dither) dither, or None without dither.
+    """
+    src, z, dither = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
+                                  gains.r_max, gains.t_max, n_dither, dither_half)
+    captures = np.empty((len(cells), count))
+    by_t: dict[int, list[tuple[int, int]]] = {}
+    for idx, (r, t) in enumerate(cells):
+        by_t.setdefault(t, []).append((idx, r))
+
+    def capture(t, est):
+        for idx, r in by_t.get(t, ()):
+            captures[idx] = est[r]
+
+    _sweep(gains, src.shat0, z, capture, start_trial)
+    return src, captures, dither
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -672,6 +775,29 @@ class TrialResult:
                     )
 
 
+def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
+                 trial_index: int):
+    """One trial with every estimate, channel input and output kept.
+
+    Returns the source batch, the (r_max+1, T) estimates, the (r_max, T)
+    inputs x and outputs y, and the (r_max, T) noise.
+    """
+    r_max, T = gains.r_max, gains.t_max + 1
+    src, z, _ = _draw_inputs(source, noise_kind, master_seed, trial_index, 1, r_max, gains.t_max)
+    est = np.empty((r_max + 1, T))
+    x = np.empty((r_max, T))
+    y = np.empty((r_max, T))
+    hops = (np.empty((r_max, 1)), np.empty((r_max, 1)))
+
+    def record(t, state):
+        est[:, t] = state[:, 0]
+        x[:, t] = hops[0][:, 0]
+        y[:, t] = hops[1][:, 0]
+
+    _sweep(gains, src.shat0, z, record, trial_index, hops=hops)
+    return src, est, x, y, z[..., 0]
+
+
 def run_trial(
     gains: GainTable,
     source,
@@ -680,19 +806,15 @@ def run_trial(
     trial_index: int = 0,
 ) -> TrialResult:
     """Run a single trial with full traces retained."""
-    res = _simulate_batch(
-        gains, source, noise_kind, master_seed, trial_index, 1, record_traces=True
-    )
-    est = res["traces_est"][0]  # (r_max+1, T)
-    s = float(res["source"].s[0])
-    sq = (s - est) ** 2
+    src, est, x, y, z = _trace_trial(gains, source, noise_kind, master_seed, trial_index)
+    s = float(src.s[0])
     return TrialResult(
         source_value=s,
         estimates=est,
-        x=res["traces_x"][0],
-        y=res["traces_y"][0],
-        z=res["noise"][0],
-        squared_errors=sq,
+        x=x,
+        y=y,
+        z=z,
+        squared_errors=(s - est) ** 2,
     )
 
 
@@ -702,17 +824,7 @@ def coefficient_trial(gains: GainTable) -> np.ndarray:
     The scheme is linear, so one noise-free pass with constant source 1
     yields alpha exactly: estimates[r, t] = alpha_r(t).
     """
-    res = _simulate_batch(
-        gains,
-        KnownSampleSource(value=1.0),
-        "zero",
-        0,
-        0,
-        1,
-        record_traces=True,
-        identity_check=False,
-    )
-    return res["traces_est"][0]  # (r_max+1, t_max+1)
+    return _trace_trial(gains, KnownSampleSource(value=1.0), "zero", 0, 0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -762,34 +874,30 @@ def run_decoding_monte_carlo(
         raise ValueError("dithered decoding needs decode_bits_n and alphas")
     threads = resolve_threads(threads)
     cells = list(capture_cells)
-    dither_bits = decode.packet_bits if decode.kind == "packet_dithered" else None
+    for r, t in cells:
+        if not (0 <= r <= gains.r_max and 0 <= t <= gains.t_max):
+            raise ValueError(f"capture cell {(r, t)} outside lattice")
+    dithered = decode.kind == "packet_dithered"
+    n_dither = len(cells) if dithered else 0
+    dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
 
     def worker(start, count):
-        res = _simulate_batch(
-            gains,
-            source,
-            noise_kind,
-            master_seed,
-            start,
-            count,
-            capture_cells=cells,
-            dither_bits=dither_bits,
+        src, caps, dither = _capture_batch(
+            gains, source, noise_kind, master_seed, start, count, cells, n_dither, dither_half
         )
         primary = pam.ErrorStats()
-        secondary = pam.ErrorStats() if dither_bits else None
-        src = res["source"]
-        caps = res["captures"]
+        secondary = pam.ErrorStats() if dithered else None
         for idx, (r, t) in enumerate(cells):
             if decode.kind == "stream":
                 n_bits = decode.packet_bits * (t // decode.period + 1)
                 truth = src.bits[:, :n_bits]
-                decoded = pam.decode_bits(caps[:, idx], n_bits)
+                decoded = pam.decode_bits(caps[idx], n_bits)
                 pam.tally_errors(
                     primary, decoded, truth, r, t, decode.packet_bits, decode.period
                 )
             elif decode.kind == "packet":
                 truth = src.bits[:, : decode.packet_bits]
-                decoded = pam.decode_bits(caps[:, idx], decode.packet_bits)
+                decoded = pam.decode_bits(caps[idx], decode.packet_bits)
                 pam.tally_errors(
                     primary, decoded, truth, r, t, decode.packet_bits, gains.t_max + 1
                 )
@@ -797,20 +905,20 @@ def run_decoding_monte_carlo(
                 n = decode.decode_bits_n
                 truth = src.bits[:, :n]
                 dith = pam.dithered_decode(
-                    caps[:, idx],
+                    caps[idx],
                     decode.alphas[idx],
                     decode.packet_bits,
                     n,
-                    dither=res["dither"][:, idx],
+                    dither=dither[:, idx],
                 )
-                plain = pam.decode_bits(caps[:, idx], n)
+                plain = pam.decode_bits(caps[idx], n)
                 pam.tally_errors(primary, dith, truth, r, t, n, gains.t_max + 1)
                 pam.tally_errors(secondary, plain, truth, r, t, n, gains.t_max + 1)
         return primary, secondary
 
     results = _run_batches(_batch_ranges(num_trials, batch_size), worker, threads)
     primary = pam.ErrorStats()
-    secondary = pam.ErrorStats() if dither_bits else None
+    secondary = pam.ErrorStats() if dithered else None
     for p, s in results:
         primary.merge(p)
         if secondary is not None:

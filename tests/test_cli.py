@@ -75,6 +75,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(velocities=(0.5, -1.0))
 
+    def test_master_seed_must_be_unsigned_64_bit(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                ExperimentConfig(master_seed=bad)
+        assert ExperimentConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+        text = ExperimentConfig(master_seed=2**64 - 1).to_text()
+        assert ExperimentConfig.from_text(text).master_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_flag_is_a_usage_error(self, seed, tmp_path, capsys):
+        code = cli.main(["simulate", "--seed", seed, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: master_seed") and err.count("\n") == 1, err
+
     def test_bad_scheme_and_noise(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scheme="smoke_signals")

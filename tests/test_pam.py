@@ -240,3 +240,66 @@ class TestErrorStats:
                 packet_bits=2,
                 period=1,
             )
+
+
+def reference_tally(stats, decoded, truth, r, t, packet_bits, period):
+    """Packet-by-packet tally, the scalar reference for ``pam.tally_errors``."""
+    decoded = np.asarray(decoded)
+    truth = np.asarray(truth)
+    n_trials, n_bits = decoded.shape
+    mism = decoded != truth
+    prefix_any = np.zeros(n_trials, dtype=bool)
+    for tau in range(n_bits // packet_bits):
+        gen_time = tau * period
+        if gen_time > t:
+            break
+        delta = t - gen_time
+        sl = mism[:, tau * packet_bits : (tau + 1) * packet_bits]
+        prefix_any |= sl.any(axis=1)
+        cell = stats.cell(r, delta)
+        cell.n_trials += n_trials
+        per_bit_err = sl.sum(axis=0)
+        cell.bit_errors += int(per_bit_err.sum())
+        cell.packet_errors += int(sl.any(axis=1).sum())
+        cell.prefix_errors += int(prefix_any.sum())
+        for j in range(packet_bits):
+            cur = cell.per_bit.setdefault((tau, j), [0, 0])
+            cur[0] += int(per_bit_err[j])
+            cur[1] += n_trials
+
+
+class TestTallyAgainstReference:
+    @pytest.mark.parametrize("psi", [1, 2, 3])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_every_field_matches_scalar_loop(self, psi, period):
+        rng = np.random.default_rng(100 * psi + period)
+        n_packets = 5
+        for t in (0, 1, period, 2 * period + 1, 4 * period, 10 * period):
+            for p_flip in (0.0, 0.05, 0.5):
+                truth = rng.integers(0, 2, size=(300, n_packets * psi)).astype(np.int8)
+                decoded = truth ^ (rng.random(truth.shape) < p_flip).astype(np.int8)
+                fast, slow = pam.ErrorStats(), pam.ErrorStats()
+                # tally twice into the same stats to cover accumulation
+                for _ in range(2):
+                    pam.tally_errors(fast, decoded, truth, 4, t, psi, period)
+                    reference_tally(slow, decoded, truth, 4, t, psi, period)
+                assert fast.cells.keys() == slow.cells.keys()
+                for key, want in slow.cells.items():
+                    got = fast.cells[key]
+                    assert (got.n_trials, got.bit_errors, got.prefix_errors, got.packet_errors) == (
+                        want.n_trials, want.bit_errors, want.prefix_errors, want.packet_errors
+                    )
+                    assert got.per_bit == want.per_bit
+                    assert all(type(v) is int for pair in got.per_bit.values() for v in pair)
+                assert list(fast.rows()) == list(slow.rows())
+
+    def test_later_packets_not_generated_yet(self):
+        truth = np.zeros((50, 8), dtype=np.int8)
+        decoded = np.ones_like(truth)
+        fast, slow = pam.ErrorStats(), pam.ErrorStats()
+        pam.tally_errors(fast, decoded, truth, 2, 3, 2, 2)  # packets 0 and 1 of 4
+        reference_tally(slow, decoded, truth, 2, 3, 2, 2)
+        assert set(fast.cells) == set(slow.cells) == {(2, 3), (2, 1)}
+        assert list(fast.rows()) == list(slow.rows())
+        pam.tally_errors(fast, decoded, truth, 2, -1, 2, 2)  # nothing generated
+        assert set(fast.cells) == {(2, 3), (2, 1)}

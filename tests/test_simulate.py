@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -45,12 +47,167 @@ class TestNoise:
         with pytest.raises(ValueError):
             sim.draw_noise(sim.trial_generator(0, 0), "cauchy", 3)
 
+    @pytest.mark.parametrize("kind", sim.NOISE_KINDS)
+    def test_out_form_matches_returning_form(self, kind):
+        want = sim.draw_noise(sim.trial_generator(4, 2), kind, (3, 5))
+        buf = np.full((3, 5), np.nan)
+        gen = sim.trial_generator(4, 2)
+        got = sim.draw_noise(gen, kind, (3, 5), out=buf)
+        assert got is buf
+        assert np.array_equal(buf, want)
+        # the stream advanced exactly as far as the returning form's
+        ref = sim.trial_generator(4, 2)
+        sim.draw_noise(ref, kind, (3, 5))
+        assert np.array_equal(gen.standard_normal(4), ref.standard_normal(4))
+
     def test_streams_keyed_by_seed_and_trial(self):
         a = sim.draw_noise(sim.trial_generator(9, 4), "gaussian", 8)
         b = sim.draw_noise(sim.trial_generator(9, 4), "gaussian", 8)
         c = sim.draw_noise(sim.trial_generator(9, 5), "gaussian", 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestBatchStreams:
+    """One Philox per batch, reset per trial, reads each trial's own stream."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 1, 2**32 + 5])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    def test_reset_matches_fresh_generator(self, seed, first, kind):
+        r_max, t_max, n_dither, half = 2, 3, 3, 0.25
+        src, z, dither = sim._draw_inputs(
+            sim.KnownSampleSource(), kind, seed, first, 3, r_max, t_max, n_dither, half
+        )
+        assert z.shape == (r_max, t_max + 1, 3)
+        for b in range(3):
+            gen = sim.trial_generator(seed, first + b)
+            # source, then r-major noise, then dither, as the README states
+            assert src.s[b] == gen.uniform(-pam.SQRT3, pam.SQRT3)
+            assert np.array_equal(z[..., b], sim.draw_noise(gen, kind, (r_max, t_max + 1)))
+            assert np.array_equal(dither[b], gen.uniform(-half, half, size=n_dither))
+
+    def test_noise_layout_is_trial_contiguous_across_chunks(self):
+        count = sim._NOISE_CHUNK + 7  # one full chunk and a partial one
+        _, z, dither = sim._draw_inputs(
+            sim.KnownSampleSource(1.0), "gaussian", 5, 10, count, 2, 2
+        )
+        assert dither is None
+        assert z.flags.c_contiguous and z.shape == (2, 3, count)
+        for b in (0, sim._NOISE_CHUNK - 1, sim._NOISE_CHUNK, count - 1):
+            want = sim.draw_noise(sim.trial_generator(5, 10 + b), "gaussian", (2, 3))
+            assert np.array_equal(z[..., b], want)
+
+    def test_source_that_draws_nothing_still_gets_noise(self):
+        # KnownSampleSource(value) never iterates its generators
+        _, z, _ = sim._draw_inputs(sim.KnownSampleSource(0.5), "uniform", 3, 0, 4, 1, 2)
+        for b in range(4):
+            want = sim.draw_noise(sim.trial_generator(3, b), "uniform", (1, 3))
+            assert np.array_equal(z[..., b], want)
+
+    def test_streams_iterate_once(self):
+        streams = sim._TrialStreams(1, 0, 2, "zero", (1, 1))
+        assert len(streams) == 2
+        list(streams)
+        with pytest.raises(RuntimeError):
+            iter(streams)
+
+
+def _rows_digest(stats):
+    text = "\n".join(",".join(repr(v) for v in row) for row in stats.rows())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _aggregate_digest(agg):
+    h = hashlib.sha256()
+    for f in dataclasses.fields(agg):
+        value = getattr(agg, f.name)
+        h.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+class TestRegressionPins:
+    """Digests recorded from the engine before its per-trial streams were shared.
+
+    They pin every Monte Carlo path bit for bit: batches of 1,000 over 2,500
+    trials (so the last batch is short), at 1 and 3 threads.
+    """
+
+    @staticmethod
+    def _decode_case(kind):
+        if kind == "stream":
+            gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 4, 9))
+            return (gains, sim.PacketStreamSource(2, 2), "gaussian", 11,
+                    [(2, 3), (4, 5), (3, 7), (4, 9)], sim.DecodeSpec("stream", 2, 2))
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 3))
+        if kind == "packet":
+            return (gains, sim.SinglePacketSource(2), "uniform", 9,
+                    [(1, 1), (2, 2), (3, 3)], sim.DecodeSpec("packet", 2))
+        alpha = sim.coefficient_trial(gains)
+        cells = [(2, 2), (3, 3)]
+        spec = sim.DecodeSpec("packet_dithered", 3, decode_bits_n=3,
+                              alphas=np.array([alpha[r, t] for r, t in cells]))
+        return gains, sim.SinglePacketSource(3), "rademacher", 13, cells, spec
+
+    PINNED_ROWS = {
+        "stream": ("517e226c9452c7dcca9f9753d72b379ba390ea754735a7490810a722d69fb80c", None),
+        "packet": ("5f5726eef151b5cdd58baa077c390cd08a9a62a4bfb519b7631c118f66b54f0a", None),
+        "packet_dithered": (
+            "17a6ff0e78af15e42fad0ffe552817220b0c3eede88c195530eb2f22f5c9daeb",
+            "cc7031ec724392bf378368ed52300029167b16f6c276e352aedb6a2d4a312abe",
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("kind", ["stream", "packet", "packet_dithered"])
+    def test_decode_rows(self, kind, threads):
+        gains, source, noise, seed, cells, spec = self._decode_case(kind)
+        primary, secondary = sim.run_decoding_monte_carlo(
+            gains, source, noise, 2_500, seed, cells, spec, batch_size=1_000, threads=threads
+        )
+        got = (_rows_digest(primary), secondary and _rows_digest(secondary))
+        assert got == self.PINNED_ROWS[kind]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_probe_aggregate(self, threads):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 5))
+        agg = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 2_500, 5,
+                                  probes=True, batch_size=1_000, threads=threads)
+        assert _aggregate_digest(agg) == (
+            "ef62adc249d8b31545eba376bf092a4e3942b30cf14d7c05b203a3ccb07702cb"
+        )
+
+    def test_packet_stream_aggregate(self):
+        gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 3, 6))
+        agg = sim.run_monte_carlo(gains, sim.PacketStreamSource(2, 2), "uniform", 2_500, 6,
+                                  batch_size=1_000)
+        assert _aggregate_digest(agg) == (
+            "32bab329752c375623acc1557b297f86ac805fff07bef74ca5253b581338133f"
+        )
+
+    def test_single_trial_traces(self):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 5))
+        tr = sim.run_trial(gains, sim.KnownSampleSource(), "gaussian", 7, 3)
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        assert tr.z.shape == (3, 6)
+        assert digest(tr.z) == (
+            "7bbc25f566d55883309751869377010f7a64dfb8192a06d4e0abdc0ea5a5171a"
+        )
+        assert digest(tr.estimates) == (
+            "23748e4ffde1c117c88fc6686c94955973e464da15f5ea5fa46ee895d30bcc2b"
+        )
+        assert digest(tr.x, tr.y) == (
+            "af0de15b2640e122973bda06c4f2cf5738a7599ccfd4c999019d236d84f89050"
+        )
+        assert digest(sim.coefficient_trial(gains)) == (
+            "05efa318f2a2a6c7c868f536e86b874a27f756aff4a05d7522a88926c07a2bbf"
+        )
 
 
 class TestGains:
