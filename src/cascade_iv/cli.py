@@ -26,6 +26,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import exponents as xp
 from . import mse as mse_mod
@@ -72,15 +73,8 @@ def _rate_of(cfg: ExperimentConfig, channel) -> float | None:
     return None
 
 
-def _boundary_for(cfg: ExperimentConfig, channel):
-    if cfg.scheme in ("single_sample", "single_packet"):
-        return mse_mod.SingleSampleBoundary()
-    if cfg.scheme == "refined_source":
-        return mse_mod.ExponentialRefinementBoundary(cfg.rate_nats)
-    return mse_mod.PacketStreamBoundary(cfg.packet_bits, cfg.period)
-
-
 def _source_for(cfg: ExperimentConfig):
+    """The scheme's source process; its ``boundary()`` is the lattice boundary row."""
     if cfg.scheme == "single_sample":
         return sim.KnownSampleSource()
     if cfg.scheme == "single_packet":
@@ -137,8 +131,7 @@ def cmd_iv(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 
 def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     channel = make_channel_params(cfg.snr)
-    boundary = _boundary_for(cfg, channel)
-    grid = mse_mod.solve_grid(channel, boundary, cfg.r_max, cfg.t_max)
+    grid = mse_mod.solve_grid(channel, _source_for(cfg).boundary(), cfg.r_max, cfg.t_max)
     paths = []
     if cfg.scheme in ("single_sample", "single_packet", "refined_source"):
         if cfg.scheme == "refined_source":
@@ -186,62 +179,56 @@ def _default_probe_pairs(T: int) -> list[tuple[int, int]]:
     return pairs
 
 
+# Family-wise false-alarm rate of each verdict: that of one two-sided
+# 3-sigma test.
+VERDICT_ALPHA = 0.0027
+
+
+def _family_threshold(m: int, one_sided: bool = False) -> float:
+    """Bonferroni z threshold holding the family of ``m`` tests at ``VERDICT_ALPHA``."""
+    tail = VERDICT_ALPHA / max(m, 1)
+    return float(ndtri(1.0 - (tail if one_sided else 0.5 * tail)))
+
+
+def _family_verdict(check: str, dev: np.ndarray, stderr: np.ndarray, what: str,
+                    one_sided: bool = False) -> dict:
+    """One check family of ``dev.size`` z-tests at its Bonferroni threshold."""
+    z = _family_threshold(dev.size, one_sided)
+    n_bad = int(np.count_nonzero((dev if one_sided else np.abs(dev)) > z * stderr))
+    side = "one-sided " if one_sided else ""
+    return {
+        "check": check,
+        "passed": n_bad == 0,
+        "detail": f"{n_bad} of {dev.size} {what} outside {z:.3f} stderr "
+                  f"({side}Bonferroni, family-wise alpha {VERDICT_ALPHA})",
+    }
+
+
 def simulate_verdicts(cfg: ExperimentConfig, agg: sim.MonteCarloAggregate, grid) -> list[dict]:
-    """Theory-vs-simulation checks at 3 standard errors (identity at 1e-12)."""
+    """Theory-vs-simulation checks (identity at 1e-12).
+
+    Each statistical family (MSE cells, power cells, decorrelation pairs,
+    error-covariance cells) is tested at the Bonferroni threshold over its
+    size, so under the normal approximation each verdict fails on correct
+    code with probability at most ``VERDICT_ALPHA``.
+    """
     theory = grid.values[:, 1:]
     upper_only = cfg.scheme == "single_packet"  # var(S^psi) < 1, MSE <= lattice
-    verdicts = []
-
-    dev = agg.mse_mean - theory
-    tol = 3.0 * agg.mse_stderr
-    bad = (dev > tol) if upper_only else (np.abs(dev) > tol)
-    bad[0, :] = False  # node 0 follows the boundary process exactly
-    verdicts.append(
-        {
-            "check": "mse_vs_theory",
-            "passed": bool(~bad.any()),
-            "detail": f"{int(bad.sum())} of {bad[1:].size} cells outside 3 stderr",
-        }
-    )
-
-    p = cfg.snr
-    pw_bad = np.abs(agg.power_mean - p) > 3.0 * agg.power_stderr
-    if upper_only:
-        pw_bad = (agg.power_mean - p) > 3.0 * agg.power_stderr
-    verdicts.append(
-        {
-            "check": "power_equality",
-            "passed": bool(~pw_bad.any()),
-            "detail": f"{int(pw_bad.sum())} of {pw_bad.size} cells outside 3 stderr",
-        }
-    )
-
+    verdicts = [
+        # node 0 follows the boundary process exactly
+        _family_verdict("mse_vs_theory", agg.mse_mean[1:] - theory[1:], agg.mse_stderr[1:],
+                        "cells", upper_only),
+        _family_verdict("power_equality", agg.power_mean - cfg.snr, agg.power_stderr,
+                        "cells", upper_only),
+    ]
     if agg.y_cov is not None:
-        n_bad = 0
-        n_tot = 0
-        T = agg.t_max + 1
-        for r in range(agg.r_max):
-            for t, u in _default_probe_pairs(T):
-                n_tot += 1
-                if abs(agg.y_cov[r, t, u]) > 3.0 * agg.y_cov_stderr[r, t, u]:
-                    n_bad += 1
-        verdicts.append(
-            {
-                "check": "output_decorrelation",
-                "passed": n_bad == 0,
-                "detail": f"{n_bad} of {n_tot} pairs outside 3 stderr",
-            }
-        )
-
-        d_bad = np.abs(agg.lemma8_diff_mean[1 : agg.r_max]) > 3.0 * agg.lemma8_diff_stderr[1 : agg.r_max]
-        verdicts.append(
-            {
-                "check": "error_covariance_identity",
-                "passed": bool(~d_bad.any()),
-                "detail": f"{int(d_bad.sum())} of {d_bad.size} cells outside 3 stderr",
-            }
-        )
-
+        pairs = np.array(_default_probe_pairs(agg.t_max + 1), dtype=int).reshape(-1, 2)
+        t, u = pairs[:, 0], pairs[:, 1]
+        verdicts.append(_family_verdict("output_decorrelation", agg.y_cov[:, t, u],
+                                        agg.y_cov_stderr[:, t, u], "pairs"))
+        verdicts.append(_family_verdict("error_covariance_identity",
+                                        agg.lemma8_diff_mean[1 : agg.r_max],
+                                        agg.lemma8_diff_stderr[1 : agg.r_max], "cells"))
     verdicts.append(
         {
             "check": "per_step_identity",
@@ -254,11 +241,12 @@ def simulate_verdicts(cfg: ExperimentConfig, agg: sim.MonteCarloAggregate, grid)
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
     channel = make_channel_params(cfg.snr)
-    grid = mse_mod.solve_grid(channel, _boundary_for(cfg, channel), cfg.r_max, cfg.t_max)
+    source = _source_for(cfg)
+    grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, cfg.t_max)
     gains = sim.precompute_gains(grid)
     agg = sim.run_monte_carlo(
         gains,
-        _source_for(cfg),
+        source,
         cfg.noise,
         cfg.num_trials,
         cfg.master_seed,

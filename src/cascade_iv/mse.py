@@ -15,6 +15,12 @@ The packet staircase incorporates the packet arriving at t = tau*T
 immediately, so it sits on or below the exponential-refinement profile with
 equality at the end of each period.
 
+``solve_grid`` evaluates the recursion as an anti-diagonal wavefront in
+plain numpy: cells with equal r + t depend only on the previous diagonal, so
+the whole lattice takes r_max + t_max vector steps.  Each cell is computed as
+``(1 - snr_bar) * left + snr_bar * up``, the arithmetic of a first-order IIR
+filter run along each row.
+
 Closed forms are evaluated in the log domain (binomials through log-gamma,
 sums through max-shifted log-sum-exp accumulation) because the binomial
 factors overflow float64 long before r = t = 200.  Linear wrappers may
@@ -29,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import gammaln, logsumexp
 
 from .params import ChannelParams, HopConvention, Velocity
@@ -173,9 +178,12 @@ def solve_grid(
 ) -> MseGrid:
     """Solve the lattice by dynamic programming in O(r_max * t_max).
 
-    Each row is an IIR recurrence in t driven by the row above, evaluated with
-    ``lfilter``; the convex-combination structure keeps the computation stable
-    and every entry inside [0, 1].
+    Anti-diagonal wavefront: every cell of diagonal d = r + t + 1 needs only
+    its left and upper neighbours, both on diagonal d - 1.  The previous
+    diagonal is kept in a contiguous buffer indexed by r, so each step is
+    two contiguous multiplies, one add and one strided write into
+    ``values``.  The convex-combination structure keeps every entry inside
+    [0, 1]; the result is read-only.
     """
     if r_max < 1 or t_max < 0:
         raise ValueError("need r_max >= 1 and t_max >= 0")
@@ -184,13 +192,26 @@ def solve_grid(
         raise GridSizeError(f"grid of {n_cells} cells exceeds cap {cell_cap}")
 
     pbar = channel.snr_bar
-    values = np.empty((r_max + 1, t_max + 2))
+    qbar = 1.0 - pbar
+    n_cols = t_max + 2
+    values = np.empty((r_max + 1, n_cols))
     values[:, 0] = 1.0  # M_r(-1) = 1
     values[0, 1:] = boundary.profile(t_max)
-    b, a = [pbar], [1.0, -(1.0 - pbar)]
-    for r in range(1, r_max + 1):
-        row, _ = lfilter(b, a, values[r - 1, 1:], zi=[(1.0 - pbar) * 1.0])
-        values[r, 1:] = row
+    flat = values.reshape(-1)
+    # diag[r] holds cell (r, d - r) of the last diagonal d, in column
+    # coordinates; rows not yet reached keep M_r(-1) = 1.
+    diag = np.ones(r_max + 1)
+    up = np.empty(r_max)
+    for d in range(2, r_max + n_cols):
+        if d <= n_cols:
+            diag[0] = values[0, d - 1]
+        lo, hi = max(1, d - n_cols + 1), min(r_max, d - 1)
+        n = hi - lo + 1
+        np.multiply(diag[lo - 1 : hi], pbar, out=up[:n])
+        cells = diag[lo : hi + 1]
+        np.multiply(cells, qbar, out=cells)
+        np.add(cells, up[:n], out=cells)
+        flat[d + lo * (n_cols - 1) : d + hi * (n_cols - 1) + 1 : n_cols - 1] = cells
     values.setflags(write=False)
     return MseGrid(channel=channel, boundary=boundary, r_max=r_max, t_max=t_max, values=values)
 

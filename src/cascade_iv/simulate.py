@@ -13,11 +13,13 @@ Reproducibility: trial i draws everything from its own counter-based stream
 ``Philox(key=(master_seed, i))``, read from counter 0 in a fixed order
 (source draw, then the hop noise lattice in r-major layout, then any decoder
 dither), so every sample is addressable and independent of batching and
-thread count.  A batch builds one generator and resets its state to trial
-i's key rather than building a generator per trial, and stores the noise
-trial-contiguous, (r_max, T, B), for the recursion.  Monte Carlo aggregation
-uses fixed-size batches merged in batch order with compensated summation,
-making aggregates bit-identical for any parallelism degree.
+thread count.  Packet bits are read as raw Philox words, two per word,
+and equal ``Generator.integers(0, 2)`` draws bit for bit.  A batch builds
+one generator and resets its state to trial i's key rather than building a
+generator per trial, and stores the noise trial-contiguous, (r_max, T, B),
+for the recursion.  Monte Carlo aggregation uses fixed-size batches merged
+in batch order with compensated summation, making aggregates bit-identical
+for any parallelism degree.
 
 One recursion, ``_sweep``, serves every caller; what each keeps is an
 observer of its time steps: the moments and probes of ``run_monte_carlo``,
@@ -204,6 +206,30 @@ def resolve_threads(threads: int | None = None) -> int:
 # Source processes
 # ---------------------------------------------------------------------------
 
+def _draw_bits(gens, n: int) -> np.ndarray:
+    """(B, n) uniform bits, int8, equal to ``g.integers(0, 2, size=n)`` per trial.
+
+    ``integers(0, 2)`` is Lemire's method on [0, 2), which never rejects:
+    bit k is the top bit of the stream's 32-bit output k, and each 64-bit
+    Philox word supplies two of them, low half first.  So each trial reads
+    ``n // 2`` raw words in one call and the bits are cut out for the whole
+    batch at once.  An odd last bit is drawn by ``integers``, which leaves
+    the word's high half buffered for the next 32-bit draw, as the plain
+    call does.  Each generator's 32-bit buffer must be empty on entry, as it
+    is on a fresh or reset trial stream.
+    """
+    n_words, odd = divmod(n, 2)
+    raw = np.empty((len(gens), n_words), dtype=np.uint64)
+    bits = np.empty((len(gens), n), dtype=np.int8)
+    for i, g in enumerate(gens):
+        raw[i] = g.bit_generator.random_raw(n_words)
+        if odd:
+            bits[i, -1] = g.integers(0, 2, size=1)[0]
+    bits[:, 0 : 2 * n_words : 2] = raw >> np.uint64(31) & np.uint64(1)
+    bits[:, 1 : 2 * n_words : 2] = raw >> np.uint64(63)
+    return bits
+
+
 @dataclass(frozen=True)
 class SourceBatch:
     """Per-batch source draws: target values, node-0 estimates, optional bits."""
@@ -343,7 +369,7 @@ class PacketStreamSource:
 
     def draw_batch(self, gens, t_max: int) -> SourceBatch:
         depth = self.depth(t_max)
-        bits = np.stack([g.integers(0, 2, size=depth) for g in gens]).astype(np.int8)
+        bits = _draw_bits(gens, depth)
         w = pam.SQRT3 * np.exp2(-(np.arange(depth) + 1.0))
         contrib = (1.0 - 2.0 * bits) * w
         csum = np.cumsum(contrib, axis=1)
@@ -369,7 +395,7 @@ class SinglePacketSource:
         return SingleSampleBoundary()
 
     def draw_batch(self, gens, t_max: int) -> SourceBatch:
-        bits = np.stack([g.integers(0, 2, size=self.packet_bits) for g in gens]).astype(np.int8)
+        bits = _draw_bits(gens, self.packet_bits)
         w = pam.SQRT3 * np.exp2(-(np.arange(self.packet_bits) + 1.0))
         s = ((1.0 - 2.0 * bits) * w).sum(axis=1)
         shat0 = np.repeat(s[:, None], t_max + 1, axis=1)

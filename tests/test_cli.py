@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from cascade_iv import cli
+from cascade_iv import mse as mse_mod
+from cascade_iv import simulate as sim
 from cascade_iv.config import ExperimentConfig
+from cascade_iv.params import make_channel_params
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -223,6 +227,53 @@ class TestSimulateCommand:
         assert last[3] == ""  # node r_max transmits on no simulated hop
 
 
+class TestSimulateVerdicts:
+    """Each check family is tested at its Bonferroni threshold."""
+
+    CFG = ExperimentConfig(r_max=3, t_max=8, num_trials=20_000)
+    SEEDS = range(1, 11)
+
+    @pytest.fixture(scope="class")
+    def aggregates(self):
+        cfg = self.CFG
+        grid = mse_mod.solve_grid(make_channel_params(cfg.snr), mse_mod.SingleSampleBoundary(),
+                                  cfg.r_max, cfg.t_max)
+        gains = sim.precompute_gains(grid)
+        return grid, [
+            sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", cfg.num_trials,
+                                seed, probes=True, threads=1)
+            for seed in self.SEEDS
+        ]
+
+    def test_thresholds(self):
+        assert cli._family_threshold(1) == pytest.approx(3.0, abs=1e-3)  # alpha is 3 sigma
+        assert cli._family_threshold(1, one_sided=True) == pytest.approx(2.782, abs=1e-3)
+        assert cli._family_threshold(105) == pytest.approx(4.208, abs=1e-3)
+        assert cli._family_threshold(195) > cli._family_threshold(105)
+
+    def test_correct_code_passes_at_seeds_1_to_10(self, aggregates):
+        # a per-cell 3-sigma rule failed output_decorrelation at seeds 2 and 8
+        grid, aggs = aggregates
+        for seed, agg in zip(self.SEEDS, aggs):
+            verdicts = cli.simulate_verdicts(self.CFG, agg, grid)
+            assert all(v["passed"] for v in verdicts), (seed, verdicts)
+            by_check = {v["check"]: v["detail"] for v in verdicts}
+            assert by_check["mse_vs_theory"] == (
+                "0 of 27 cells outside 3.891 stderr (Bonferroni, family-wise alpha 0.0027)"
+            )
+            assert "0 of 45 pairs outside 4.013 stderr" in by_check["output_decorrelation"]
+
+    def test_theory_at_shifted_snr_fails_at_seeds_1_to_10(self, aggregates):
+        # power of the checks: compare the runs with theory for a 5% higher SNR
+        _, aggs = aggregates
+        cfg = dataclasses.replace(self.CFG, snr=self.CFG.snr * 1.05)
+        wrong = mse_mod.solve_grid(make_channel_params(cfg.snr), mse_mod.SingleSampleBoundary(),
+                                   cfg.r_max, cfg.t_max)
+        for seed, agg in zip(self.SEEDS, aggs):
+            failed = {v["check"] for v in cli.simulate_verdicts(cfg, agg, wrong) if not v["passed"]}
+            assert {"mse_vs_theory", "power_equality"} <= failed, (seed, failed)
+
+
 class TestEndToEnd:
     def test_verify_command_passes(self, tmp_path):
         res = run_cli(["verify", "--out", str(tmp_path)], tmp_path)
@@ -252,7 +303,7 @@ class TestEndToEnd:
             ["simulate", "--out", str(tmp_path / "o"), "--trials", "2000", "--seed", "7"],
             tmp_path,
         )
-        # 2000 trials at 3 sigma across hundreds of cells may legitimately fail,
+        # a 2000-trial run may legitimately fail a statistical verdict,
         # but only as a verification failure: a child that crashes also exits 1
         assert res.returncode in (0, 1), res.stdout + res.stderr
         if res.returncode == 1:

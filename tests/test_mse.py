@@ -1,4 +1,7 @@
+import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +30,11 @@ PBAR = 10.0 / 11.0
 
 
 def dp_reference(pbar, boundary_row, r_max, t_max):
-    """Hand-rolled recursion, independent of solve_grid's lfilter path."""
+    """Hand-rolled cell-by-cell recursion, row by row, independent of solve_grid's wavefront.
+
+    Pass ``channel.snr_bar`` as ``pbar`` for a bit-exact comparison: each cell
+    is the same two products and one add as in ``solve_grid``.
+    """
     m = np.ones((r_max + 1, t_max + 2))
     m[0, 1:] = boundary_row
     for r in range(1, r_max + 1):
@@ -107,6 +114,53 @@ class TestSolveGrid:
         v = grid.values
         assert (v >= 0).all() and (v <= 1).all()
         assert (np.diff(v, axis=1) <= 1e-15).all()
+
+
+# sha256 of solve_grid(...).values, recorded from the row-by-row
+# scipy.signal.lfilter solver that the wavefront replaced.
+SINGLE_2000_SHA256 = "e791eee3c830d3ae5c901169aa539af68e4a1dec5889587da07dcd9e0a848727"
+STAIRCASE_300x500_SHA256 = "44ad5f5d73f297924b883ce1227bb2da411d18defbef12dee69da5e89edba7b8"
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestWavefront:
+    BOUNDARIES = (
+        SingleSampleBoundary(),
+        ExponentialRefinementBoundary(0.5),
+        PacketStreamBoundary(2, 2),
+        SequenceBoundary(tuple(np.linspace(0.9, 0.01, 301))),
+    )
+    SHAPES = ((1, 0), (3, 0), (1, 5), (300, 4), (4, 300), (24, 43), (200, 200))
+
+    @pytest.mark.parametrize("snr", [10.0, 1.0, 0.3])
+    def test_bit_identical_to_cell_by_cell_recursion(self, snr):
+        ch = make_channel_params(snr)
+        for boundary in self.BOUNDARIES:
+            for r_max, t_max in self.SHAPES:
+                grid = solve_grid(ch, boundary, r_max, t_max)
+                ref = dp_reference(ch.snr_bar, boundary.profile(t_max), r_max, t_max)
+                assert np.array_equal(grid.values, ref), (boundary, r_max, t_max)
+
+    def test_pinned_lattice_bytes(self):
+        grid = solve_grid(CH10, SingleSampleBoundary(), 2000, 2000)
+        assert _sha256(grid.values) == SINGLE_2000_SHA256
+        grid = solve_grid(CH10, PacketStreamBoundary(2, 2), 300, 500)
+        assert _sha256(grid.values) == STAIRCASE_300x500_SHA256
+
+    def test_result_is_read_only(self):
+        grid = solve_grid(CH10, PacketStreamBoundary(2, 2), 5, 7)
+        assert grid.values.shape == (6, 9)
+        with pytest.raises(ValueError):
+            grid.values[1, 1] = 0.5
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        code = "import sys, cascade_iv.cli; print('scipy.signal' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestClosedFormSingle:

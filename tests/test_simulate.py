@@ -130,6 +130,34 @@ def _aggregate_digest(agg):
     return h.hexdigest()
 
 
+class TestRawWordBits:
+    """Packet bits cut from raw Philox words equal ``integers(0, 2, size=n)``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 67, 68])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [0, 1, 2**32 + 5])
+    def test_matches_integers_and_leaves_the_stream_in_step(self, n, seed, trial):
+        got_gen = sim.trial_generator(seed, trial)
+        want_gen = sim.trial_generator(seed, trial)
+        bits = sim._draw_bits([got_gen], n)
+        assert bits.dtype == np.int8 and bits.shape == (1, n)
+        assert np.array_equal(bits[0], want_gen.integers(0, 2, size=n))
+        got, want = got_gen.bit_generator.state, want_gen.bit_generator.state
+        if want["has_uint32"] == 0:  # the buffered half is stale then
+            got.pop("uinteger"), want.pop("uinteger")
+        assert repr(got) == repr(want)  # the state holds small uint64 arrays
+        # an odd n leaves a buffered half, which the next 32-bit draw reads
+        assert got_gen.standard_normal() == want_gen.standard_normal()
+        assert got_gen.uniform() == want_gen.uniform()
+        assert np.array_equal(got_gen.integers(0, 2, size=3), want_gen.integers(0, 2, size=3))
+
+    def test_batch_rows_are_the_trials(self):
+        gens = [sim.trial_generator(9, i) for i in range(5)]
+        bits = sim._draw_bits(gens, 7)
+        for i in range(5):
+            assert np.array_equal(bits[i], sim.trial_generator(9, i).integers(0, 2, size=7))
+
+
 class TestRegressionPins:
     """Digests recorded from the engine before its per-trial streams were shared.
 
@@ -385,6 +413,11 @@ class TestSources:
     def test_packet_stream_staircase_example(self):
         # all-zero packet of 4 bits over T=4: Shat_0(0..3) = sqrt3 * 15/16
         class ZeroGen:
+            class bit_generator:
+                @staticmethod
+                def random_raw(size):
+                    return np.zeros(size, dtype=np.uint64)
+
             def integers(self, lo, hi, size):
                 return np.zeros(size, dtype=np.int64)
 
