@@ -132,7 +132,8 @@ def cmd_iv(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     channel = make_channel_params(cfg.snr)
     grid = mse_mod.solve_grid(channel, _source_for(cfg).boundary(), cfg.r_max, cfg.t_max)
-    paths = []
+    path = os.path.join(out_dir, "mse.csv")
+    paths = [path]
     if cfg.scheme in ("single_sample", "single_packet", "refined_source"):
         if cfg.scheme == "refined_source":
             log_i, log_ii = mse_mod.log_closed_form_streaming_grid(
@@ -141,32 +142,28 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             log_cf = np.logaddexp(log_i, log_ii)
         else:
             log_cf = mse_mod.log_closed_form_single_grid(channel, cfg.r_max, cfg.t_max)
-        rows = []
-        max_rel = 0.0
-        for r in range(1, cfg.r_max + 1):
-            for t in range(0, cfg.t_max + 1):
-                dp = grid.at(r, t)
-                cf = math.exp(log_cf[r, t])
-                if dp >= mse_mod.UNDERFLOW_LINEAR:
-                    rel = abs(cf - dp) / dp
-                else:  # compare in the log domain below linear resolution
-                    rel = abs(log_cf[r, t] - math.log(max(dp, 5e-324))) if dp > 0 else 0.0
-                max_rel = max(max_rel, rel)
-                rows.append((r, t, dp, cf, rel))
-        path = os.path.join(out_dir, "mse.csv")
-        _write_csv(path, "r,t,mse_dp,mse_closed,rel_discrepancy", rows)
-        paths.append(path)
+        dp = grid.values[1:, 1:]
+        log_cf = log_cf[1:]
+        # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.
+        cf = np.array(list(map(math.exp, log_cf.ravel().tolist()))).reshape(dp.shape)
+        linear = dp >= mse_mod.UNDERFLOW_LINEAR
+        rel = np.zeros_like(dp)
+        np.divide(np.abs(cf - dp), dp, out=rel, where=linear)
+        for i in np.flatnonzero(~linear):
+            # compare in the log domain below linear resolution; exact zeros are skipped
+            d = dp.flat[i]
+            if d > 0:
+                rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
+        max_rel = rel.max()  # NaN in any cell propagates
+        mse_mod.write_lattice_csv(path, "r,t,mse_dp,mse_closed,rel_discrepancy",
+                                  "%d,%d,%.17g,%.17g,%.17g", [dp, cf, rel], r0=1)
         summary = os.path.join(out_dir, "mse_summary.csv")
         _write_csv(summary, "max_rel_discrepancy", [(max_rel,)])
         paths.append(summary)
     else:  # packet_stream: staircase boundary, no closed form
-        rows = []
-        for r in range(0, cfg.r_max + 1):
-            for t in range(0, cfg.t_max + 1):
-                rows.append((r, t, grid.at(r, t), grid.at(0, t)))
-        path = os.path.join(out_dir, "mse.csv")
-        _write_csv(path, "r,t,mse_dp,boundary_staircase", rows)
-        paths.append(path)
+        dp = grid.values[:, 1:]
+        mse_mod.write_lattice_csv(path, "r,t,mse_dp,boundary_staircase", "%d,%d,%.17g,%.17g",
+                                  [dp, np.broadcast_to(dp[0], dp.shape)])
     grid_path = os.path.join(out_dir, "mse_grid.csv")
     mse_mod.write_grid_csv(grid, grid_path)
     paths.append(grid_path)

@@ -226,16 +226,33 @@ def stream_envelope_exponent(
         raise ValueError(f"envelope defined for 0 < v < P, got v={v!r}")
     if rate_nats <= 0.0:
         raise ValueError("rate_nats must be positive")
-    eta = (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+    pbar = channel.snr_bar
+    eta = (1.0 - pbar) * math.exp(2.0 * rate_nats)
     if eta >= 1.0:
         return -math.inf
+    # es(channel, rate_nats, w) with its theta-independent terms hoisted; every
+    # remaining operation runs in the order es and e1 use, so values are
+    # bit-identical to calling es.
+    v_edge = (1.0 - eta) / eta
+    first_region = kl_divergence(1.0 - eta, pbar) / (1.0 - eta)
+    two_rate = 2.0 * rate_nats
+    eta_ratio = eta / (1.0 - eta)
+    snr = channel.snr
 
     def objective(theta: float) -> float:
-        return 0.5 * v * es(channel, rate_nats, v / (1.0 + theta)) - theta * rate_nats
+        w = v / (1.0 + theta)
+        if w <= v_edge:
+            e = first_region + two_rate * (1.0 / w - eta_ratio)
+        elif w >= snr:
+            e = 0.0
+        else:
+            wbar = w / (1.0 + w)
+            e = kl_divergence(wbar, pbar) / wbar
+        return 0.5 * v * e - theta * rate_nats
 
     lo, hi = theta_span
     grid = np.geomspace(lo, hi, theta_grid_size)
-    vals = np.array([objective(th) for th in grid])
+    vals = np.array([objective(th) for th in grid.tolist()])
     best = objective(0.0)
     i = int(np.argmin(vals))
     best = min(best, float(vals[i]))

@@ -58,6 +58,7 @@ __all__ = [
     "log_closed_form_streaming_grid",
     "mse_at_velocity",
     "velocity_time_index",
+    "write_lattice_csv",
     "write_grid_csv",
 ]
 
@@ -65,6 +66,9 @@ DEFAULT_CELL_CAP = 50_000_000
 
 # Linear values below this are meaningless in float64; compare logs instead.
 UNDERFLOW_LINEAR = 1e-300
+
+# Rows formatted per ``%`` call by ``write_lattice_csv``.
+_CSV_BLOCK_ROWS = 1 << 15
 
 
 class GridSizeError(ValueError):
@@ -339,10 +343,27 @@ def mse_at_velocity(
     return source(r, t)
 
 
+def write_lattice_csv(path, header: str, row_format: str, columns, r0: int = 0,
+                      t0: int = 0) -> None:
+    """Write 2-D lattice arrays as ``r,t,...`` CSV rows, r-major then t.
+
+    ``columns`` are arrays of one shape ``(n_r, n_t)``; the row for element
+    ``[i, j]`` is ``row_format % (r0 + i, t0 + j, *values)``.  ``%.17g``
+    goes through the same float-to-string routine as ``f"{x:.17g}"``, and
+    ``%d`` prints the integral index floats as integers, so the bytes match
+    per-value formatting.  Rows are formatted one block per ``%`` call, so
+    memory stays bounded on large lattices.
+    """
+    n_r, n_t = columns[0].shape
+    n = n_r * n_t
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            r, t = np.divmod(np.arange(lo, min(lo + _CSV_BLOCK_ROWS, n)), n_t)
+            block = np.column_stack([r + r0, t + t0, *(c[r, t] for c in columns)])
+            fh.write((row_format + "\n") * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_grid_csv(grid: MseGrid, path) -> None:
     """Export ``r,t,mse`` rows, r-major then t (t = -1 column included)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("r,t,mse\n")
-        for r in range(grid.r_max + 1):
-            for t in range(-1, grid.t_max + 1):
-                fh.write(f"{r},{t},{grid.values[r, t + 1]:.17g}\n")
+    write_lattice_csv(path, "r,t,mse", "%d,%d,%.17g", [grid.values], t0=-1)

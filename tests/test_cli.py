@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -198,6 +199,127 @@ class TestMseCommand:
         for r, t, _, stair in rows:
             want = 2.0 ** (-4 * (int(t) // 2 + 1))
             assert float(stair) == want
+
+    def test_summary_propagates_nan(self, tmp_path, monkeypatch):
+        real = mse_mod.log_closed_form_single_grid
+
+        def with_nan(channel, r_max, t_max):
+            out = real(channel, r_max, t_max)
+            out[2, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(mse_mod, "log_closed_form_single_grid", with_nan)
+        cfg = ExperimentConfig(r_max=4, t_max=6, out_dir=str(tmp_path))
+        cli.cmd_mse(cfg, str(tmp_path))
+        summary = (tmp_path / "mse_summary.csv").read_text().splitlines()
+        assert summary == ["max_rel_discrepancy", "nan"]
+        rows = (tmp_path / "mse.csv").read_text().splitlines()
+        assert rows[1 + 1 * 7 + 3].split(",")[3:] == ["nan", "nan"]
+
+
+class TestMseBytePins:
+    """sha256 of every file ``cmd_mse`` writes, recorded before it was vectorised.
+
+    The 30x400 single-sample and single-packet lattices reach cells that
+    underflow to exactly 0 and cells below ``UNDERFLOW_LINEAR`` compared in
+    the log domain; the 200x200 files span more than one formatting block.
+    """
+
+    SCHEMES = {
+        "single_sample": {},
+        "single_packet": {"packet_bits": 3},
+        "refined_source": {"rate_nats": 0.5},
+        "packet_stream": {"packet_bits": 2, "period": 3},
+    }
+    SHAPES = [(10.0, 1, 0), (0.7, 12, 35), (10.0, 30, 400), (10.0, 200, 200)]
+    PINNED = {
+        "packet_stream-0.7-12x35": {
+            "mse.csv": "e3a22d8b1b9d4ebf28379a785842ee897fe729a2dc59cf8e70be3a5db70a06c5",
+            "mse_grid.csv": "bddb4d748e8e2b46cfdfff93d3c6673850cbfcb77db01a2f359baa408aff9c11",
+        },
+        "packet_stream-10.0-1x0": {
+            "mse.csv": "ac6ad8181dab50165242a25667a4ad62cf8862b24205b03724080bc522909a9c",
+            "mse_grid.csv": "a9486301ebaeaceacdc7c49ec19d945504ca0ce01533c6803053c7b3478b129d",
+        },
+        "packet_stream-10.0-200x200": {
+            "mse.csv": "d9948bb076209535a0bde9da361d1fc07b10109667b3fde3d5ed4830f1c936a5",
+            "mse_grid.csv": "4a6f869219477268d29bd12f0bfc933aa8039f882130aa45ba62ca877a9915d2",
+        },
+        "packet_stream-10.0-30x400": {
+            "mse.csv": "81db956f75195b7a8382bd1af55c192d45a7a2e1e55703cba14fec6f23d05de0",
+            "mse_grid.csv": "19e016983bf15318064a27d8a61dca07cdfe09656179dfb4b11f68b8d29e1045",
+        },
+        "refined_source-0.7-12x35": {
+            "mse.csv": "5c34bad76f8607e711a23f2c90c941db37b3632c3cbffb088bbab41fa4a54d07",
+            "mse_grid.csv": "c4f711be178c58a66c7c8895859c91606f68e5d04af6c40cbb1c944c0204378d",
+            "mse_summary.csv": "fb2d59385e0d86c45389c3b247f4a9d35f12dccffcebc2c366a9d52f0b3217c4",
+        },
+        "refined_source-10.0-1x0": {
+            "mse.csv": "d2f37b61a663926f9c6425884823ac7147fbbc193a9fcca815d2b4a689961b83",
+            "mse_grid.csv": "58949e14124e61b23b2844e9b08526f2ff538a272d3116fe10fc0d662ea028ac",
+            "mse_summary.csv": "816a152d29dc25fd5d7f270064056589ee9c846d65ec413b2975a1759c188e33",
+        },
+        "refined_source-10.0-200x200": {
+            "mse.csv": "24d8bdd1cdb7a7f7df75e5d0de71b2a0c00fc574030ac23da1239b8993338f83",
+            "mse_grid.csv": "1ee452101a911f3fb69a112818b728e4e3a615ac4c5bd0017bfa7d164886daa0",
+            "mse_summary.csv": "22d35b516177e55a19ad82ef303de7b84c98f29e94aacc7e279bbc9ddb3735c2",
+        },
+        "refined_source-10.0-30x400": {
+            "mse.csv": "bd09268f0c08e036dc9e46d7f7b388c4ceab9d22be5f22a38f137fc82ad50592",
+            "mse_grid.csv": "deac433d4d89d86d1a896aa3eddb91bbfda9d7bdf68506f7373db1e33b02c1a3",
+            "mse_summary.csv": "e651dea671d8027814ba3f5179a5d4ed6d81d54cdc5921f7637eee5f240107d6",
+        },
+        "single_packet-0.7-12x35": {
+            "mse.csv": "69d5131833d6cd1e5bb46979b06a2cd2e154cc5ecde90424ccfad390ac7828fc",
+            "mse_grid.csv": "eb5f9062425b13d395e9ddd795828d81cecf63e418c1e55c89a5d4167ae1dcfc",
+            "mse_summary.csv": "1e75464aa32d7012cc47021b5d17fd5ee8c988228948285dc798d7ff1f99a1b6",
+        },
+        "single_packet-10.0-1x0": {
+            "mse.csv": "d2f88c67401cdc8a548350a057116228c8f48106adfc1d3308a41dbbc50f0f1f",
+            "mse_grid.csv": "81ae1f34db62fde72a8881580d7abb797bacb5808b8e51234815e249a6c09ff1",
+            "mse_summary.csv": "3298fb64e767e3ba25d489e224d9fe206bc1f139bb7c7c9d09da3ef17afeacee",
+        },
+        "single_packet-10.0-200x200": {
+            "mse.csv": "342bb49b65b14d46446b100408a572f54c6317c82b088def0d9a4ada8a5efc3b",
+            "mse_grid.csv": "b523848b20daa406c18a45aaa34978278877686ef0d60150b359049c2af289c8",
+            "mse_summary.csv": "e84e49df0f88d053c34aaa9a6f907b7274d7f64abe63ac09403bf95e8f46ea5f",
+        },
+        "single_packet-10.0-30x400": {
+            "mse.csv": "5efab7e3ab22a6c7c838fb8c0f59f3437ffa9abbb7278c57a16a87d857bcd9ea",
+            "mse_grid.csv": "e0ccc1a2ae8380a3ab55b57ad6951d4b14f2befcc1f286735e0f7304da39b0ca",
+            "mse_summary.csv": "03a71862310d5638654487b4a0a0503bddab1865bb5e571fca599629439e420b",
+        },
+        "single_sample-0.7-12x35": {
+            "mse.csv": "69d5131833d6cd1e5bb46979b06a2cd2e154cc5ecde90424ccfad390ac7828fc",
+            "mse_grid.csv": "eb5f9062425b13d395e9ddd795828d81cecf63e418c1e55c89a5d4167ae1dcfc",
+            "mse_summary.csv": "1e75464aa32d7012cc47021b5d17fd5ee8c988228948285dc798d7ff1f99a1b6",
+        },
+        "single_sample-10.0-1x0": {
+            "mse.csv": "d2f88c67401cdc8a548350a057116228c8f48106adfc1d3308a41dbbc50f0f1f",
+            "mse_grid.csv": "81ae1f34db62fde72a8881580d7abb797bacb5808b8e51234815e249a6c09ff1",
+            "mse_summary.csv": "3298fb64e767e3ba25d489e224d9fe206bc1f139bb7c7c9d09da3ef17afeacee",
+        },
+        "single_sample-10.0-200x200": {
+            "mse.csv": "342bb49b65b14d46446b100408a572f54c6317c82b088def0d9a4ada8a5efc3b",
+            "mse_grid.csv": "b523848b20daa406c18a45aaa34978278877686ef0d60150b359049c2af289c8",
+            "mse_summary.csv": "e84e49df0f88d053c34aaa9a6f907b7274d7f64abe63ac09403bf95e8f46ea5f",
+        },
+        "single_sample-10.0-30x400": {
+            "mse.csv": "5efab7e3ab22a6c7c838fb8c0f59f3437ffa9abbb7278c57a16a87d857bcd9ea",
+            "mse_grid.csv": "e0ccc1a2ae8380a3ab55b57ad6951d4b14f2befcc1f286735e0f7304da39b0ca",
+            "mse_summary.csv": "03a71862310d5638654487b4a0a0503bddab1865bb5e571fca599629439e420b",
+        },
+    }
+
+    @pytest.mark.parametrize("snr,r_max,t_max", SHAPES)
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_file_digests(self, scheme, snr, r_max, t_max, tmp_path):
+        cfg = ExperimentConfig(scheme=scheme, snr=snr, r_max=r_max, t_max=t_max,
+                               out_dir=str(tmp_path), **self.SCHEMES[scheme])
+        paths = cli.cmd_mse(cfg, str(tmp_path))
+        got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for p in paths}
+        assert got == self.PINNED[f"{scheme}-{snr}-{r_max}x{t_max}"]
 
 
 class TestSimulateCommand:

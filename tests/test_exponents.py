@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -293,6 +294,28 @@ class TestStreamEnvelope:
     def test_closed_form_domain(self):
         with pytest.raises(ValueError):
             xp.stream_envelope_closed_form(CH10, self.RATE, 2.0)
+
+    # sha256 of the float.hex values below, recorded before the objective's
+    # theta-independent terms were hoisted out of ``es``.
+    PINNED_HEX = {
+        0.1: "e7856ace71308f0482f91e395a84c236bec27d3c9752905d24c9803e8e181cce",
+        1.0: "ecba065c400c65cc08b4f4943057394d6a2f43e0483bfc8c4803a19384421afd",
+        10.0: "da0edd4bcb9a080fa12f0b16233e77a1ab1811017c2e75bbdc496cfb095e19f8",
+        100.0: "2ad0d411f4c7e24cc1f536af7ef432a857fe5282344f13f168767864479bf7d4",
+    }
+
+    @pytest.mark.parametrize("snr", sorted(PINNED_HEX))
+    def test_bit_pins(self, snr):
+        ch = make_channel_params(snr)
+        hexes = []
+        for frac in (0.1, 0.5, 0.9):
+            rate = frac * ch.capacity_nats
+            eta = (1.0 - ch.snr_bar) * math.exp(2.0 * rate)
+            edge = (1.0 - eta) / eta
+            # first region, its edge, the second region and near P
+            for v in (0.5 * edge, edge, 0.5 * (edge + snr), 0.999 * snr):
+                hexes.append(float.hex(xp.stream_envelope_exponent(ch, rate, v)))
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == self.PINNED_HEX[snr]
 
 
 class TestWorstBitBound:

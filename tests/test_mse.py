@@ -338,6 +338,23 @@ class TestGridCsv:
         # r-major then t: 3 rows per relay (t = -1, 0, 1)
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0"] * 3 + ["1"] * 3 + ["2"] * 3
 
+    @pytest.mark.parametrize("r_max,t_max", [(1, 0), (3, 7), (200, 200)])
+    def test_matches_per_cell_reference(self, r_max, t_max, tmp_path):
+        # 200x200 spans two formatting blocks, split inside a row
+        grid = solve_grid(CH10, PacketStreamBoundary(2, 3), r_max, t_max)
+        want = ["r,t,mse"] + [
+            f"{r},{t},{grid.values[r, t + 1]:.17g}"
+            for r in range(r_max + 1)
+            for t in range(-1, t_max + 1)
+        ]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, path)
+        got = path.read_text().split("\n")
+        assert got.pop() == ""  # the last row ends in a newline
+        # name the first differing line; a diff of 40k lines would take minutes
+        bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert (bad, len(got)) == (None, len(want)), bad is not None and (got[bad], want[bad])
+
     def test_rerun_byte_identical(self, tmp_path):
         grid = solve_grid(CH10, PacketStreamBoundary(2, 2), 3, 4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
