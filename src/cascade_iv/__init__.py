@@ -51,7 +51,6 @@ from .simulate import (
     RefinementSource,
     SinglePacketSource,
     coefficient_trial,
-    make_source_process,
     precompute_gains,
     run_monte_carlo,
     run_trial,

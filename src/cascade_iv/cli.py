@@ -282,9 +282,9 @@ class VerificationFailure(RuntimeError):
         self.failures = failures
 
 
-def _censored(count: int, n: int) -> str:
+def _censored(rate: float, n: int) -> str:
+    """An error rate over ``n`` trials, or ``<10/n`` below ten expected errors."""
     threshold = 10.0 / n
-    rate = count / n
     if rate < threshold:
         return f"<{threshold:.17g}"
     return _fmt(rate)
@@ -325,7 +325,7 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
                 t,
                 cell.n_trials,
                 cell.packet_errors,
-                _censored(cell.packet_errors, cell.n_trials),
+                _censored(cell.packet_errors / cell.n_trials, cell.n_trials),
                 cheb,
                 gauss,
                 pref,
@@ -392,6 +392,8 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
             "r,delta,n_trials,bit_err,prefix_err,packet_err,worst_bit_pe",
             stats.rows(),
         )
+        env = (xp.stream_envelope_exponent(channel, stream.rate_nats, v)
+               if 0 < v < channel.snr else -math.inf)
         bound_rows = []
         for r in r_list:
             delta = deltas[r]
@@ -399,13 +401,8 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
             worst = ""
             if cell is not None and cell.per_bit:
                 n_obs = next(iter(cell.per_bit.values()))[1]
-                rate = cell.worst_bit_rate()
-                worst = _fmt(rate) if rate >= 10.0 / n_obs else f"<{10.0 / n_obs:.17g}"
+                worst = _censored(cell.worst_bit_rate(), n_obs)
             exact = xp.worst_bit_error_bound(grid, cfg.packet_bits, cfg.period, r, delta, tau_cap)
-            if stream.below_capacity and 0 < v < channel.snr:
-                env = xp.stream_envelope_exponent(channel, stream.rate_nats, v)
-            else:
-                env = -math.inf
             bound_rows.append((r, delta, v, worst, exact, env))
         bpath = os.path.join(out_dir, f"stream_bounds{suffix}.csv")
         _write_csv(

@@ -14,12 +14,22 @@ Probability bounds take an exact lattice MSE and clamp to [0, 1]:
 * packet (sub-Gaussian):    2 * exp(-3 / (2^(2 psi + 1) * mse))
 * n-bit prefix (dithered):  (2/sqrt 3) * 2^n * sqrt(mse)
 
-``stream_envelope_exponent`` evaluates the per-delay streaming envelope
+``stream_envelope_exponent`` is the per-delay streaming envelope
 
-    inf_{theta >= 0} [ (v/2) * E_S(v / (1+theta)) - theta * R ],
+    inf_{theta >= 0} [ (v/2) * E_S(v / (1+theta)) - theta * R ]
+        = R + (v/2) * ln((1-eta) / pbar),        0 < v < P, eta < 1.
 
-whose first-region value v * (d(1-eta||pbar)/2 - eta R) / (1-eta) + R is
-independent of theta.  ``worst_bit_error_bound`` is the exact finite-delay
+In u = (1+theta)/v the objective is (v/2) E_S(1/u) - R (v u - 1).  The
+first-region branch of E_S is the tangent line of slope 2R, at
+u = eta/(1-eta), to the convex second-region branch (1+u) d(1/(1+u) || pbar)
+(a perspective); the branch pinned to 0 for u <= 1/P lies above that line
+too.  The objective is therefore bounded below by its constant first-region
+value v (d(1-eta||pbar)/2 - eta R)/(1-eta) + R, reached for every
+theta >= v eta/(1-eta) - 1, and d(1-eta||pbar) = (1-eta) ln((1-eta)/pbar)
++ 2 eta R reduces that value to the line above.  ``stream`` writes it as
+the ``envelope_exponent_per_delta`` column of ``stream_bounds.csv``.
+For rates at or above capacity (eta >= 1) the infimum diverges and the
+exponent is -inf.  ``worst_bit_error_bound`` is the exact finite-delay
 counterpart built from the prefix bound, used to check Monte Carlo runs.
 """
 
@@ -30,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ChannelParams, HopConvention, Velocity, translate_velocity
+from .params import ChannelParams, HopConvention, Velocity, eta_factor, translate_velocity
 
 __all__ = [
     "RateAboveCapacityError",
@@ -46,7 +56,6 @@ __all__ = [
     "packet_error_bound_gaussian",
     "prefix_error_bound",
     "stream_envelope_exponent",
-    "stream_envelope_closed_form",
     "worst_bit_error_bound",
     "iv_lower_bound_single",
     "iv_lower_bound_stream",
@@ -96,7 +105,7 @@ def e1(channel: ChannelParams, v: float) -> float:
 
 def stream_region_boundary(channel: ChannelParams, rate_nats: float) -> float:
     """Velocity (1-eta)/eta separating the boundary-limited and network-limited regions."""
-    eta = (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+    eta = eta_factor(channel, rate_nats)
     if eta >= 1.0:
         raise RateAboveCapacityError(f"rate {rate_nats} >= capacity; eta = {eta} >= 1")
     return (1.0 - eta) / eta
@@ -110,7 +119,7 @@ def es(channel: ChannelParams, rate_nats: float, v: float) -> float:
     _check_velocity(v)
     if rate_nats <= 0.0:
         raise ValueError("rate_nats must be positive")
-    eta = (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+    eta = eta_factor(channel, rate_nats)
     if eta < 1.0 and v <= (1.0 - eta) / eta:
         return kl_divergence(1.0 - eta, channel.snr_bar) / (1.0 - eta) + 2.0 * rate_nats * (
             1.0 / v - eta / (1.0 - eta)
@@ -128,7 +137,7 @@ def e_tilde(channel: ChannelParams, rate_nats: float, delta: float) -> float:
 
 def delta_star(channel: ChannelParams, rate_nats: float) -> float:
     """Unconstrained minimizer eta/(1-eta) of e_tilde; only exists for eta < 1."""
-    eta = (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+    eta = eta_factor(channel, rate_nats)
     if eta >= 1.0:
         raise RateAboveCapacityError(
             f"delta* undefined for rate {rate_nats} >= capacity (eta = {eta})"
@@ -149,7 +158,7 @@ def e2(channel: ChannelParams, rate_nats: float, v: float) -> float:
         raise ValueError("rate_nats must be positive")
     if v >= channel.snr:
         return 0.0
-    eta = (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+    eta = eta_factor(channel, rate_nats)
     edge = 1.0 / v
     if eta < 1.0 and eta / (1.0 - eta) <= edge:
         d_opt = eta / (1.0 - eta)
@@ -191,89 +200,25 @@ def prefix_error_bound(mse: float, n_bits: int, clamp: bool = True) -> float:
     return _clamp01(raw) if clamp else raw
 
 
-def stream_envelope_closed_form(channel: ChannelParams, rate_nats: float, v: float) -> float:
-    """First-region envelope value v (d(1-eta||pbar)/2 - eta R)/(1-eta) + R.
+def stream_envelope_exponent(channel: ChannelParams, rate_nats: float, v: float) -> float:
+    """Per-delay streaming error exponent R + (v/2) ln((1-eta)/pbar), for 0 < v < P.
 
-    Valid for v <= (1-eta)/eta, where the objective is independent of theta.
+    This is the infimum over theta >= 0 of (v/2) E_S(v/(1+theta)) - theta R,
+    attained for every theta >= v eta/(1-eta) - 1.  It may be negative (the
+    bound is then vacuous at this velocity); for rates at or above capacity
+    the infimum diverges and -inf is returned.
+
+    1 - eta is taken as -expm1(2 (R - C)): forming eta first loses about
+    (1+P) ulp / (1-eta) of relative accuracy near capacity.
     """
-    _check_velocity(v)
-    eta = (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
-    if eta >= 1.0:
-        raise RateAboveCapacityError("closed form requires rate below capacity")
-    if v > (1.0 - eta) / eta * (1.0 + 1e-9):
-        raise ValueError(f"closed form only valid for v <= {(1.0 - eta) / eta}")
-    d = kl_divergence(1.0 - eta, channel.snr_bar)
-    return v * (0.5 * d - eta * rate_nats) / (1.0 - eta) + rate_nats
-
-
-def stream_envelope_exponent(
-    channel: ChannelParams,
-    rate_nats: float,
-    v: float,
-    theta_grid_size: int = 512,
-    theta_span: tuple[float, float] = (1e-6, 1e6),
-    tol: float = 1e-10,
-) -> float:
-    """Per-delay streaming error exponent inf_theta [(v/2) E_S(v/(1+theta)) - theta R].
-
-    A geometric theta grid is refined by golden-section search in log-theta.
-    The returned infimum may be negative (the bound is then vacuous at this
-    velocity); for rates at or above capacity the infimum diverges and -inf
-    is returned.
-    """
-    _check_velocity(v)
     if not 0.0 < v < channel.snr:
         raise ValueError(f"envelope defined for 0 < v < P, got v={v!r}")
     if rate_nats <= 0.0:
         raise ValueError("rate_nats must be positive")
-    pbar = channel.snr_bar
-    eta = (1.0 - pbar) * math.exp(2.0 * rate_nats)
-    if eta >= 1.0:
+    log_eta = 2.0 * (rate_nats - channel.capacity_nats)
+    if log_eta >= 0.0:
         return -math.inf
-    # es(channel, rate_nats, w) with its theta-independent terms hoisted; every
-    # remaining operation runs in the order es and e1 use, so values are
-    # bit-identical to calling es.
-    v_edge = (1.0 - eta) / eta
-    first_region = kl_divergence(1.0 - eta, pbar) / (1.0 - eta)
-    two_rate = 2.0 * rate_nats
-    eta_ratio = eta / (1.0 - eta)
-    snr = channel.snr
-
-    def objective(theta: float) -> float:
-        w = v / (1.0 + theta)
-        if w <= v_edge:
-            e = first_region + two_rate * (1.0 / w - eta_ratio)
-        elif w >= snr:
-            e = 0.0
-        else:
-            wbar = w / (1.0 + w)
-            e = kl_divergence(wbar, pbar) / wbar
-        return 0.5 * v * e - theta * rate_nats
-
-    lo, hi = theta_span
-    grid = np.geomspace(lo, hi, theta_grid_size)
-    vals = np.array([objective(th) for th in grid.tolist()])
-    best = objective(0.0)
-    i = int(np.argmin(vals))
-    best = min(best, float(vals[i]))
-
-    # golden-section polish in log-theta around the best grid point
-    a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, theta_grid_size - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(math.exp(c)), objective(math.exp(d))
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(math.exp(d))
-    return min(best, fc, fd)
+    return rate_nats + 0.5 * v * math.log(-math.expm1(log_eta) / channel.snr_bar)
 
 
 def worst_bit_error_bound(grid, packet_bits: int, period: int, r: int, delta: int,

@@ -6,7 +6,7 @@ once from ``P`` and cached on immutable value objects:
 
 * ``snr_bar``       P / (1 + P), the one-step LMMSE contraction factor
 * ``capacity_nats`` 0.5 * ln(1 + P)
-* ``eta``           (1 - snr_bar) * exp(2 R), which is < 1 iff R < C
+* ``eta``           (1 - snr_bar) * exp(2 R) at rate R (``eta_factor``), < 1 iff R < C
 
 Rates are handled internally in nats; bit-denominated inputs (packet sizes)
 are converted at the boundary via ln 2.
@@ -28,6 +28,7 @@ __all__ = [
     "Velocity",
     "make_channel_params",
     "make_stream_params",
+    "eta_factor",
     "stream_params_from_rate",
     "translate_velocity",
 ]
@@ -65,6 +66,11 @@ def make_channel_params(snr: float) -> ChannelParams:
     )
 
 
+def eta_factor(channel: ChannelParams, rate_nats: float) -> float:
+    """eta = (1 - snr_bar) * exp(2 R); eta < 1 iff the rate is below capacity."""
+    return (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+
+
 @dataclass(frozen=True)
 class StreamParams:
     """Packet-arrival process: ``packet_bits`` bits every ``period`` steps.
@@ -95,7 +101,7 @@ def make_stream_params(packet_bits: int, period: int, channel: ChannelParams) ->
         packet_bits=int(packet_bits),
         period=int(period),
         rate_nats=rate,
-        eta=(1.0 - channel.snr_bar) * math.exp(2.0 * rate),
+        eta=eta_factor(channel, rate),
     )
 
 
@@ -108,7 +114,7 @@ def stream_params_from_rate(rate_nats: float, channel: ChannelParams) -> StreamP
         packet_bits=None,
         period=None,
         rate_nats=rate,
-        eta=(1.0 - channel.snr_bar) * math.exp(2.0 * rate),
+        eta=eta_factor(channel, rate),
     )
 
 

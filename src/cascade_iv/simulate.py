@@ -45,6 +45,7 @@ from .mse import (
     PacketStreamBoundary,
     SequenceBoundary,
     SingleSampleBoundary,
+    write_lattice_csv,
 )
 from .params import ChannelParams
 
@@ -59,7 +60,6 @@ __all__ = [
     "RefinementSource",
     "CustomRefinementSource",
     "PacketStreamSource",
-    "make_source_process",
     "SourceBatch",
     "trial_generator",
     "draw_noise",
@@ -400,25 +400,6 @@ class SinglePacketSource:
         s = ((1.0 - 2.0 * bits) * w).sum(axis=1)
         shat0 = np.repeat(s[:, None], t_max + 1, axis=1)
         return SourceBatch(s=s, shat0=shat0, bits=bits)
-
-
-def make_source_process(kind: str, **kwargs):
-    """Factory over the source kinds: known_sample, single_packet, refinement, packet_stream.
-
-    ``refinement`` accepts either ``rate_nats`` (profile exp(-2R(t+1))) or an
-    explicit monotone ``mse_profile`` sequence.
-    """
-    if kind == "known_sample":
-        return KnownSampleSource(**kwargs)
-    if kind == "single_packet":
-        return SinglePacketSource(**kwargs)
-    if kind == "refinement":
-        if "mse_profile" in kwargs:
-            return CustomRefinementSource(**kwargs)
-        return RefinementSource(**kwargs)
-    if kind == "packet_stream":
-        return PacketStreamSource(**kwargs)
-    raise ValueError(f"unknown source kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +771,8 @@ class TrialResult:
 
     def write_csv(self, path) -> None:
         """Trace rows ``t,r,x,y,z,estimate`` (estimate of the receiving node r+1)."""
-        r_hops, T = self.x.shape
-        with open(path, "w", newline="") as fh:
-            fh.write("t,r,x,y,z,estimate\n")
-            for t in range(T):
-                for r in range(r_hops):
-                    fh.write(
-                        f"{t},{r},{self.x[r, t]:.17g},{self.y[r, t]:.17g},"
-                        f"{self.z[r, t]:.17g},{self.estimates[r + 1, t]:.17g}\n"
-                    )
+        write_lattice_csv(path, "t,r,x,y,z,estimate", "%d,%d,%.17g,%.17g,%.17g,%.17g",
+                          [self.x.T, self.y.T, self.z.T, self.estimates[1:].T])
 
 
 def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,

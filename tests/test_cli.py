@@ -349,6 +349,14 @@ class TestSimulateCommand:
         assert last[3] == ""  # node r_max transmits on no simulated hop
 
 
+class TestCensored:
+    def test_threshold_is_ten_expected_errors(self):
+        # 10 errors in 400 trials is reported; 9 is censored
+        assert cli._censored(10 / 400, 400) == "0.025000000000000001"
+        assert cli._censored(9 / 400, 400) == "<0.025000000000000001"
+        assert cli._censored(0.0, 400) == "<0.025000000000000001"
+
+
 class TestSimulateVerdicts:
     """Each check family is tested at its Bonferroni threshold."""
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +231,47 @@ class TestProbabilityBounds:
             xp.prefix_error_bound(-1e-9, 2)
 
 
+def _mp_inputs(snr, rate, v):
+    snr, rate, v = mpmath.mpf(snr), mpmath.mpf(rate), mpmath.mpf(v)
+    pbar = snr / (1 + snr)
+    return snr, rate, v, pbar, (1 - pbar) * mpmath.exp(2 * rate)
+
+
+def _mp_kl(p, q):
+    return p * mpmath.log(p / q) + (1 - p) * mpmath.log((1 - p) / (1 - q))
+
+
+def _mp_envelope(snr, rate, v):
+    """R + (v/2) ln((1-eta)/pbar) at 50 digits."""
+    with mpmath.workdps(50):
+        _, rate, v, pbar, eta = _mp_inputs(snr, rate, v)
+        return rate + v / 2 * mpmath.log((1 - eta) / pbar)
+
+
+def _mp_min_over_theta(snr, rate, v, n_grid=80):
+    """min over theta of (v/2) E_S(v/(1+theta)) - theta R at 50 digits.
+
+    E_S is evaluated from its three-region definition.  The theta grid is
+    geometric on [1e-6, 1e12], plus theta = 0 and the first theta of the
+    first region, max(0, v eta/(1-eta) - 1).
+    """
+    with mpmath.workdps(50):
+        snr, rate, v, pbar, eta = _mp_inputs(snr, rate, v)
+        edge = (1 - eta) / eta
+
+        def e_s(w):
+            if w <= edge:
+                return _mp_kl(1 - eta, pbar) / (1 - eta) + 2 * rate * (1 / w - eta / (1 - eta))
+            if w >= snr:
+                return mpmath.mpf(0)
+            wbar = w / (1 + w)
+            return _mp_kl(wbar, pbar) / wbar
+
+        thetas = [mpmath.mpf(0), max(mpmath.mpf(0), v * eta / (1 - eta) - 1)]
+        thetas += [mpmath.mpf(10) ** (-6 + mpmath.mpf(18) * k / (n_grid - 1)) for k in range(n_grid)]
+        return min(v / 2 * e_s(v / (1 + th)) - th * rate for th in thetas)
+
+
 class TestStreamEnvelope:
     RATE = math.log(2.0)  # psi=2, T=2
     ETA = 4.0 / 11.0
@@ -241,12 +283,6 @@ class TestStreamEnvelope:
             for th in (0.0, 0.7, 3.0, 50.0)
         ]
         assert max(vals) - min(vals) <= 1e-12
-
-    def test_matches_first_region_closed_form(self):
-        for v in (0.1, 0.5, 0.875, 1.5, 1.75):
-            num = xp.stream_envelope_exponent(CH10, self.RATE, v)
-            closed = xp.stream_envelope_closed_form(CH10, self.RATE, v)
-            assert num == pytest.approx(closed, abs=1e-8)
 
     def test_value_at_region_boundary(self):
         # at v = (1-eta)/eta the envelope equals d(1-eta || pbar) / (2 eta)
@@ -261,7 +297,7 @@ class TestStreamEnvelope:
         # sup_tau (2/sqrt3) 2^{(tau+1)psi} sqrt(M_r(tau T + Delta)), r = ceil(v Delta)
         psi, period = 2, 2
         v = 0.875
-        closed = xp.stream_envelope_closed_form(CH10, self.RATE, v)
+        closed = xp.stream_envelope_exponent(CH10, self.RATE, v)
 
         def empirical(delta):
             r = math.ceil(v * delta)
@@ -286,22 +322,53 @@ class TestStreamEnvelope:
 
     def test_rate_above_capacity_diverges(self):
         assert xp.stream_envelope_exponent(CH10, 1.3, 1.0) == -math.inf
+        assert xp.stream_envelope_exponent(CH10, CH10.capacity_nats, 1.0) == -math.inf
 
     def test_velocity_domain(self):
         with pytest.raises(ValueError):
             xp.stream_envelope_exponent(CH10, self.RATE, 10.0)
 
-    def test_closed_form_domain(self):
+    def test_rate_domain(self):
         with pytest.raises(ValueError):
-            xp.stream_envelope_closed_form(CH10, self.RATE, 2.0)
+            xp.stream_envelope_exponent(CH10, 0.0, 1.0)
 
-    # sha256 of the float.hex values below, recorded before the objective's
-    # theta-independent terms were hoisted out of ``es``.
+    def test_near_capacity(self):
+        # C - R is 1e-11 of C here; a theta search capped at 1e6 never
+        # reaches the first region (theta >= v eta/(1-eta) - 1, about 3.9e9)
+        # and overstates the exponent 55-fold.  The error left is the
+        # rounding of C, half an ulp of which is 1e-5 of C - R.
+        ch = make_channel_params(0.1)
+        rate = (1.0 - 1e-11) * ch.capacity_nats
+        v = 0.00375
+        got = xp.stream_envelope_exponent(ch, rate, v)
+        assert got == pytest.approx(float(_mp_envelope(0.1, rate, v)), rel=1e-4)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_infimum_matches_mpmath_brute_force(self, seed):
+        # Library-free reference: the objective over a theta grid at 50
+        # digits.  The envelope crosses zero where the bound turns vacuous,
+        # so gaps are measured relative to the magnitudes of its two terms.
+        rng = np.random.default_rng(seed)
+        for i in range(100):
+            snr = float(10.0 ** rng.uniform(-2.0, 3.0))
+            ch = make_channel_params(snr)
+            # half the points crowd capacity, down to R = 0.9999 C
+            frac = 1.0 - 10.0 ** rng.uniform(-4.0, 0.0) if i % 2 else rng.uniform(1e-3, 0.9999)
+            rate = float(frac) * ch.capacity_nats
+            v = snr * float(10.0 ** rng.uniform(-3.0, 0.0))
+            closed = xp.stream_envelope_exponent(ch, rate, v)
+            ref = float(_mp_min_over_theta(snr, rate, v))
+            scale = rate + abs(closed - rate)
+            assert ref >= closed - 1e-12 * scale, (snr, rate, v)
+            assert ref <= closed + 1e-12 * scale, (snr, rate, v)
+
+    # sha256 of the float.hex values below, recorded when the theta search
+    # was replaced by the closed form.
     PINNED_HEX = {
-        0.1: "e7856ace71308f0482f91e395a84c236bec27d3c9752905d24c9803e8e181cce",
-        1.0: "ecba065c400c65cc08b4f4943057394d6a2f43e0483bfc8c4803a19384421afd",
-        10.0: "da0edd4bcb9a080fa12f0b16233e77a1ab1811017c2e75bbdc496cfb095e19f8",
-        100.0: "2ad0d411f4c7e24cc1f536af7ef432a857fe5282344f13f168767864479bf7d4",
+        0.1: "a8703dc9429aa62322ee0bc3995b3e307d0564405c3152c5db953ff36047b4b8",
+        1.0: "db331880ae25a86915a39c16c1d08b551a5d2133d43ba88e69f5535592938b7f",
+        10.0: "2fc4ee7383d8138c35788bb78cf3285db8141f691c1a2573cc2c95e390d5a4ea",
+        100.0: "e4504bcb62cfbcfbdf4ca2021fd075c8c415f4592c53e14c6ef7fa26b6dc16b7",
     }
 
     @pytest.mark.parametrize("snr", sorted(PINNED_HEX))

@@ -332,6 +332,19 @@ class TestSingleTrial:
         assert lines[0] == "t,r,x,y,z,estimate"
         assert len(lines) == 1 + 5 * 21
 
+    def test_trace_csv_matches_per_cell_reference(self, tmp_path):
+        # the per-cell f-string writer the lattice writer replaced
+        gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 4, 29))
+        tr = sim.run_trial(gains, sim.PacketStreamSource(2, 2), "gaussian", 7, 3)
+        want = ["t,r,x,y,z,estimate"]
+        for t in range(30):
+            for r in range(4):
+                want.append(f"{t},{r},{tr.x[r, t]:.17g},{tr.y[r, t]:.17g},"
+                            f"{tr.z[r, t]:.17g},{tr.estimates[r + 1, t]:.17g}")
+        path = tmp_path / "trace.csv"
+        tr.write_csv(path)
+        assert path.read_text() == "\n".join(want) + "\n"
+
 
 class TestCoefficientTrial:
     def test_alpha_first_cell(self, small_gains):
@@ -505,25 +518,6 @@ class TestSources:
         short = sim.CustomRefinementSource((0.5, 0.25))
         with pytest.raises(ValueError):
             short.draw_batch([sim.trial_generator(0, 0)], t_max=5)
-
-    def test_factory(self):
-        assert isinstance(sim.make_source_process("known_sample"), sim.KnownSampleSource)
-        assert isinstance(
-            sim.make_source_process("packet_stream", packet_bits=2, period=2),
-            sim.PacketStreamSource,
-        )
-        assert isinstance(
-            sim.make_source_process("single_packet", packet_bits=4), sim.SinglePacketSource
-        )
-        assert isinstance(
-            sim.make_source_process("refinement", rate_nats=0.5), sim.RefinementSource
-        )
-        assert isinstance(
-            sim.make_source_process("refinement", mse_profile=(0.5, 0.2)),
-            sim.CustomRefinementSource,
-        )
-        with pytest.raises(ValueError):
-            sim.make_source_process("telepathy")
 
 
 class TestStreamingMonteCarlo:
