@@ -24,9 +24,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import exponents as xp
 from . import mse as mse_mod
@@ -184,7 +184,7 @@ VERDICT_ALPHA = 0.0027
 def _family_threshold(m: int, one_sided: bool = False) -> float:
     """Bonferroni z threshold holding the family of ``m`` tests at ``VERDICT_ALPHA``."""
     tail = VERDICT_ALPHA / max(m, 1)
-    return float(ndtri(1.0 - (tail if one_sided else 0.5 * tail)))
+    return NormalDist().inv_cdf(1.0 - (tail if one_sided else 0.5 * tail))
 
 
 def _family_verdict(check: str, dev: np.ndarray, stderr: np.ndarray, what: str,

@@ -104,11 +104,13 @@ def e1(channel: ChannelParams, v: float) -> float:
 
 
 def stream_region_boundary(channel: ChannelParams, rate_nats: float) -> float:
-    """Velocity (1-eta)/eta separating the boundary-limited and network-limited regions."""
-    eta = eta_factor(channel, rate_nats)
-    if eta >= 1.0:
-        raise RateAboveCapacityError(f"rate {rate_nats} >= capacity; eta = {eta} >= 1")
-    return (1.0 - eta) / eta
+    """Velocity (1-eta)/eta = exp(2(C-R)) - 1 separating the boundary-limited and
+    network-limited regions.
+
+    Evaluated as ``expm1(2(C-R))`` by ``iv_lower_bound_stream``: forming eta
+    first loses about (1+P) ulp of relative accuracy near capacity.
+    """
+    return iv_lower_bound_stream(channel, rate_nats)
 
 
 def es(channel: ChannelParams, rate_nats: float, v: float) -> float:
@@ -136,13 +138,12 @@ def e_tilde(channel: ChannelParams, rate_nats: float, delta: float) -> float:
 
 
 def delta_star(channel: ChannelParams, rate_nats: float) -> float:
-    """Unconstrained minimizer eta/(1-eta) of e_tilde; only exists for eta < 1."""
-    eta = eta_factor(channel, rate_nats)
-    if eta >= 1.0:
-        raise RateAboveCapacityError(
-            f"delta* undefined for rate {rate_nats} >= capacity (eta = {eta})"
-        )
-    return eta / (1.0 - eta)
+    """Unconstrained minimizer eta/(1-eta) of e_tilde; only exists for eta < 1.
+
+    The reciprocal of ``stream_region_boundary``, so it is as accurate near
+    capacity.
+    """
+    return 1.0 / stream_region_boundary(channel, rate_nats)
 
 
 def e2(channel: ChannelParams, rate_nats: float, v: float) -> float:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -220,7 +221,10 @@ class TestMseCommand:
 class TestMseBytePins:
     """sha256 of every file ``cmd_mse`` writes, recorded before it was vectorised.
 
-    The 30x400 single-sample and single-packet lattices reach cells that
+    The closed-form columns of the three closed-form schemes were re-recorded
+    when the log-binomials moved from SciPy's ``gammaln`` to the log-factorial
+    table of ``mse``, which lies closer to 50-digit mpmath
+    (``tests/test_mse.py::TestMpmathReference``).  The 30x400 single-sample and single-packet lattices reach cells that
     underflow to exactly 0 and cells below ``UNDERFLOW_LINEAR`` compared in
     the log domain; the 200x200 files span more than one formatting block.
     """
@@ -250,9 +254,9 @@ class TestMseBytePins:
             "mse_grid.csv": "19e016983bf15318064a27d8a61dca07cdfe09656179dfb4b11f68b8d29e1045",
         },
         "refined_source-0.7-12x35": {
-            "mse.csv": "5c34bad76f8607e711a23f2c90c941db37b3632c3cbffb088bbab41fa4a54d07",
+            "mse.csv": "1bf4724f6a34158c02d0d08740c7d523227cdab2cb64cce238e1f0b7583e3da7",
             "mse_grid.csv": "c4f711be178c58a66c7c8895859c91606f68e5d04af6c40cbb1c944c0204378d",
-            "mse_summary.csv": "fb2d59385e0d86c45389c3b247f4a9d35f12dccffcebc2c366a9d52f0b3217c4",
+            "mse_summary.csv": "50e3a5c65ff966de80645a64cba10ec16ba1098793038bb3727bf19ce3915b52",
         },
         "refined_source-10.0-1x0": {
             "mse.csv": "d2f37b61a663926f9c6425884823ac7147fbbc193a9fcca815d2b4a689961b83",
@@ -260,19 +264,19 @@ class TestMseBytePins:
             "mse_summary.csv": "816a152d29dc25fd5d7f270064056589ee9c846d65ec413b2975a1759c188e33",
         },
         "refined_source-10.0-200x200": {
-            "mse.csv": "24d8bdd1cdb7a7f7df75e5d0de71b2a0c00fc574030ac23da1239b8993338f83",
+            "mse.csv": "9a6760023d8b780050fa00d954e74355b5fa4c9c2ead8137bfb62d4308066a38",
             "mse_grid.csv": "1ee452101a911f3fb69a112818b728e4e3a615ac4c5bd0017bfa7d164886daa0",
-            "mse_summary.csv": "22d35b516177e55a19ad82ef303de7b84c98f29e94aacc7e279bbc9ddb3735c2",
+            "mse_summary.csv": "5fe8ff981985babcc1ae964325f11e0445d8500f73cf08f9eb2622ee5686edfd",
         },
         "refined_source-10.0-30x400": {
-            "mse.csv": "bd09268f0c08e036dc9e46d7f7b388c4ceab9d22be5f22a38f137fc82ad50592",
+            "mse.csv": "456a0c31bba53593692791803f6b7e8a5e63af1735b4274782edc3e80f9f5e00",
             "mse_grid.csv": "deac433d4d89d86d1a896aa3eddb91bbfda9d7bdf68506f7373db1e33b02c1a3",
             "mse_summary.csv": "e651dea671d8027814ba3f5179a5d4ed6d81d54cdc5921f7637eee5f240107d6",
         },
         "single_packet-0.7-12x35": {
-            "mse.csv": "69d5131833d6cd1e5bb46979b06a2cd2e154cc5ecde90424ccfad390ac7828fc",
+            "mse.csv": "65ae46349f5eba4bd8a1610630f205c919fe72a632031ac566c6c230af39e89a",
             "mse_grid.csv": "eb5f9062425b13d395e9ddd795828d81cecf63e418c1e55c89a5d4167ae1dcfc",
-            "mse_summary.csv": "1e75464aa32d7012cc47021b5d17fd5ee8c988228948285dc798d7ff1f99a1b6",
+            "mse_summary.csv": "bf5719cabe2af7bb81acb8a3598d68cfc4e0139a0675baf700a8eefe7157803f",
         },
         "single_packet-10.0-1x0": {
             "mse.csv": "d2f88c67401cdc8a548350a057116228c8f48106adfc1d3308a41dbbc50f0f1f",
@@ -280,19 +284,19 @@ class TestMseBytePins:
             "mse_summary.csv": "3298fb64e767e3ba25d489e224d9fe206bc1f139bb7c7c9d09da3ef17afeacee",
         },
         "single_packet-10.0-200x200": {
-            "mse.csv": "342bb49b65b14d46446b100408a572f54c6317c82b088def0d9a4ada8a5efc3b",
+            "mse.csv": "d6c61447e60bef9adf0db2f7cf4c97bef6d4abc8d383724330c7625ec097c884",
             "mse_grid.csv": "b523848b20daa406c18a45aaa34978278877686ef0d60150b359049c2af289c8",
-            "mse_summary.csv": "e84e49df0f88d053c34aaa9a6f907b7274d7f64abe63ac09403bf95e8f46ea5f",
+            "mse_summary.csv": "1f324cc56e600ed82a1ae266adea7692ba27f5cd64c5f2157547ec26585ac5d8",
         },
         "single_packet-10.0-30x400": {
-            "mse.csv": "5efab7e3ab22a6c7c838fb8c0f59f3437ffa9abbb7278c57a16a87d857bcd9ea",
+            "mse.csv": "2bbe793206df82e5da31d31582e6014c307bffa7bcf5107d655bafef46cff3b1",
             "mse_grid.csv": "e0ccc1a2ae8380a3ab55b57ad6951d4b14f2befcc1f286735e0f7304da39b0ca",
             "mse_summary.csv": "03a71862310d5638654487b4a0a0503bddab1865bb5e571fca599629439e420b",
         },
         "single_sample-0.7-12x35": {
-            "mse.csv": "69d5131833d6cd1e5bb46979b06a2cd2e154cc5ecde90424ccfad390ac7828fc",
+            "mse.csv": "65ae46349f5eba4bd8a1610630f205c919fe72a632031ac566c6c230af39e89a",
             "mse_grid.csv": "eb5f9062425b13d395e9ddd795828d81cecf63e418c1e55c89a5d4167ae1dcfc",
-            "mse_summary.csv": "1e75464aa32d7012cc47021b5d17fd5ee8c988228948285dc798d7ff1f99a1b6",
+            "mse_summary.csv": "bf5719cabe2af7bb81acb8a3598d68cfc4e0139a0675baf700a8eefe7157803f",
         },
         "single_sample-10.0-1x0": {
             "mse.csv": "d2f88c67401cdc8a548350a057116228c8f48106adfc1d3308a41dbbc50f0f1f",
@@ -300,12 +304,12 @@ class TestMseBytePins:
             "mse_summary.csv": "3298fb64e767e3ba25d489e224d9fe206bc1f139bb7c7c9d09da3ef17afeacee",
         },
         "single_sample-10.0-200x200": {
-            "mse.csv": "342bb49b65b14d46446b100408a572f54c6317c82b088def0d9a4ada8a5efc3b",
+            "mse.csv": "d6c61447e60bef9adf0db2f7cf4c97bef6d4abc8d383724330c7625ec097c884",
             "mse_grid.csv": "b523848b20daa406c18a45aaa34978278877686ef0d60150b359049c2af289c8",
-            "mse_summary.csv": "e84e49df0f88d053c34aaa9a6f907b7274d7f64abe63ac09403bf95e8f46ea5f",
+            "mse_summary.csv": "1f324cc56e600ed82a1ae266adea7692ba27f5cd64c5f2157547ec26585ac5d8",
         },
         "single_sample-10.0-30x400": {
-            "mse.csv": "5efab7e3ab22a6c7c838fb8c0f59f3437ffa9abbb7278c57a16a87d857bcd9ea",
+            "mse.csv": "2bbe793206df82e5da31d31582e6014c307bffa7bcf5107d655bafef46cff3b1",
             "mse_grid.csv": "e0ccc1a2ae8380a3ab55b57ad6951d4b14f2befcc1f286735e0f7304da39b0ca",
             "mse_summary.csv": "03a71862310d5638654487b4a0a0503bddab1865bb5e571fca599629439e420b",
         },
@@ -380,6 +384,16 @@ class TestSimulateVerdicts:
         assert cli._family_threshold(1, one_sided=True) == pytest.approx(2.782, abs=1e-3)
         assert cli._family_threshold(105) == pytest.approx(4.208, abs=1e-3)
         assert cli._family_threshold(195) > cli._family_threshold(105)
+
+    @pytest.mark.parametrize("m", [1, 105, 195])
+    @pytest.mark.parametrize("one_sided", [False, True])
+    def test_threshold_matches_mpmath(self, m, one_sided):
+        # sqrt(2) erfinv(2p - 1) at 50 digits, for the float p the function inverts
+        tail = cli.VERDICT_ALPHA / m
+        p = 1.0 - (tail if one_sided else 0.5 * tail)
+        with mpmath.workdps(50):
+            want = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+            assert abs(cli._family_threshold(m, one_sided) - want) <= 4e-15
 
     def test_correct_code_passes_at_seeds_1_to_10(self, aggregates):
         # a per-cell 3-sigma rule failed output_decorrelation at seeds 2 and 8

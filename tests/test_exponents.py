@@ -425,10 +425,19 @@ class TestIvBounds:
         with pytest.raises(xp.RateAboveCapacityError):
             xp.iv_lower_bound_stream(CH10, CH10.capacity_nats)
 
-    def test_consistency_with_stream_region_boundary(self):
-        assert xp.iv_lower_bound_stream(CH10, 0.5) == pytest.approx(
-            xp.stream_region_boundary(CH10, 0.5), rel=1e-13
-        )
+    @pytest.mark.parametrize("snr,gap", [(10.0, None), (1000.0, 1e-9), (1000.0, 1e-6)])
+    def test_consistency_with_stream_region_boundary(self, snr, gap):
+        # gap = 1 - R/C; near capacity, forming eta first loses about (1+P) ulp
+        # over 1 - eta (4.9e-6 relative at P=1000, 1-R/C=1e-9)
+        ch = make_channel_params(snr)
+        rate = 0.5 if gap is None else (1.0 - gap) * ch.capacity_nats
+        vb = xp.stream_region_boundary(ch, rate)
+        assert xp.iv_lower_bound_stream(ch, rate) == pytest.approx(vb, rel=1e-13)
+        with mpmath.workdps(50):
+            # exp(2(C-R)) - 1 at the channel's own capacity C, for the float rate
+            want = mpmath.expm1(2 * (mpmath.mpf(ch.capacity_nats) - mpmath.mpf(rate)))
+            assert abs(vb / want - 1) <= 1e-14
+            assert abs(xp.delta_star(ch, rate) * want - 1) <= 1e-14
 
 
 class TestCurves:
