@@ -170,12 +170,6 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     return paths
 
 
-def _default_probe_pairs(T: int) -> list[tuple[int, int]]:
-    pairs = [(t, t + 1) for t in range(T - 1)]
-    pairs += [(0, t) for t in range(2, T)]
-    return pairs
-
-
 # Family-wise false-alarm rate of each verdict: that of one two-sided
 # 3-sigma test.
 VERDICT_ALPHA = 0.0027
@@ -211,29 +205,21 @@ def simulate_verdicts(cfg: ExperimentConfig, agg: sim.MonteCarloAggregate, grid)
     """
     theory = grid.values[:, 1:]
     upper_only = cfg.scheme == "single_packet"  # var(S^psi) < 1, MSE <= lattice
-    verdicts = [
+    return [
         # node 0 follows the boundary process exactly
         _family_verdict("mse_vs_theory", agg.mse_mean[1:] - theory[1:], agg.mse_stderr[1:],
                         "cells", upper_only),
         _family_verdict("power_equality", agg.power_mean - cfg.snr, agg.power_stderr,
                         "cells", upper_only),
-    ]
-    if agg.y_cov is not None:
-        pairs = np.array(_default_probe_pairs(agg.t_max + 1), dtype=int).reshape(-1, 2)
-        t, u = pairs[:, 0], pairs[:, 1]
-        verdicts.append(_family_verdict("output_decorrelation", agg.y_cov[:, t, u],
-                                        agg.y_cov_stderr[:, t, u], "pairs"))
-        verdicts.append(_family_verdict("error_covariance_identity",
-                                        agg.lemma8_diff_mean[1 : agg.r_max],
-                                        agg.lemma8_diff_stderr[1 : agg.r_max], "cells"))
-    verdicts.append(
+        _family_verdict("output_decorrelation", agg.y_cov, agg.y_cov_stderr, "pairs"),
+        _family_verdict("error_covariance_identity", agg.lemma8_diff_mean[1 : agg.r_max],
+                        agg.lemma8_diff_stderr[1 : agg.r_max], "cells"),
         {
             "check": "per_step_identity",
             "passed": agg.identity_max <= 1e-12,
             "detail": f"max residual {agg.identity_max:.3e}",
-        }
-    )
-    return verdicts
+        },
+    ]
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
@@ -241,15 +227,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int | None = None
     source = _source_for(cfg)
     grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, cfg.t_max)
     gains = sim.precompute_gains(grid)
-    agg = sim.run_monte_carlo(
-        gains,
-        source,
-        cfg.noise,
-        cfg.num_trials,
-        cfg.master_seed,
-        probes=True,
-        threads=threads,
-    )
+    agg = sim.run_monte_carlo(gains, source, cfg.noise, cfg.num_trials, cfg.master_seed,
+                              threads=threads)
     rows = []
     for r in range(0, cfg.r_max + 1):
         for t in range(0, cfg.t_max + 1):
@@ -480,12 +459,13 @@ def _verify_checks() -> list[dict]:
     # small deterministic Monte Carlo
     mini = mse_mod.solve_grid(channel, mse_mod.SingleSampleBoundary(), 3, 8)
     gains = sim.precompute_gains(mini)
-    agg1 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, probes=True, threads=1)
-    agg2 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, probes=True, threads=4)
+    agg1 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, threads=1)
+    agg2 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, threads=4)
     record(
         "determinism_across_threads",
-        np.array_equal(agg1.mse_mean, agg2.mse_mean)
-        and np.array_equal(agg1.power_mean, agg2.power_mean),
+        all(np.array_equal(getattr(agg1, f), getattr(agg2, f))
+            for f in ("mse_mean", "power_mean", "y_mean", "y_cov", "y_cov_stderr",
+                      "lemma8_diff_mean")),
     )
     theory = mini.values[1:, 1:]
     dev = np.abs(agg1.mse_mean[1:] - theory) <= 3.0 * agg1.mse_stderr[1:]

@@ -24,7 +24,8 @@ for any parallelism degree.
 One recursion, ``_sweep``, serves every caller; what each keeps is an
 observer of its time steps: the moments and probes of ``run_monte_carlo``,
 the captured estimates of ``run_decoding_monte_carlo`` (nothing else), or
-the full traces of ``run_trial``.
+the full traces of ``run_trial``.  The probes are always on and cover only
+the output pairs of ``probe_pairs``, so only y(0) and y(t-1) are kept.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "run_trial",
     "coefficient_trial",
     "MonteCarloAggregate",
+    "probe_pairs",
     "run_monte_carlo",
     "DecodeSpec",
     "run_decoding_monte_carlo",
@@ -518,14 +520,30 @@ def _sweep(gains: GainTable, shat0: np.ndarray, z: np.ndarray, on_step, first_tr
         on_step(t, est)
 
 
-class _Moments:
-    """Per-step observer of ``_sweep`` accumulating the Monte Carlo partial sums."""
+def probe_pairs(T: int) -> list[tuple[int, int]]:
+    """The output pairs (t, u) ``run_monte_carlo`` probes, in column order.
 
-    def __init__(self, gains: GainTable, s: np.ndarray, z: np.ndarray, probes: bool):
+    Lag-1 pairs (t, t+1) come first, then origin pairs (0, t) for t >= 2:
+    ``max(2T - 3, 0)`` pairs over T time steps.
+    """
+    return [(t, t + 1) for t in range(T - 1)] + [(0, t) for t in range(2, T)]
+
+
+class _Moments:
+    """Per-step observer of ``_sweep`` accumulating the Monte Carlo partial sums.
+
+    The output probes keep only y(0) and y(t-1): step t adds the products
+    of y(t) with each, the two pairs of ``probe_pairs`` that end at t.
+    """
+
+    def __init__(self, gains: GainTable, s: np.ndarray, z: np.ndarray):
         r_max, T, count = z.shape
-        self.gains, self.s, self.z, self.probes = gains, s, z, probes
+        self.gains, self.s, self.z = gains, s, z
         self.hops = (np.empty((r_max, count)), np.empty((r_max, count)))
         self.prev = np.zeros((r_max + 1, count))
+        self.y0 = np.empty((r_max, count))
+        self.y_prev = np.empty((r_max, count))
+        n_pairs = len(probe_pairs(T))
         self.sums = {
             "n": count,
             "err_sum": np.zeros((r_max + 1, T)),
@@ -534,10 +552,18 @@ class _Moments:
             "pow_sum": np.zeros((r_max, T)),
             "pow2_sum": np.zeros((r_max, T)),
             "identity_max": 0.0,
+            "d_sum": np.zeros((r_max + 1, T)),
+            "d2_sum": np.zeros((r_max + 1, T)),
+            "y_sum": np.zeros((r_max, T)),
+            "yy_sum": np.zeros((r_max, n_pairs)),
+            "y2y2_sum": np.zeros((r_max, n_pairs)),
         }
-        if probes:
-            self.y_all = np.empty((r_max, T, count))
-            self.sums.update(d_sum=np.zeros((r_max + 1, T)), d2_sum=np.zeros((r_max + 1, T)))
+
+    def _add_pair(self, k: int, y: np.ndarray, other: np.ndarray) -> None:
+        prod = y * other
+        self.sums["yy_sum"][:, k] = prod.sum(axis=1)
+        prod *= prod
+        self.sums["y2y2_sum"][:, k] = prod.sum(axis=1)
 
     def __call__(self, t: int, est: np.ndarray) -> None:
         sums, s, prev = self.sums, self.s, self.prev
@@ -561,36 +587,28 @@ class _Moments:
                 + self.gains.gamma[1:, t][active, None] * self.z[:, t][active]
             )
             sums["identity_max"] = max(sums["identity_max"], float(np.abs(resid).max()))
-        if self.probes:
-            self.y_all[:, t] = y
-            d = err[1:-1] * (s - prev[2:]) - sq[1:-1]
-            sums["d_sum"][1:-1, t] = d.sum(axis=1)
-            sums["d2_sum"][1:-1, t] = (d * d).sum(axis=1)
+        d = err[1:-1] * (s - prev[2:]) - sq[1:-1]
+        sums["d_sum"][1:-1, t] = d.sum(axis=1)
+        sums["d2_sum"][1:-1, t] = (d * d).sum(axis=1)
+        sums["y_sum"][:, t] = y.sum(axis=1)
+        if t >= 1:
+            self._add_pair(t - 1, y, self.y_prev)  # (t-1, t)
+        if t >= 2:
+            self._add_pair(self.z.shape[1] + t - 3, y, self.y0)  # (0, t)
+        if t == 0:
+            self.y0[...] = y
+        self.y_prev[...] = y
         prev[...] = est
-
-    def result(self) -> dict:
-        out = self.sums
-        if self.probes:
-            y_all = self.y_all
-            r_max, T, _ = y_all.shape
-            yy_sum = np.empty((r_max, T, T))
-            y2y2_sum = np.empty((r_max, T, T))
-            for r in range(r_max):
-                yy_sum[r] = np.einsum("tb,ub->tu", y_all[r], y_all[r])
-                ysq = y_all[r] * y_all[r]
-                y2y2_sum[r] = np.einsum("tb,ub->tu", ysq, ysq)
-            out.update(y_sum=y_all.sum(axis=2), yy_sum=yy_sum, y2y2_sum=y2y2_sum)
-        return out
 
 
 def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
-                    start_trial: int, count: int, *, probes: bool = False) -> dict:
+                    start_trial: int, count: int) -> dict:
     """Run ``count`` trials and return partial sums (see run_monte_carlo)."""
     src, z, _ = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
                              gains.r_max, gains.t_max)
-    moments = _Moments(gains, src.s, z, probes)
+    moments = _Moments(gains, src.s, z)
     _sweep(gains, src.shat0, z, moments, start_trial, hops=moments.hops)
-    return moments.result()
+    return moments.sums
 
 
 def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
@@ -673,12 +691,12 @@ class MonteCarloAggregate:
     err_mean: np.ndarray = field(repr=False)
     power_mean: np.ndarray = field(repr=False)     # (r_max, t_max+1)
     power_stderr: np.ndarray = field(repr=False)
-    identity_max: float = 0.0
-    y_mean: np.ndarray | None = field(default=None, repr=False)
-    y_cov: np.ndarray | None = field(default=None, repr=False)        # (r_max, T, T)
-    y_cov_stderr: np.ndarray | None = field(default=None, repr=False)
-    lemma8_diff_mean: np.ndarray | None = field(default=None, repr=False)
-    lemma8_diff_stderr: np.ndarray | None = field(default=None, repr=False)
+    identity_max: float
+    y_mean: np.ndarray = field(repr=False)         # (r_max, t_max+1)
+    y_cov: np.ndarray = field(repr=False)          # (r_max, n_pairs), see probe_pairs
+    y_cov_stderr: np.ndarray = field(repr=False)
+    lemma8_diff_mean: np.ndarray = field(repr=False)   # (r_max+1, t_max+1)
+    lemma8_diff_stderr: np.ndarray = field(repr=False)
 
 
 def run_monte_carlo(
@@ -688,24 +706,24 @@ def run_monte_carlo(
     num_trials: int,
     master_seed: int,
     *,
-    probes: bool = False,
     batch_size: int = 20_000,
     threads: int | None = None,
 ) -> MonteCarloAggregate:
     """Estimate MSE, input power, and covariance probes over the lattice.
 
-    Trial i always uses the stream (master_seed, i); batches have a fixed
-    size and are merged in index order with compensated summation, so the
-    aggregate is bit-identical for any thread count.
+    The probes are the channel-output means, the output covariances at the
+    pairs of ``probe_pairs`` (column k of ``y_cov`` is pair k) and the
+    error-covariance identity differences.  Trial i always uses the stream
+    (master_seed, i); batches have a fixed size and are merged in index
+    order with compensated summation, so the aggregate is bit-identical for
+    any thread count.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     threads = resolve_threads(threads)
 
     def worker(start, count):
-        return _simulate_batch(
-            gains, source, noise_kind, master_seed, start, count, probes=probes
-        )
+        return _simulate_batch(gains, source, noise_kind, master_seed, start, count)
 
     results = _run_batches(_batch_ranges(num_trials, batch_size), worker, threads)
 
@@ -724,7 +742,13 @@ def run_monte_carlo(
     mse_var = np.maximum(acc.value("sq2_sum") / n - mse_mean**2, 0.0)
     power_mean = acc.value("pow_sum") / n
     power_var = np.maximum(acc.value("pow2_sum") / n - power_mean**2, 0.0)
-    out = dict(
+    y_mean = acc.value("y_sum") / n
+    yy = acc.value("yy_sum") / n
+    t, u = np.array(probe_pairs(gains.t_max + 1), dtype=int).reshape(-1, 2).T
+    prod_var = np.maximum(acc.value("y2y2_sum") / n - yy**2, 0.0)
+    d_mean = acc.value("d_sum") / n
+    d_var = np.maximum(acc.value("d2_sum") / n - d_mean**2, 0.0)
+    return MonteCarloAggregate(
         channel=gains.channel,
         r_max=gains.r_max,
         t_max=gains.t_max,
@@ -735,23 +759,12 @@ def run_monte_carlo(
         power_mean=power_mean,
         power_stderr=np.sqrt(power_var / n),
         identity_max=identity_max,
+        y_mean=y_mean,
+        y_cov=yy - y_mean[:, t] * y_mean[:, u],
+        y_cov_stderr=np.sqrt(prod_var / n),
+        lemma8_diff_mean=d_mean,
+        lemma8_diff_stderr=np.sqrt(d_var / n),
     )
-    if probes:
-        y_mean = acc.value("y_sum") / n
-        yy = acc.value("yy_sum") / n
-        y2y2 = acc.value("y2y2_sum") / n
-        y_cov = yy - y_mean[:, :, None] * y_mean[:, None, :]
-        prod_var = np.maximum(y2y2 - yy**2, 0.0)
-        d_mean = acc.value("d_sum") / n
-        d_var = np.maximum(acc.value("d2_sum") / n - d_mean**2, 0.0)
-        out.update(
-            y_mean=y_mean,
-            y_cov=y_cov,
-            y_cov_stderr=np.sqrt(prod_var / n),
-            lemma8_diff_mean=d_mean,
-            lemma8_diff_stderr=np.sqrt(d_var / n),
-        )
-    return MonteCarloAggregate(**out)
 
 
 # ---------------------------------------------------------------------------

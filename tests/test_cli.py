@@ -353,6 +353,48 @@ class TestSimulateCommand:
         assert last[3] == ""  # node r_max transmits on no simulated hop
 
 
+class TestSimulateBytePins:
+    """sha256 of every file ``cmd_simulate`` writes, recorded before the output
+    probes were accumulated pair by pair instead of from a full T×T product.
+
+    ``t_max=0`` has no probe pair and ``t_max=1`` exactly one.  The 3×40 run
+    fails ``mse_vs_theory`` and ``power_equality`` where the lattice falls
+    below about 1e-30, so its ``failures.json`` is pinned as well.
+    """
+
+    CASES = {
+        "default": ({}, {
+            "report.json": "be4836fa74db9205da6b558a0f2f0621131913684b0f58ec7c109f946184d10a",
+            "simulate.csv": "080640aad7349ed1ee03bd2309285a0238165adc17fe25f6080720075f8bbfc2",
+        }),
+        "t_max=0": ({"t_max": 0}, {
+            "report.json": "855af403928bbe6f39177ddc72bb296b2ca5d1cf05d4e04ead61c642ec776fb5",
+            "simulate.csv": "5d39ea357e668c16dcb61e25e7cbbbeeae9ae6f255febac6e6f6542d2fa4f72a",
+        }),
+        "t_max=1": ({"t_max": 1}, {
+            "report.json": "ce4bdbb50da9a357042698f14b53e9b33feee5fe2260813e69a106fd83f90025",
+            "simulate.csv": "5bf722a18f1ae090da312d67d128a23ba019b73743e3a7205e8e5415babebd94",
+        }),
+        "deep-3x40": ({"r_max": 3, "t_max": 40, "num_trials": 20_000, "master_seed": 1}, {
+            "failures.json": "cfb92992467a37fa1c0b18559e2bc2255353a289a8acbdd52b738c3755327c52",
+            "report.json": "d38a69bb967ad08e1e032c39747542b3985d89ebbb33231078187f52c511eaed",
+            "simulate.csv": "6ef201135d10e57efaf0bb4e0b46cf0ee4c065a5bc84e646a1a2d1b1e90a9349",
+        }),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_file_digests(self, case, tmp_path):
+        overrides, want = self.CASES[case]
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **overrides)
+        try:
+            paths = cli.cmd_simulate(cfg, str(tmp_path), threads=1)
+        except cli.VerificationFailure as exc:
+            paths = exc.paths
+        got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for p in paths}
+        assert got == want
+
+
 class TestCensored:
     def test_threshold_is_ten_expected_errors(self):
         # 10 errors in 400 trials is reported; 9 is censored
@@ -375,7 +417,7 @@ class TestSimulateVerdicts:
         gains = sim.precompute_gains(grid)
         return grid, [
             sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", cfg.num_trials,
-                                seed, probes=True, threads=1)
+                                seed, threads=1)
             for seed in self.SEEDS
         ]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +163,10 @@ class TestRegressionPins:
     """Digests recorded from the engine before its per-trial streams were shared.
 
     They pin every Monte Carlo path bit for bit: batches of 1,000 over 2,500
-    trials (so the last batch is short), at 1 and 3 threads.
+    trials (so the last batch is short), at 1 and 3 threads.  The two
+    aggregate digests were re-recorded when the output probes became
+    pair-indexed: every other field stayed bit-identical, and the pair
+    covariances moved by at most 1e-15 absolute (summation order).
     """
 
     @staticmethod
@@ -204,9 +208,9 @@ class TestRegressionPins:
     def test_probe_aggregate(self, threads):
         gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 5))
         agg = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 2_500, 5,
-                                  probes=True, batch_size=1_000, threads=threads)
+                                  batch_size=1_000, threads=threads)
         assert _aggregate_digest(agg) == (
-            "ef62adc249d8b31545eba376bf092a4e3942b30cf14d7c05b203a3ccb07702cb"
+            "42ed217437eb8bcad384fd86d713742cf2ffff5840a804a50223ecb4aa2f00b3"
         )
 
     def test_packet_stream_aggregate(self):
@@ -214,7 +218,7 @@ class TestRegressionPins:
         agg = sim.run_monte_carlo(gains, sim.PacketStreamSource(2, 2), "uniform", 2_500, 6,
                                   batch_size=1_000)
         assert _aggregate_digest(agg) == (
-            "32bab329752c375623acc1557b297f86ac805fff07bef74ca5253b581338133f"
+            "766bf3bcfcd4fb77de8769cba9adb33275fc3a2d7e9341a15f3ccfda00a6c215"
         )
 
     def test_single_trial_traces(self):
@@ -386,13 +390,12 @@ class TestMonteCarlo:
         assert (np.abs(agg.err_mean[1:]) <= 5 * scale).all()
 
     def test_bit_identical_across_threads_and_batches(self, small_gains):
-        a = sim.run_monte_carlo(
-            small_gains, sim.KnownSampleSource(), "gaussian", 30_000, 5, threads=1, probes=True
-        )
-        b = sim.run_monte_carlo(
-            small_gains, sim.KnownSampleSource(), "gaussian", 30_000, 5, threads=7, probes=True
-        )
-        for field in ("mse_mean", "mse_stderr", "power_mean", "y_cov", "lemma8_diff_mean"):
+        a = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 30_000, 5,
+                                threads=1)
+        b = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 30_000, 5,
+                                threads=7)
+        for field in ("mse_mean", "mse_stderr", "power_mean", "y_mean", "y_cov", "y_cov_stderr",
+                      "lemma8_diff_mean"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_seed_changes_aggregate(self, small_gains):
@@ -408,11 +411,53 @@ class TestMonteCarlo:
         assert z.max() <= 4.0
 
     def test_probe_shapes(self, small_gains):
-        agg = sim.run_monte_carlo(
-            small_gains, sim.KnownSampleSource(), "gaussian", 2_000, 1, probes=True
-        )
-        assert agg.y_cov.shape == (5, 21, 21)
+        agg = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 2_000, 1)
+        assert agg.y_mean.shape == (5, 21)
+        assert agg.y_cov.shape == agg.y_cov_stderr.shape == (5, 39)  # 2T-3 pairs
         assert agg.lemma8_diff_mean.shape == (6, 21)
+
+    def test_probe_pairs_order(self):
+        assert sim.probe_pairs(1) == []
+        assert sim.probe_pairs(2) == [(0, 1)]
+        assert sim.probe_pairs(4) == [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]
+        assert len(sim.probe_pairs(21)) == 39
+
+
+class TestProbeReference:
+    """The probes of ``run_monte_carlo`` against single-trial traces reduced in numpy."""
+
+    @pytest.mark.parametrize("noise", ["gaussian", "uniform"])
+    def test_matches_stacked_traces(self, noise):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 6))
+        source, n, seed = sim.KnownSampleSource(), 400, 21
+        # batches of 150: three of them, the last one short
+        agg = sim.run_monte_carlo(gains, source, noise, n, seed, batch_size=150, threads=1)
+        y = np.stack([sim.run_trial(gains, source, noise, seed, i).y for i in range(n)])
+        t, u = np.array(sim.probe_pairs(7)).T
+        prod = y[:, :, t] * y[:, :, u]  # (n, r_max, n_pairs)
+        y_mean = y.mean(axis=0)
+        prod_mean = prod.mean(axis=0)
+        cov = prod_mean - y_mean[:, t] * y_mean[:, u]
+        stderr = np.sqrt(((prod * prod).mean(axis=0) - prod_mean**2) / n)
+        np.testing.assert_allclose(agg.y_mean, y_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(agg.y_cov, cov, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(agg.y_cov_stderr, stderr, rtol=1e-12, atol=0)
+
+
+def test_probe_memory_stays_near_the_noise_buffer():
+    # the noise of one batch is the one O(r_max T B) array; the probes add
+    # O(r_max B), not a second (r_max, T, B) output buffer
+    gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 12, 200))
+    batch = 2_000
+    noise_bytes = 12 * 201 * batch * 8
+    tracemalloc.start()
+    try:
+        sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", batch, 1,
+                            batch_size=batch, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * noise_bytes, peak / noise_bytes
 
 
 class TestSources:
