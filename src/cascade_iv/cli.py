@@ -156,13 +156,13 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
                 rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
         max_rel = rel.max()  # NaN in any cell propagates
         mse_mod.write_lattice_csv(path, "r,t,mse_dp,mse_closed,rel_discrepancy",
-                                  "%d,%d,%.17g,%.17g,%.17g", [dp, cf, rel], r0=1)
+                                  [dp, cf, rel], r0=1)
         summary = os.path.join(out_dir, "mse_summary.csv")
         _write_csv(summary, "max_rel_discrepancy", [(max_rel,)])
         paths.append(summary)
     else:  # packet_stream: staircase boundary, no closed form
         dp = grid.values[:, 1:]
-        mse_mod.write_lattice_csv(path, "r,t,mse_dp,boundary_staircase", "%d,%d,%.17g,%.17g",
+        mse_mod.write_lattice_csv(path, "r,t,mse_dp,boundary_staircase",
                                   [dp, np.broadcast_to(dp[0], dp.shape)])
     grid_path = os.path.join(out_dir, "mse_grid.csv")
     mse_mod.write_grid_csv(grid, grid_path)

@@ -784,7 +784,7 @@ class TrialResult:
 
     def write_csv(self, path) -> None:
         """Trace rows ``t,r,x,y,z,estimate`` (estimate of the receiving node r+1)."""
-        write_lattice_csv(path, "t,r,x,y,z,estimate", "%d,%d,%.17g,%.17g,%.17g,%.17g",
+        write_lattice_csv(path, "t,r,x,y,z,estimate",
                           [self.x.T, self.y.T, self.z.T, self.estimates[1:].T])
 
 

@@ -2,12 +2,16 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cascade_iv import cli, mse as mse_mod
+from cascade_iv.config import ExperimentConfig
 from cascade_iv.mse import (
     _log_factorials,
     ExponentialRefinementBoundary,
@@ -24,6 +28,7 @@ from cascade_iv.mse import (
     mse_at_velocity,
     solve_grid,
     write_grid_csv,
+    write_lattice_csv,
 )
 from cascade_iv.params import HopConvention, Velocity, make_channel_params
 
@@ -441,3 +446,139 @@ class TestGridCsv:
         write_grid_csv(grid, p1)
         write_grid_csv(grid, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def lattice_csv_reference(header, columns, r0=0, t0=0):
+    """Per-cell ``%d`` and ``f"{x:.17g}"`` formatting, the contract of ``write_lattice_csv``."""
+    n_r, n_t = columns[0].shape
+    rows = [header] + [
+        ",".join([str(r0 + i), str(t0 + j)] + [f"{c[i, j]:.17g}" for c in columns])
+        for i in range(n_r)
+        for j in range(n_t)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def first_difference(got, want):
+    """(line, got line, wanted line) of the first difference; a full diff of 200k lines is slow."""
+    got, want = got.split("\n"), want.split("\n")
+    bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    if bad is None:
+        return None if len(got) == len(want) else (min(len(got), len(want)), len(got), len(want))
+    return bad, got[bad], want[bad]
+
+
+def is_exact_tie(x):
+    """True when x's exact decimal expansion has 18 significant digits ending in 5."""
+    digits = Decimal(x).as_tuple().digits
+    while digits[-1] == 0:
+        digits = digits[:-1]
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def hard_doubles():
+    """Every power of two and power of ten in range with both one-ulp neighbours, and the edges."""
+    two = np.ldexp(1.0, np.arange(-1074, 1024))
+    ten = np.array([10.0**k for k in range(-323, 309)])
+    edges = np.array([0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max, np.inf, np.nan])
+    out = np.concatenate([two, np.nextafter(two, 0), np.nextafter(two, np.inf),
+                          ten, np.nextafter(ten, 0), np.nextafter(ten, np.inf), edges])
+    return np.concatenate([out, -out])
+
+
+class TestLatticeCsvExactness:
+    """``write_lattice_csv`` writes the bytes of per-value ``%.17g`` formatting."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_per_value_reference(self, tmp_path):
+        rng = np.random.default_rng(20240917)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        # one in eight with a zero exponent field: subnormals of both signs
+        bits[::8] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        values = np.concatenate([bits.view(np.float64), hard_doubles()])
+        values = values[: values.size // 600 * 600]
+        # three transposed (non-contiguous) 200-row columns
+        columns = list(values.reshape(3, -1, 200).transpose(0, 2, 1))
+        assert not columns[0].flags.c_contiguous
+        path = tmp_path / "lattice.csv"
+        write_lattice_csv(path, "r,t,a,b,c", columns, r0=1, t0=-1)
+        got = path.read_text()
+        assert first_difference(got, lattice_csv_reference("r,t,a,b,c", columns, 1, -1)) is None
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_floats(self, tmp_path_factory, xs):
+        column = np.array(xs).reshape(-1, 1)
+        path = tmp_path_factory.mktemp("g17") / "lattice.csv"
+        write_lattice_csv(path, "r,t,x", [column])
+        assert path.read_text() == lattice_csv_reference("r,t,x", [column])
+
+
+class TestLatticeCsvFallback:
+    """The per-value ``%.17g`` fallback stays off the lattice files and on the hard cases."""
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        calls = []
+        fallback = mse_mod._fallback_17g
+
+        def counting(x):
+            calls.append(x)
+            return fallback(x)
+
+        monkeypatch.setattr(mse_mod, "_fallback_17g", counting)
+        return calls
+
+    @pytest.mark.parametrize("scheme,kw,r_max,t_max", [
+        ("refined_source", {"rate_nats": 0.5}, 200, 200),
+        ("single_sample", {}, 30, 400),
+    ])
+    def test_never_fires_on_cmd_mse(self, fallback_calls, tmp_path, scheme, kw, r_max, t_max):
+        cfg = ExperimentConfig(scheme=scheme, snr=10.0, r_max=r_max, t_max=t_max, **kw)
+        cli.cmd_mse(cfg, str(tmp_path))
+        if scheme == "single_sample":
+            # the grid reaches exact zeros and subnormals, both on the fast path
+            grid = solve_grid(CH10, SingleSampleBoundary(), r_max, t_max).values
+            assert (grid == 0).sum() == 2447
+            assert ((grid > 0) & (grid < np.finfo(float).tiny)).sum() == 467
+        assert fallback_calls == []
+
+    def test_fires_on_every_tie_and_non_finite_value(self, fallback_calls, tmp_path):
+        ties = [2.0**-25, 1 + 2.0**-17, 2.0**51 - 0.25, 2.0**50 + 0.25]
+        assert all(map(is_exact_tie, ties))
+        values = np.array(ties + [-x for x in ties] + [np.inf, -np.inf, np.nan])
+        path = tmp_path / "ties.csv"
+        write_lattice_csv(path, "r,t,x", [values.reshape(1, -1)])
+        assert path.read_text() == lattice_csv_reference("r,t,x", [values.reshape(1, -1)])
+        assert len(fallback_calls) == values.size
+        assert "2.9802322387695312e-08" in path.read_text()  # half to even
+
+
+class TestLatticeCsvMemory:
+    """Formatting is block-wise: the traced peak stays far below the lattice's text size."""
+
+    LIMIT = 4 * 2**20
+
+    @staticmethod
+    def traced_peak(path, header, columns, **kw):
+        write_lattice_csv(path, header, [c[:1, :1] for c in columns])  # build the tables
+        tracemalloc.start()
+        try:
+            write_lattice_csv(path, header, columns, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_three_column_mse_csv(self, tmp_path):
+        dp = solve_grid(CH10, ExponentialRefinementBoundary(0.5), 200, 200).values[1:, 1:]
+        log_i, log_ii = log_closed_form_streaming_grid(CH10, 0.5, 200, 200)
+        cf = np.exp(np.logaddexp(log_i, log_ii)[1:])
+        rel = np.abs(cf - dp) / dp
+        peak = self.traced_peak(tmp_path / "mse.csv", "r,t,mse_dp,mse_closed,rel_discrepancy",
+                                [dp, cf, rel], r0=1)
+        assert peak <= self.LIMIT, peak
+
+    def test_grid_csv(self, tmp_path):
+        grid = solve_grid(CH10, SingleSampleBoundary(), 300, 300)
+        peak = self.traced_peak(tmp_path / "mse_grid.csv", "r,t,mse", [grid.values], t0=-1)
+        assert peak <= self.LIMIT, peak
