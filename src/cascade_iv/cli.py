@@ -272,6 +272,11 @@ def _censored(rate: float, n: int) -> str:
 def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
     if cfg.packet_bits is None:
         raise ValueError("packet command requires packet_bits")
+    if cfg.r_max < 2:
+        raise ValueError(
+            f"packet command needs r_max >= 2 (packets are decoded at r = 2..r_max), "
+            f"got r_max = {cfg.r_max}"
+        )
     channel = make_channel_params(cfg.snr)
     v = cfg.velocities[0] if cfg.velocities else 1.0
     r_list = list(range(2, cfg.r_max + 1))
@@ -323,6 +328,11 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
 def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
     if cfg.packet_bits is None or cfg.period is None:
         raise ValueError("stream command requires packet_bits and period")
+    if cfg.r_max < 4:
+        raise ValueError(
+            f"stream command needs r_max >= 4 (relays are decoded at r = 4, 8, ...), "
+            f"got r_max = {cfg.r_max}"
+        )
     channel = make_channel_params(cfg.snr)
     stream = make_stream_params(cfg.packet_bits, cfg.period, channel)
     if cfg.velocities:

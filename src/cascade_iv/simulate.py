@@ -4,8 +4,8 @@ One trial runs the linear relaying scheme on the (r, t) lattice: node r
 transmits X_r(t) = beta_r(t) [Shat_r(t) - Shat_{r+1}(t-1)], node r+1 receives
 Y = X + Z and updates Shat_{r+1}(t) = Shat_{r+1}(t-1) + gamma_{r+1}(t) Y.
 The gains come from the analytic MSE lattice (they are the exact LMMSE
-coefficients), so trials are embarrassingly parallel.  Within a time step
-nodes are processed in ascending r, which makes hops instantaneous; delayed
+coefficients), so trials are embarrassingly parallel.  Node r+1 at time t
+reads node r at the same time t, which makes hops instantaneous; delayed
 hops are the same dynamics with node r retarded by exactly r steps, handled
 at evaluation time rather than by a second engine.
 
@@ -21,15 +21,28 @@ for the recursion.  Monte Carlo aggregation uses fixed-size batches merged
 in batch order with compensated summation, making aggregates bit-identical
 for any parallelism degree.
 
-One recursion, ``_sweep``, serves every caller; what each keeps is an
-observer of its time steps: the moments and probes of ``run_monte_carlo``,
-the captured estimates of ``run_decoding_monte_carlo`` (nothing else), or
-the full traces of ``run_trial``.  The probes are always on and cover only
-the output pairs of ``probe_pairs``, so only y(0) and y(t-1) are kept.
+One recursion, ``_sweep``, serves every caller.  It is a wavefront over
+the anti-diagonals e = r + t of the lattice: cell (r, t) reads only
+(r-1, t) and (r, t-1), so one step updates every node of a diagonal with
+one numpy call per stage, whatever the number of trials.  What each caller
+keeps is an observer of the diagonals: the moments and probes of
+``run_monte_carlo``, the captured estimates of ``run_decoding_monte_carlo``
+(nothing else), or the full traces of ``run_trial``.  The probes are always
+on and cover only the output pairs of ``probe_pairs``, so only y(0) and
+y(t-1) are kept.
+
+Decoding runs each batch through blocks of about 16 MiB of noise
+(``_BLOCK_BUDGET``; the trials per block follow from the lattice shape),
+so its memory does not grow with the batch: the captures are integer error
+counts once sliced, and each trial reads its own stream, so the counts do
+not depend on the block size.  ``run_monte_carlo`` keeps whole batches,
+because its float sums are reduced over the trials of a batch and their
+rounding depends on how the trials are grouped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -138,15 +151,15 @@ class _TrialStreams:
     and draws from the generator it is handed.  When it asks for the next
     trial, the current trial's noise and dither are drawn; ``finish`` draws
     them for the trials the source did not iterate over.  Noise lands in
-    ``noise``, a trial-contiguous (r_max, T, B) array, so the recursion
-    reads each hop cell as one contiguous vector.
+    ``noise``, a trial-contiguous (r_max, T, B) array (``out`` when given),
+    so the recursion reads each hop cell as one contiguous vector.
     """
 
     def __init__(self, master_seed, start, count, noise_kind, noise_shape,
-                 n_dither=0, dither_half=0.0):
+                 n_dither=0, dither_half=0.0, out=None):
         shape = tuple(noise_shape)
         self.count = count
-        self.noise = np.empty(shape + (count,))
+        self.noise = np.empty(shape + (count,)) if out is None else out
         self.dither = np.empty((count, n_dither)) if n_dither else None
         self._trials = self._draw(master_seed, start, noise_kind, shape, dither_half)
         self._iterated = False
@@ -185,10 +198,13 @@ class _TrialStreams:
 
 
 def _draw_inputs(source, noise_kind, master_seed, start, count, r_max, t_max,
-                 n_dither=0, dither_half=0.0):
-    """Source draws, (r_max, T, B) noise and (B, n_dither) dither of one batch."""
+                 n_dither=0, dither_half=0.0, out=None):
+    """Source draws, (r_max, T, B) noise and (B, n_dither) dither of one batch.
+
+    With ``out``, a C-contiguous (r_max, T, B) array, the noise is drawn there.
+    """
     streams = _TrialStreams(master_seed, start, count, noise_kind, (r_max, t_max + 1),
-                            n_dither, dither_half)
+                            n_dither, dither_half, out)
     src = source.draw_batch(streams, t_max)
     streams.finish()
     return src, streams.noise, streams.dither
@@ -473,51 +489,107 @@ def precompute_gains(grid: MseGrid, eps_degenerate: float = EPS_DEGENERATE) -> G
 # Engine
 # ---------------------------------------------------------------------------
 
-def _sweep(gains: GainTable, shat0: np.ndarray, z: np.ndarray, on_step, first_trial: int,
-           hops=None) -> None:
+def _diagonal(a: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
+    """``a[n, d - n]`` for n = lo..hi-1, an anti-diagonal of the first two axes.
+
+    Every ``d - n`` must lie in ``[0, a.shape[1])``.  The cells are one
+    strided slice of the rows of ``a``, so for a C-contiguous ``a`` the
+    result is a view, through which writes reach ``a``.
+    """
+    width = a.shape[1]
+    rows = a.reshape((-1,) + a.shape[2:])
+    if hi <= lo:
+        return rows[:0]
+    step = max(width - 1, 1)  # at width 1 a diagonal holds one cell
+    start = lo * width + d - lo
+    return rows[start : start + (hi - lo - 1) * step + 1 : step]
+
+
+def _wavefront(gains: GainTable):
+    """The anti-diagonals e = n + t of the (r_max+1, T) lattice, in order.
+
+    Each entry is ``(e, lo, hi, runs)``: rows lo..hi-1 hold the diagonal's
+    cells (n, e - n), and each run ``(p, q, beta, gamma)`` covers receiving
+    nodes p..q-1 whose hops (p-1..q-2, at time e - n) are either all active,
+    with their (k, 1) gain columns, or all silent, with gains None.
+    """
+    T = gains.t_max + 1
+    plan = []
+    for e in range(gains.r_max + T):
+        lo, hi = max(0, e - T + 1), min(gains.r_max, e) + 1
+        runs = []
+        p = max(lo, 1)
+        silent = _diagonal(gains.silent, e - 1, p - 1, hi - 1).tolist()
+        for quiet, group in itertools.groupby(silent):
+            q = p + len(list(group))
+            if quiet:
+                runs.append((p, q, None, None))
+            else:
+                runs.append((p, q, _diagonal(gains.beta, e - 1, p - 1, q - 1)[:, None],
+                             _diagonal(gains.gamma, e, p, q)[:, None]))
+            p = q
+        plan.append((e, lo, hi, runs))
+    return plan
+
+
+def _sweep(gains: GainTable, shat0: np.ndarray, z: np.ndarray, on_diagonal,
+           first_trial: int, hops: bool = False) -> None:
     """Run the lattice recursion for a batch, in place on one (r_max+1, B) state.
 
     ``shat0`` is the (B, T) node-0 estimate and ``z`` the (r_max, T, B) hop
-    noise.  Row r+1 of the state still holds time t-1 when hop r updates it
-    at time t, so no second state is needed.  After each time step
-    ``on_step(t, est)`` sees every node's estimate.  If ``hops`` is an
-    ``(x, y)`` pair of (r_max, B) arrays, each step also leaves there its
-    channel inputs and outputs.
+    noise.  Cell (n, t) reads only (n-1, t) and (n, t-1), so the cells of
+    one anti-diagonal e = n + t depend only on the diagonal before it: a
+    wavefront step updates all of them at once, with one numpy call per
+    stage on a (k, B) slab, each node reading its hop noise z[n-1, e-n]
+    through a strided view.  Row n of the state holds Shat_n(e - n - 1)
+    before the step and Shat_n(e - n) after it; node 0 is set to
+    ``shat0[:, e]`` after the update, which reads its previous value.
+
+    After step e, ``on_diagonal(e, lo, hi, est, x, y)`` sees the state,
+    whose rows lo..hi-1 are the diagonal's cells.  With ``hops`` it also
+    sees the (r_max, B) channel inputs x and outputs y, whose rows
+    max(lo, 1)-1..hi-2 are the hops of the step (hop r at time e-1-r);
+    without, x and y are None and the stages run in place on one slab.  A
+    silent hop transmits +0.0, receives its noise alone and leaves the
+    state untouched.
     """
     r_max, T, count = z.shape
-    silent = gains.silent.tolist()
-    beta = gains.beta.tolist()
-    gamma = gains.gamma.tolist()
     shat0 = np.ascontiguousarray(shat0.T)
     est = np.zeros((r_max + 1, count))
-    x = np.empty(count)
-    y = np.empty(count)
-    scaled = np.empty(count)
-    for t in range(T):
-        est[0] = shat0[t]
+    x = np.empty((r_max, count))
+    if hops:
+        y, scaled = np.empty((r_max, count)), np.empty((r_max, count))
+        seen = (x, y)
+    else:  # every stage in place on x
+        y = scaled = x
+        seen = (None, None)
+    for e, lo, hi, runs in _wavefront(gains):
         # an inf state makes transient nan arithmetic before the finite-state
         # guard below raises; keep that path quiet
         with np.errstate(invalid="ignore"):
-            for r in range(r_max):
-                if hops is not None:
-                    x, y = hops[0][r], hops[1][r]
-                if silent[r][t]:
-                    if hops is not None:
-                        x.fill(0.0)
-                        y[...] = z[r, t]
+            for p, q, beta, gamma in runs:
+                xs, ys = x[p - 1 : q - 1], y[p - 1 : q - 1]
+                zs = _diagonal(z, e - 1, p - 1, q - 1)
+                if beta is None:
+                    xs.fill(0.0)
+                    ys[...] = zs
                     continue
-                np.subtract(est[r], est[r + 1], out=x)
-                x *= beta[r][t]
-                np.add(x, z[r, t], out=y)
-                np.multiply(y, gamma[r + 1][t], out=scaled)
-                est[r + 1] += scaled
-        if not np.isfinite(est).all():
-            bad_r = int(np.argwhere(~np.isfinite(est))[0, 0])
+                np.subtract(est[p - 1 : q - 1], est[p:q], out=xs)
+                xs *= beta
+                np.add(xs, zs, out=ys)
+                step = scaled[p - 1 : q - 1]
+                np.multiply(ys, gamma, out=step)
+                est[p:q] += step
+        if lo == 0:
+            est[0] = shat0[e]
+        finite = np.isfinite(est[lo:hi])
+        if not finite.all():
+            bad_r = lo + int(np.argwhere(~finite)[0, 0])
             raise FloatingPointError(
-                f"non-finite estimate at node r={bad_r}, t={t} "
+                f"non-finite estimate at node r={bad_r}, t={e - bad_r} "
                 f"(trials {first_trial}..{first_trial + count - 1})"
             )
-        on_step(t, est)
+        on_diagonal(e, lo, hi, est, *seen)
 
 
 def probe_pairs(T: int) -> list[tuple[int, int]]:
@@ -530,16 +602,20 @@ def probe_pairs(T: int) -> list[tuple[int, int]]:
 
 
 class _Moments:
-    """Per-step observer of ``_sweep`` accumulating the Monte Carlo partial sums.
+    """Per-diagonal observer of ``_sweep`` accumulating the Monte Carlo partial sums.
 
-    The output probes keep only y(0) and y(t-1): step t adds the products
-    of y(t) with each, the two pairs of ``probe_pairs`` that end at t.
+    Each quantity is reduced over the trials row by row on the diagonal's
+    cells and scattered into its (node, time) array, so every cell's sum is
+    the same pairwise sum over the same values as in a time-major pass.
+    ``prev`` is the state before the diagonal, which the per-hop identity
+    reads.  The output probes keep only y(0) and y(t-1) per hop: hop r at
+    time t adds the products of y(t) with each, the two pairs of
+    ``probe_pairs`` that end at t.
     """
 
     def __init__(self, gains: GainTable, s: np.ndarray, z: np.ndarray):
         r_max, T, count = z.shape
         self.gains, self.s, self.z = gains, s, z
-        self.hops = (np.empty((r_max, count)), np.empty((r_max, count)))
         self.prev = np.zeros((r_max + 1, count))
         self.y0 = np.empty((r_max, count))
         self.y_prev = np.empty((r_max, count))
@@ -559,46 +635,61 @@ class _Moments:
             "y2y2_sum": np.zeros((r_max, n_pairs)),
         }
 
-    def _add_pair(self, k: int, y: np.ndarray, other: np.ndarray) -> None:
-        prod = y * other
-        self.sums["yy_sum"][:, k] = prod.sum(axis=1)
-        prod *= prod
-        self.sums["y2y2_sum"][:, k] = prod.sum(axis=1)
+    def _scatter(self, key: str, d: int, lo: int, hi: int, values: np.ndarray) -> None:
+        """Per-row sums of ``values`` into cells (n, d - n), n = lo..hi-1, of ``sums[key]``."""
+        _diagonal(self.sums[key], d, lo, hi)[...] = values.sum(axis=1)
 
-    def __call__(self, t: int, est: np.ndarray) -> None:
-        sums, s, prev = self.sums, self.s, self.prev
-        x, y = self.hops
-        err = s[None, :] - est
+    def _add_pair(self, d: int, lo: int, hi: int, y: np.ndarray, other: np.ndarray) -> None:
+        prod = y * other
+        self._scatter("yy_sum", d, lo, hi, prod)
+        prod *= prod
+        self._scatter("y2y2_sum", d, lo, hi, prod)
+
+    def __call__(self, e, lo, hi, est, x, y) -> None:
+        s, prev = self.s, self.prev
+        r_max, T = self.z.shape[:2]
+        err = s - est[lo:hi]
         sq = err * err
-        sums["err_sum"][:, t] = err.sum(axis=1)
-        sums["sq_sum"][:, t] = sq.sum(axis=1)
-        sums["sq2_sum"][:, t] = (sq * sq).sum(axis=1)
-        x2 = x * x
-        sums["pow_sum"][:, t] = x2.sum(axis=1)
-        sums["pow2_sum"][:, t] = (x2 * x2).sum(axis=1)
-        # per-hop identity:
-        # Shat_{r+1}(t) = pbar Shat_r(t) + (1-pbar) Shat_{r+1}(t-1) + gamma Z
-        active = ~self.gains.silent[:, t]
-        if active.any():
-            pbar = self.gains.channel.snr_bar
-            resid = est[1:][active] - (
-                pbar * est[:-1][active]
-                + (1.0 - pbar) * prev[1:][active]
-                + self.gains.gamma[1:, t][active, None] * self.z[:, t][active]
-            )
-            sums["identity_max"] = max(sums["identity_max"], float(np.abs(resid).max()))
-        d = err[1:-1] * (s - prev[2:]) - sq[1:-1]
-        sums["d_sum"][1:-1, t] = d.sum(axis=1)
-        sums["d2_sum"][1:-1, t] = (d * d).sum(axis=1)
-        sums["y_sum"][:, t] = y.sum(axis=1)
-        if t >= 1:
-            self._add_pair(t - 1, y, self.y_prev)  # (t-1, t)
-        if t >= 2:
-            self._add_pair(self.z.shape[1] + t - 3, y, self.y0)  # (0, t)
-        if t == 0:
-            self.y0[...] = y
-        self.y_prev[...] = y
-        prev[...] = est
+        self._scatter("err_sum", e, lo, hi, err)
+        self._scatter("sq_sum", e, lo, hi, sq)
+        self._scatter("sq2_sum", e, lo, hi, sq * sq)
+        # lemma 8 on nodes 1..r_max-1: Shat_{n+1}(t-1) is row n+1 of this diagonal
+        n0, n1 = max(lo, 1), min(hi, r_max)
+        if n0 < n1:
+            d = err[n0 - lo : n1 - lo] * (s - est[n0 + 1 : n1 + 1]) - sq[n0 - lo : n1 - lo]
+            self._scatter("d_sum", e, n0, n1, d)
+            self._scatter("d2_sum", e, n0, n1, d * d)
+        h0, h1 = n0 - 1, hi - 1  # hop r, from node r to r+1, at time e-1-r
+        if h0 < h1:
+            xs, ys = x[h0:h1], y[h0:h1]
+            x2 = xs * xs
+            self._scatter("pow_sum", e - 1, h0, h1, x2)
+            self._scatter("pow2_sum", e - 1, h0, h1, x2 * x2)
+            # per-hop identity:
+            # Shat_{r+1}(t) = pbar Shat_r(t) + (1-pbar) Shat_{r+1}(t-1) + gamma Z
+            active = ~_diagonal(self.gains.silent, e - 1, h0, h1)
+            if active.any():
+                pbar = self.gains.channel.snr_bar
+                rows = slice(None) if active.all() else active  # a slice copies nothing
+                resid = est[h0 + 1 : h1 + 1][rows] - (
+                    pbar * prev[h0:h1][rows]
+                    + (1.0 - pbar) * prev[h0 + 1 : h1 + 1][rows]
+                    + _diagonal(self.gains.gamma, e, h0 + 1, h1 + 1)[rows, None]
+                    * _diagonal(self.z, e - 1, h0, h1)[rows]
+                )
+                self.sums["identity_max"] = max(self.sums["identity_max"],
+                                                float(np.abs(resid).max()))
+            self._scatter("y_sum", e - 1, h0, h1, ys)
+            lag = min(h1, e - 1)  # hops at t >= 1 close the pair (t-1, t), column t-1
+            if h0 < lag:
+                self._add_pair(e - 2, h0, lag, ys[: lag - h0], self.y_prev[h0:lag])
+            origin = min(h1, e - 2)  # hops at t >= 2 close (0, t), column T+t-3
+            if h0 < origin:
+                self._add_pair(T + e - 4, h0, origin, ys[: origin - h0], self.y0[h0:origin])
+            if h1 == e:  # hop e-1 is at t = 0
+                self.y0[e - 1] = y[e - 1]
+            self.y_prev[h0:h1] = ys
+        prev[lo:hi] = est[lo:hi]
 
 
 def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
@@ -607,31 +698,56 @@ def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     src, z, _ = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
                              gains.r_max, gains.t_max)
     moments = _Moments(gains, src.s, z)
-    _sweep(gains, src.shat0, z, moments, start_trial, hops=moments.hops)
+    _sweep(gains, src.shat0, z, moments, start_trial, hops=True)
     return moments.sums
+
+
+# Noise bytes of one decoding block.  A decoding batch draws, sweeps and
+# captures its trials in blocks of this much noise, so its memory depends on
+# the lattice shape only; about 2k trials on the criterion-8 lattice.
+_BLOCK_BUDGET = 16 << 20
 
 
 def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
                    start_trial: int, count: int, cells, n_dither: int = 0,
                    dither_half: float = 0.0):
-    """Run ``count`` trials keeping only the estimates at ``cells``.
+    """Run ``count`` trials block by block, keeping only the estimates at ``cells``.
 
-    Returns the source batch, the (n_cells, B) captured estimates and the
-    (B, n_dither) dither, or None without dither.
+    Returns the (B, depth) source bits, or None for a source without bits,
+    the (n_cells, B) captured estimates and the (B, n_dither) dither, or
+    None without dither.  Every trial reads its own stream, so the results
+    do not depend on the block size.
     """
-    src, z, dither = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
-                                  gains.r_max, gains.t_max, n_dither, dither_half)
+    r_max, t_max = gains.r_max, gains.t_max
+    block = max(1, _BLOCK_BUDGET // (8 * r_max * (t_max + 1)))
     captures = np.empty((len(cells), count))
-    by_t: dict[int, list[tuple[int, int]]] = {}
+    dither = np.empty((count, n_dither)) if n_dither else None
+    bits = None
+    by_e: dict[int, list[tuple[int, int]]] = {}
     for idx, (r, t) in enumerate(cells):
-        by_t.setdefault(t, []).append((idx, r))
+        by_e.setdefault(r + t, []).append((idx, r))
+    # one noise buffer for every block, so blocks do not fragment the heap
+    noise = np.empty(r_max * (t_max + 1) * min(block, count))
+    for first in range(0, count, block):
+        trials = slice(first, min(first + block, count))
+        n = trials.stop - first
+        src, z, block_dither = _draw_inputs(
+            source, noise_kind, master_seed, start_trial + first, n, r_max, t_max,
+            n_dither, dither_half, noise[: r_max * (t_max + 1) * n].reshape(r_max, t_max + 1, n),
+        )
+        if src.bits is not None:
+            if bits is None:
+                bits = np.empty((count, src.bits.shape[1]), dtype=src.bits.dtype)
+            bits[trials] = src.bits
+        if dither is not None:
+            dither[trials] = block_dither
 
-    def capture(t, est):
-        for idx, r in by_t.get(t, ()):
-            captures[idx] = est[r]
+        def capture(e, lo, hi, est, x, y, trials=trials):
+            for idx, r in by_e.get(e, ()):
+                captures[idx, trials] = est[r]
 
-    _sweep(gains, src.shat0, z, capture, start_trial)
-    return src, captures, dither
+        _sweep(gains, src.shat0, z, capture, start_trial + first)
+    return bits, captures, dither
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -800,14 +916,14 @@ def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
     est = np.empty((r_max + 1, T))
     x = np.empty((r_max, T))
     y = np.empty((r_max, T))
-    hops = (np.empty((r_max, 1)), np.empty((r_max, 1)))
 
-    def record(t, state):
-        est[:, t] = state[:, 0]
-        x[:, t] = hops[0][:, 0]
-        y[:, t] = hops[1][:, 0]
+    def record(e, lo, hi, state, hop_x, hop_y):
+        _diagonal(est, e, lo, hi)[...] = state[lo:hi, 0]
+        h0, h1 = max(lo, 1) - 1, hi - 1
+        _diagonal(x, e - 1, h0, h1)[...] = hop_x[h0:h1, 0]
+        _diagonal(y, e - 1, h0, h1)[...] = hop_y[h0:h1, 0]
 
-    _sweep(gains, src.shat0, z, record, trial_index, hops=hops)
+    _sweep(gains, src.shat0, z, record, trial_index, hops=True)
     return src, est, x, y, z[..., 0]
 
 
@@ -877,7 +993,10 @@ def run_decoding_monte_carlo(
 
     Returns (primary stats, slicer stats); the second entry is only populated
     for dithered decoding, where the plain slicer runs alongside for
-    comparison.
+    comparison.  Trial i always uses the stream (master_seed, i), and a
+    batch is swept in blocks of a fixed noise budget, so the counts do not
+    depend on ``batch_size``, the thread count or the block size.  Memory
+    holds one block of noise per worker, plus each batch's captures and bits.
     """
     if decode.kind not in ("packet", "stream", "packet_dithered"):
         raise ValueError(f"unknown decode kind {decode.kind!r}")
@@ -895,7 +1014,7 @@ def run_decoding_monte_carlo(
     dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
 
     def worker(start, count):
-        src, caps, dither = _capture_batch(
+        bits, caps, dither = _capture_batch(
             gains, source, noise_kind, master_seed, start, count, cells, n_dither, dither_half
         )
         primary = pam.ErrorStats()
@@ -903,20 +1022,20 @@ def run_decoding_monte_carlo(
         for idx, (r, t) in enumerate(cells):
             if decode.kind == "stream":
                 n_bits = decode.packet_bits * (t // decode.period + 1)
-                truth = src.bits[:, :n_bits]
+                truth = bits[:, :n_bits]
                 decoded = pam.decode_bits(caps[idx], n_bits)
                 pam.tally_errors(
                     primary, decoded, truth, r, t, decode.packet_bits, decode.period
                 )
             elif decode.kind == "packet":
-                truth = src.bits[:, : decode.packet_bits]
+                truth = bits[:, : decode.packet_bits]
                 decoded = pam.decode_bits(caps[idx], decode.packet_bits)
                 pam.tally_errors(
                     primary, decoded, truth, r, t, decode.packet_bits, gains.t_max + 1
                 )
             else:  # packet_dithered
                 n = decode.decode_bits_n
-                truth = src.bits[:, :n]
+                truth = bits[:, :n]
                 dith = pam.dithered_decode(
                     caps[idx],
                     decode.alphas[idx],

@@ -543,6 +543,24 @@ class TestEndToEnd:
         lines = open(tmp_path / "forced" / "stream_bounds.csv").read().splitlines()
         assert lines[1].split(",")[5] == "-inf"
 
+    @pytest.mark.parametrize("command, fields, minimum", [
+        ("packet", {"scheme": "single_packet", "packet_bits": 2}, 2),
+        ("stream", {"scheme": "packet_stream", "packet_bits": 2, "period": 2}, 4),
+    ])
+    def test_decode_command_below_minimum_r_max_is_a_usage_error(
+        self, tmp_path, command, fields, minimum
+    ):
+        # packets are decoded from r = 2 on, stream relays at r = 4, 8, ...
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "out"
+        ExperimentConfig(
+            r_max=minimum - 1, num_trials=100, master_seed=3, out_dir=str(out), **fields
+        ).save(cfg)
+        res = run_cli([command, "--config", str(cfg)], tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert f"{command} command needs r_max >= {minimum}" in res.stderr
+        assert res.stdout == "" and not any(out.iterdir())
+
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
         outputs = {}
         for threads in ("1", "4"):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cascade_iv import exponents as xp
 from cascade_iv import pam
 from cascade_iv import simulate as sim
 from cascade_iv.mse import (
@@ -15,7 +16,7 @@ from cascade_iv.mse import (
     SingleSampleBoundary,
     solve_grid,
 )
-from cascade_iv.params import make_channel_params
+from cascade_iv.params import make_channel_params, make_stream_params
 
 CH10 = make_channel_params(10.0)
 PBAR = 10.0 / 11.0
@@ -240,6 +241,280 @@ class TestRegressionPins:
         assert digest(sim.coefficient_trial(gains)) == (
             "05efa318f2a2a6c7c868f536e86b874a27f756aff4a05d7522a88926c07a2bbf"
         )
+
+
+# ---------------------------------------------------------------------------
+# Time-major reference engine
+# ---------------------------------------------------------------------------
+#
+# The engine the wavefront ``sim._sweep`` replaced: one time step at a time,
+# one hop at a time, on the same (r_max+1, B) state and with the same
+# arithmetic per cell.  Observers see every node after each time step.
+
+def _time_major_sweep(gains, shat0, z, on_step, first_trial, hops=None):
+    r_max, T, count = z.shape
+    silent = gains.silent.tolist()
+    beta = gains.beta.tolist()
+    gamma = gains.gamma.tolist()
+    shat0 = np.ascontiguousarray(shat0.T)
+    est = np.zeros((r_max + 1, count))
+    x = np.empty(count)
+    y = np.empty(count)
+    scaled = np.empty(count)
+    for t in range(T):
+        est[0] = shat0[t]
+        with np.errstate(invalid="ignore"):
+            for r in range(r_max):
+                if hops is not None:
+                    x, y = hops[0][r], hops[1][r]
+                if silent[r][t]:
+                    if hops is not None:
+                        x.fill(0.0)
+                        y[...] = z[r, t]
+                    continue
+                np.subtract(est[r], est[r + 1], out=x)
+                x *= beta[r][t]
+                np.add(x, z[r, t], out=y)
+                np.multiply(y, gamma[r + 1][t], out=scaled)
+                est[r + 1] += scaled
+        if not np.isfinite(est).all():
+            bad_r = int(np.argwhere(~np.isfinite(est))[0, 0])
+            raise FloatingPointError(
+                f"non-finite estimate at node r={bad_r}, t={t} "
+                f"(trials {first_trial}..{first_trial + count - 1})"
+            )
+        on_step(t, est)
+
+
+class _TimeMajorMoments:
+    """The per-time-step observer that accumulated ``run_monte_carlo``'s sums."""
+
+    def __init__(self, gains, s, z):
+        r_max, T, count = z.shape
+        self.gains, self.s, self.z = gains, s, z
+        self.hops = (np.empty((r_max, count)), np.empty((r_max, count)))
+        self.prev = np.zeros((r_max + 1, count))
+        self.y0 = np.empty((r_max, count))
+        self.y_prev = np.empty((r_max, count))
+        n_pairs = len(sim.probe_pairs(T))
+        self.sums = {
+            "n": count,
+            "err_sum": np.zeros((r_max + 1, T)),
+            "sq_sum": np.zeros((r_max + 1, T)),
+            "sq2_sum": np.zeros((r_max + 1, T)),
+            "pow_sum": np.zeros((r_max, T)),
+            "pow2_sum": np.zeros((r_max, T)),
+            "identity_max": 0.0,
+            "d_sum": np.zeros((r_max + 1, T)),
+            "d2_sum": np.zeros((r_max + 1, T)),
+            "y_sum": np.zeros((r_max, T)),
+            "yy_sum": np.zeros((r_max, n_pairs)),
+            "y2y2_sum": np.zeros((r_max, n_pairs)),
+        }
+
+    def _add_pair(self, k, y, other):
+        prod = y * other
+        self.sums["yy_sum"][:, k] = prod.sum(axis=1)
+        prod *= prod
+        self.sums["y2y2_sum"][:, k] = prod.sum(axis=1)
+
+    def __call__(self, t, est):
+        sums, s, prev = self.sums, self.s, self.prev
+        x, y = self.hops
+        err = s[None, :] - est
+        sq = err * err
+        sums["err_sum"][:, t] = err.sum(axis=1)
+        sums["sq_sum"][:, t] = sq.sum(axis=1)
+        sums["sq2_sum"][:, t] = (sq * sq).sum(axis=1)
+        x2 = x * x
+        sums["pow_sum"][:, t] = x2.sum(axis=1)
+        sums["pow2_sum"][:, t] = (x2 * x2).sum(axis=1)
+        active = ~self.gains.silent[:, t]
+        if active.any():
+            pbar = self.gains.channel.snr_bar
+            resid = est[1:][active] - (
+                pbar * est[:-1][active]
+                + (1.0 - pbar) * prev[1:][active]
+                + self.gains.gamma[1:, t][active, None] * self.z[:, t][active]
+            )
+            sums["identity_max"] = max(sums["identity_max"], float(np.abs(resid).max()))
+        d = err[1:-1] * (s - prev[2:]) - sq[1:-1]
+        sums["d_sum"][1:-1, t] = d.sum(axis=1)
+        sums["d2_sum"][1:-1, t] = (d * d).sum(axis=1)
+        sums["y_sum"][:, t] = y.sum(axis=1)
+        if t >= 1:
+            self._add_pair(t - 1, y, self.y_prev)
+        if t >= 2:
+            self._add_pair(self.z.shape[1] + t - 3, y, self.y0)
+        if t == 0:
+            self.y0[...] = y
+        self.y_prev[...] = y
+        prev[...] = est
+
+
+def _time_major_simulate_batch(gains, source, noise_kind, master_seed, start_trial, count):
+    src, z, _ = sim._draw_inputs(source, noise_kind, master_seed, start_trial, count,
+                                 gains.r_max, gains.t_max)
+    moments = _TimeMajorMoments(gains, src.s, z)
+    _time_major_sweep(gains, src.shat0, z, moments, start_trial, hops=moments.hops)
+    return moments.sums
+
+
+def _time_major_trace(gains, source, noise_kind, master_seed, trial_index):
+    """(estimates, x, y) of one trial."""
+    r_max, T = gains.r_max, gains.t_max + 1
+    src, z, _ = sim._draw_inputs(source, noise_kind, master_seed, trial_index, 1, r_max,
+                                 gains.t_max)
+    est, x, y = np.empty((r_max + 1, T)), np.empty((r_max, T)), np.empty((r_max, T))
+    hops = (np.empty((r_max, 1)), np.empty((r_max, 1)))
+
+    def record(t, state):
+        est[:, t] = state[:, 0]
+        x[:, t] = hops[0][:, 0]
+        y[:, t] = hops[1][:, 0]
+
+    _time_major_sweep(gains, src.shat0, z, record, trial_index, hops=hops)
+    return est, x, y
+
+
+def _time_major_captures(gains, source, noise_kind, master_seed, start, count, cells):
+    """(n_cells, B) estimates at ``cells`` from one whole-batch sweep."""
+    src, z, _ = sim._draw_inputs(source, noise_kind, master_seed, start, count,
+                                 gains.r_max, gains.t_max)
+    captures = np.empty((len(cells), count))
+
+    def capture(t, est):
+        for idx, (r, u) in enumerate(cells):
+            if u == t:
+                captures[idx] = est[r]
+
+    _time_major_sweep(gains, src.shat0, z, capture, start)
+    return captures
+
+
+def _set_block(monkeypatch, gains, trials):
+    """Make a decoding block of ``gains``' lattice hold ``trials`` trials."""
+    monkeypatch.setattr(sim, "_BLOCK_BUDGET", trials * 8 * gains.r_max * (gains.t_max + 1))
+
+
+def _same_bits(a, b):
+    """Equal float arrays bit for bit (so +0.0 differs from -0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestWavefrontMatchesTimeMajor:
+    """The anti-diagonal engine reproduces the time-major reference bit for bit."""
+
+    TRIALS, SEED = 300, 17
+
+    def _check(self, gains, source, noise, monkeypatch, trials=TRIALS):
+        for trial in (0, 5):
+            _, est, x, y, _ = sim._trace_trial(gains, source, noise, self.SEED, trial)
+            want = _time_major_trace(gains, source, noise, self.SEED, trial)
+            for got, ref in zip((est, x, y), want):
+                assert _same_bits(got, ref)
+        tr = sim.run_trial(gains, source, noise, self.SEED, 5)
+        assert _same_bits(tr.estimates, want[0])
+
+        def aggregate():
+            return sim.run_monte_carlo(gains, source, noise, trials, self.SEED,
+                                       batch_size=128, threads=1)
+
+        agg = aggregate()
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_simulate_batch", _time_major_simulate_batch)
+            ref = aggregate()
+        for f in dataclasses.fields(agg):
+            got, want = getattr(agg, f.name), getattr(ref, f.name)
+            if isinstance(got, np.ndarray):
+                assert _same_bits(got, want), f.name
+            else:
+                assert repr(got) == repr(want), f.name
+
+        cells = [(r, t) for r in range(gains.r_max + 1) for t in range(gains.t_max + 1)]
+        _set_block(monkeypatch, gains, 64)  # several blocks, the last one short
+        _, caps, _ = sim._capture_batch(gains, source, noise, self.SEED, 3, trials, cells)
+        ref = _time_major_captures(gains, source, noise, self.SEED, 3, trials, cells)
+        assert _same_bits(caps, ref)
+
+    @pytest.mark.parametrize("t_max", [0, 1, 5, 43])
+    @pytest.mark.parametrize("r_max", [1, 3, 24])
+    def test_lattice_shapes(self, r_max, t_max, monkeypatch):
+        gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), r_max, t_max))
+        self._check(gains, sim.PacketStreamSource(2, 2), "gaussian", monkeypatch)
+
+    @pytest.mark.parametrize("noise", sim.NOISE_KINDS)
+    def test_noise_kinds(self, noise, monkeypatch):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 4, 9))
+        self._check(gains, sim.KnownSampleSource(), noise, monkeypatch)
+
+    def test_all_silent_flat_lattice(self, monkeypatch):
+        flat = MseGrid(channel=CH10, boundary=SingleSampleBoundary(), r_max=3, t_max=5,
+                       values=np.ones((4, 7)))
+        gains = sim.precompute_gains(flat)
+        assert gains.silent.all()
+        self._check(gains, sim.KnownSampleSource(), "gaussian", monkeypatch)
+
+    def test_silent_and_active_hops_on_one_diagonal(self, monkeypatch):
+        # the deep cells of this lattice underflow, and their hops fall silent
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 30, 400))
+        mixed = [
+            e for e in range(1, 431)
+            if len({bool(gains.silent[n - 1, e - n])
+                    for n in range(max(1, e - 400), min(30, e) + 1)}) == 2
+        ]
+        assert mixed
+        self._check(gains, sim.KnownSampleSource(), "gaussian", monkeypatch, trials=40)
+
+
+class TestBlockIndependence:
+    """Decoding counts do not depend on how a batch is cut into blocks."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1_000])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("kind", ["stream", "packet", "packet_dithered"])
+    def test_decode_rows_match_pins(self, kind, threads, block, monkeypatch):
+        gains, source, noise, seed, cells, spec = TestRegressionPins._decode_case(kind)
+        _set_block(monkeypatch, gains, block)
+        sizes = []
+        draw = sim._draw_inputs
+
+        def counting_draw(source, noise_kind, master_seed, start, count, *args):
+            sizes.append(count)
+            return draw(source, noise_kind, master_seed, start, count, *args)
+
+        monkeypatch.setattr(sim, "_draw_inputs", counting_draw)
+        primary, secondary = sim.run_decoding_monte_carlo(
+            gains, source, noise, 2_500, seed, cells, spec, batch_size=1_000, threads=threads
+        )
+        # batches of 1,000, 1,000 and 500 trials, each cut into blocks
+        assert sum(sizes) == 2_500 and max(sizes) == block
+        assert len(sizes) == 2 * -(-1_000 // block) + -(-500 // block)
+        got = (_rows_digest(primary), secondary and _rows_digest(secondary))
+        assert got == TestRegressionPins.PINNED_ROWS[kind]
+
+
+def test_decoding_memory_is_bounded_by_blocks():
+    # criterion-8 shape: stream decoding at v = IV/2 over r = 4..24.  A batch
+    # holds its captures and bits; the noise lives one block at a time.
+    psi, period, tau_cap, n = 2, 2, 8, 20_000
+    v = 0.5 * xp.iv_lower_bound_stream(CH10, make_stream_params(psi, period, CH10).rate_nats)
+    deltas = {r: math.floor(r / v) for r in (4, 8, 12, 16, 20, 24)}
+    t_max = tau_cap * period + max(deltas.values())
+    gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(psi, period), 24, t_max))
+    cells = [(r, tau * period + d) for r, d in deltas.items() for tau in range(tau_cap + 1)]
+    source = sim.PacketStreamSource(psi, period)
+    tracemalloc.start()
+    try:
+        sim.run_decoding_monte_carlo(gains, source, "gaussian", n, 14, cells,
+                                     sim.DecodeSpec("stream", psi, period), threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch_noise = 8 * 24 * (t_max + 1) * n  # what one whole-batch sweep held: 169 MB
+    captures_and_bits = 8 * len(cells) * n + source.depth(t_max) * n
+    assert peak <= 3 * sim._BLOCK_BUDGET + captures_and_bits < batch_noise / 2, peak
 
 
 class TestGains:
