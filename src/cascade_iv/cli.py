@@ -19,18 +19,19 @@ Exit status: 0 = pass, 1 = verification failure (plus failures.json),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import replace
-from statistics import NormalDist
 
 import numpy as np
 
 from . import exponents as xp
 from . import mse as mse_mod
 from . import simulate as sim
+from ._table import g17_text, write_lattice_csv, write_table
 from .config import ExperimentConfig
 from .params import (
     HopConvention,
@@ -44,21 +45,6 @@ __all__ = ["main"]
 
 _FIG3_RATES = (0.1, 0.5, 1.0, 1.3)
 _FIG2_SNRS = (0.1, 1.0, 10.0, 100.0)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _convention(cfg: ExperimentConfig) -> HopConvention:
@@ -104,28 +90,32 @@ def cmd_exponents(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     curves = [xp.sample_exponent_curve("E1", channel, vgrid, convention=conv)]
     for r in rates:
         curves.append(xp.sample_exponent_curve("ES", channel, vgrid, rate_nats=r, convention=conv))
+    sizes = [c.velocities.size for c in curves]
     path = os.path.join(out_dir, "exponents.csv")
-    xp.write_curve_csv(curves, path)
+    write_table(path, "v,exponent,kind,convention", [
+        np.concatenate([c.velocities for c in curves]),
+        np.concatenate([c.values for c in curves]),
+        np.repeat([c.label for c in curves], sizes),
+        np.repeat([c.convention.value for c in curves], sizes),
+    ])
     return [path]
 
 
 def cmd_iv(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     x = np.linspace(0.0, 1.0, 101)
-    rows = []
+    blocks = []
     for snr in _FIG2_SNRS + ((cfg.snr,) if cfg.snr not in _FIG2_SNRS else ()):
         channel = make_channel_params(snr)
         C = channel.capacity_nats
-        for xi in x:
-            rate = xi * C
-            if xi == 0.0:
-                iv = channel.snr  # expm1(2C) exactly
-            elif xi == 1.0:
-                iv = 0.0
-            else:
-                iv = math.expm1(2.0 * (C - rate))
-            rows.append((snr, xi, rate, iv, iv / channel.snr, 1.0 - xi))
+        rate = x * C
+        # math.expm1, not np.expm1: numpy's SIMD expm1 may differ by an ulp.
+        iv = np.array(list(map(math.expm1, (2.0 * (C - rate)).tolist())))
+        iv[0] = channel.snr  # expm1(2C) exactly
+        iv[-1] = 0.0
+        blocks.append((np.full(x.size, snr), x, rate, iv, iv / channel.snr, 1.0 - x))
     path = os.path.join(out_dir, "iv.csv")
-    _write_csv(path, "p,r_over_c,rate_nats,iv_bound,iv_over_p,linear_ref", rows)
+    write_table(path, "p,r_over_c,rate_nats,iv_bound,iv_over_p,linear_ref",
+                [np.concatenate(column) for column in zip(*blocks)])
     return [path]
 
 
@@ -155,15 +145,14 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             if d > 0:
                 rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
         max_rel = rel.max()  # NaN in any cell propagates
-        mse_mod.write_lattice_csv(path, "r,t,mse_dp,mse_closed,rel_discrepancy",
-                                  [dp, cf, rel], r0=1)
+        write_lattice_csv(path, "r,t,mse_dp,mse_closed,rel_discrepancy", [dp, cf, rel], r0=1)
         summary = os.path.join(out_dir, "mse_summary.csv")
-        _write_csv(summary, "max_rel_discrepancy", [(max_rel,)])
+        write_table(summary, "max_rel_discrepancy", [max_rel])
         paths.append(summary)
     else:  # packet_stream: staircase boundary, no closed form
         dp = grid.values[:, 1:]
-        mse_mod.write_lattice_csv(path, "r,t,mse_dp,boundary_staircase",
-                                  [dp, np.broadcast_to(dp[0], dp.shape)])
+        write_lattice_csv(path, "r,t,mse_dp,boundary_staircase",
+                          [dp, np.broadcast_to(dp[0], dp.shape)])
     grid_path = os.path.join(out_dir, "mse_grid.csv")
     mse_mod.write_grid_csv(grid, grid_path)
     paths.append(grid_path)
@@ -177,6 +166,9 @@ VERDICT_ALPHA = 0.0027
 
 def _family_threshold(m: int, one_sided: bool = False) -> float:
     """Bonferroni z threshold holding the family of ``m`` tests at ``VERDICT_ALPHA``."""
+    # imported on first use: statistics is only needed by the Monte Carlo verdicts
+    from statistics import NormalDist
+
     tail = VERDICT_ALPHA / max(m, 1)
     return NormalDist().inv_cdf(1.0 - (tail if one_sided else 0.5 * tail))
 
@@ -229,13 +221,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int | None = None
     gains = sim.precompute_gains(grid)
     agg = sim.run_monte_carlo(gains, source, cfg.noise, cfg.num_trials, cfg.master_seed,
                               threads=threads)
-    rows = []
-    for r in range(0, cfg.r_max + 1):
-        for t in range(0, cfg.t_max + 1):
-            power = agg.power_mean[r, t] if r < cfg.r_max else ""
-            rows.append((r, t, agg.mse_mean[r, t], power, agg.mse_stderr[r, t], agg.n_trials))
+    # node r_max transmits on no simulated hop: its power cells are empty
+    power = np.concatenate([g17_text(agg.power_mean), np.full((1, cfg.t_max + 1), "")])
     path = os.path.join(out_dir, "simulate.csv")
-    _write_csv(path, "r,t,emp_mse,emp_power,stderr_mse,n_trials", rows)
+    write_lattice_csv(path, "r,t,emp_mse,emp_power,stderr_mse,n_trials", [
+        agg.mse_mean, power, agg.mse_stderr, np.broadcast_to(agg.n_trials, power.shape),
+    ])
 
     verdicts = simulate_verdicts(cfg, agg, grid)
     report_path = os.path.join(out_dir, "report.json")
@@ -261,12 +252,10 @@ class VerificationFailure(RuntimeError):
         self.failures = failures
 
 
-def _censored(rate: float, n: int) -> str:
-    """An error rate over ``n`` trials, or ``<10/n`` below ten expected errors."""
-    threshold = 10.0 / n
-    if rate < threshold:
-        return f"<{threshold:.17g}"
-    return _fmt(rate)
+def _censored(rates, n) -> np.ndarray:
+    """Error rates over ``n`` trials as text, ``<10/n`` below ten expected errors."""
+    threshold = 10.0 / np.asarray(n, dtype=float)
+    return np.where(rates < threshold, np.char.add("<", g17_text(threshold)), g17_text(rates))
 
 
 def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
@@ -298,29 +287,26 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
     for r, t in cells:
         cell = stats.cells[(r, t)]
         m = grid.at(r, t)
-        cheb = xp.packet_error_bound_chebyshev(m, cfg.packet_bits)
-        gauss = xp.packet_error_bound_gaussian(m, cfg.packet_bits)
-        pref = xp.prefix_error_bound(m, cfg.packet_bits)
         q = 3.0 / (2.0 ** (2 * cfg.packet_bits + 1) * m)
-        diag = math.log(q - math.log(2.0)) if q > math.log(2.0) + 1e-12 else ""
-        rows.append(
-            (
-                r,
-                t,
-                cell.n_trials,
-                cell.packet_errors,
-                _censored(cell.packet_errors / cell.n_trials, cell.n_trials),
-                cheb,
-                gauss,
-                pref,
-                diag,
-            )
-        )
+        has_diag = q > math.log(2.0) + 1e-12
+        rows.append((
+            r,
+            t,
+            cell.n_trials,
+            cell.packet_errors,
+            xp.packet_error_bound_chebyshev(m, cfg.packet_bits),
+            xp.packet_error_bound_gaussian(m, cfg.packet_bits),
+            xp.prefix_error_bound(m, cfg.packet_bits),
+            math.log(q - math.log(2.0)) if has_diag else 0.0,
+            has_diag,
+        ))
+    r, t, n, errors, cheb, gauss, pref, diag, has_diag = map(np.array, zip(*rows))
     path = os.path.join(out_dir, "packet.csv")
-    _write_csv(
+    write_table(
         path,
         "r,t,n_trials,errors,packet_err,bound_chebyshev,bound_gaussian,bound_prefix,loglog_diag",
-        rows,
+        [r, t, n, errors, _censored(errors / n, n), cheb, gauss, pref,
+         np.where(has_diag, g17_text(diag), "")],
     )
     return [path]
 
@@ -376,14 +362,11 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
         )
         suffix = f"_v{vi}" if len(velocities) > 1 else ""
         err_path = os.path.join(out_dir, f"stream_errors{suffix}.csv")
-        _write_csv(
-            err_path,
-            "r,delta,n_trials,bit_err,prefix_err,packet_err,worst_bit_pe",
-            stats.rows(),
-        )
+        write_table(err_path, "r,delta,n_trials,bit_err,prefix_err,packet_err,worst_bit_pe",
+                    list(map(np.array, zip(*stats.rows()))))
         env = (xp.stream_envelope_exponent(channel, stream.rate_nats, v)
                if 0 < v < channel.snr else -math.inf)
-        bound_rows = []
+        worst_cells, exact = [], []
         for r in r_list:
             delta = deltas[r]
             cell = stats.cells.get((r, delta))
@@ -391,13 +374,16 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
             if cell is not None and cell.per_bit:
                 n_obs = next(iter(cell.per_bit.values()))[1]
                 worst = _censored(cell.worst_bit_rate(), n_obs)
-            exact = xp.worst_bit_error_bound(grid, cfg.packet_bits, cfg.period, r, delta, tau_cap)
-            bound_rows.append((r, delta, v, worst, exact, env))
+            worst_cells.append(worst)
+            exact.append(
+                xp.worst_bit_error_bound(grid, cfg.packet_bits, cfg.period, r, delta, tau_cap))
         bpath = os.path.join(out_dir, f"stream_bounds{suffix}.csv")
-        _write_csv(
+        n_rows = len(r_list)
+        write_table(
             bpath,
             "r,delta,v,worst_bit_pe,exact_envelope_bound,envelope_exponent_per_delta",
-            bound_rows,
+            [r_list, [deltas[r] for r in r_list], np.full(n_rows, v),
+             np.array(worst_cells, dtype=str), exact, np.full(n_rows, env)],
         )
         paths += [err_path, bpath]
     return paths
@@ -510,7 +496,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes 1-3 ms."""
     parser = argparse.ArgumentParser(
         prog="cascade-iv",
         description="Relay-cascade information-velocity toolkit: theory and Monte Carlo",

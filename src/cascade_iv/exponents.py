@@ -61,7 +61,6 @@ __all__ = [
     "iv_lower_bound_stream",
     "ExponentCurve",
     "sample_exponent_curve",
-    "write_curve_csv",
 ]
 
 
@@ -331,14 +330,3 @@ def sample_exponent_curve(
         velocities=velocities,
         values=vals,
     )
-
-
-def write_curve_csv(curves, path) -> None:
-    """Export one or more curves as ``v,exponent,kind,convention`` rows."""
-    if isinstance(curves, ExponentCurve):
-        curves = [curves]
-    with open(path, "w", newline="") as fh:
-        fh.write("v,exponent,kind,convention\n")
-        for c in curves:
-            for v, val in zip(c.velocities, c.values):
-                fh.write(f"{v:.17g},{val:.17g},{c.label},{c.convention.value}\n")

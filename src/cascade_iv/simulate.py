@@ -45,13 +45,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import pam
+from ._table import write_lattice_csv
 from .mse import (
     BoundaryCondition,
     ExponentialRefinementBoundary,
@@ -59,7 +58,6 @@ from .mse import (
     PacketStreamBoundary,
     SequenceBoundary,
     SingleSampleBoundary,
-    write_lattice_csv,
 )
 from .params import ChannelParams
 
@@ -105,13 +103,18 @@ class CorruptedGridError(ValueError):
 # RNG streams
 # ---------------------------------------------------------------------------
 
-def trial_generator(master_seed: int, trial_index: int) -> Generator:
+def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based stream for one trial, keyed by (master_seed, trial)."""
+    # imported on first use: numpy.random adds about 23 ms to the import of
+    # every command, and the analytic ones draw nothing
+    from numpy.random import Generator, Philox
+
     key = np.array([master_seed, trial_index], dtype=np.uint64)
     return Generator(Philox(key=key))
 
 
-def draw_noise(gen: Generator, kind: str, shape, out: np.ndarray | None = None) -> np.ndarray:
+def draw_noise(gen: np.random.Generator, kind: str, shape,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Zero-mean unit-variance hop noise in a fixed r-major layout.
 
     With ``out`` (of shape ``shape``) the draw is written there and ``out``
@@ -786,6 +789,9 @@ def _run_batches(jobs, worker, threads: int):
     """Execute batch jobs, returning results in job order regardless of scheduling."""
     if threads <= 1:
         return [worker(*job) for job in jobs]
+    # imported on first use: concurrent.futures adds about 10 ms to every import
+    from concurrent.futures import ThreadPoolExecutor
+
     results = [None] * len(jobs)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {pool.submit(worker, *job): i for i, job in enumerate(jobs)}

@@ -326,6 +326,93 @@ class TestMseBytePins:
         assert got == self.PINNED[f"{scheme}-{snr}-{r_max}x{t_max}"]
 
 
+class TestOutputBytePins:
+    """sha256 of the files ``iv``, ``exponents``, ``packet`` and ``stream`` write,
+    and of a ``TrialResult.write_csv`` trace, recorded from the per-value
+    ``%.17g`` writers before every CSV moved to one table writer.
+
+    The packet run has empty ``loglog_diag`` cells (r = 2, 3) and censored
+    ``<10/n`` rates (r = 9, 10); both stream runs have a censored worst-bit
+    cell, and the two-velocity run writes the ``_v0``/``_v1`` files.
+    """
+
+    STREAM = {"scheme": "packet_stream", "packet_bits": 2, "period": 2, "r_max": 8,
+              "num_trials": 2000, "master_seed": 3}
+    CASES = {
+        "iv-default": ("iv", {}, {
+            "iv.csv": "8fe13aae9e4c686505b6fd377ea184c9064ffd6beac2e128ed6b7f2eba61a3bc",
+        }),
+        "iv-snr3": ("iv", {"snr": 3.0}, {
+            "iv.csv": "7ba57fc1b5cd144da2f8b2e25a6bb24a2f9cb79e6564bad5981c100f3a81203a",
+        }),
+        "exponents-default": ("exponents", {}, {
+            "exponents.csv": "d37e480df0b01c2635aa86ac46c6ed12be9792f62f461023749dae919a868bb0",
+        }),
+        "exponents-delayed": ("exponents", {"convention": "delayed"}, {
+            "exponents.csv": "e072f02d0a1c12ac9e7743ec081f073437381d0cd2118b48a2858455a180bac2",
+        }),
+        "exponents-velocities-rate": ("exponents", {
+            "scheme": "refined_source", "rate_nats": 0.7, "velocities": (0.05, 0.5, 2.0, 9.5, 12.0),
+        }, {
+            "exponents.csv": "0c3891505fcbec3821d768d3c2820f7aa46610e153c8c3770a98ab74548d6a63",
+        }),
+        "packet": ("packet", {
+            "scheme": "single_packet", "packet_bits": 3, "snr": 3.0, "r_max": 10,
+            "num_trials": 3000, "master_seed": 5,
+        }, {
+            "packet.csv": "59b0ebf7be3b34aa0b847b4ce4cfa5f377ca50fdd2e8937b5be62d1881cc7b28",
+        }),
+        "stream-one-velocity": ("stream", STREAM, {
+            "stream_errors.csv": "97a49f763c9cb67bba53844a6eff6e7056e1addb78af0c277031f299d1517b56",
+            "stream_bounds.csv": "57c9c0fcf21018de3cb1d3ce9b96caa374987ea7e449ebc7eab36f308cfbe59c",
+        }),
+        "stream-two-velocities": ("stream", {**STREAM, "velocities": (0.5, 2.0)}, {
+            "stream_errors_v0.csv": "0532ec06833f6b9f004eb71c1007a8348ab9064ade0ceddda682a04a68d66305",
+            "stream_bounds_v0.csv": "e5bf22b011eb3a387f22acd683bf434dcb4a8fbcaaa22ca4672c301499fb0a15",
+            "stream_errors_v1.csv": "e47540c62261ff4fadc30415522a502dff7dc4ef0143cee2b96ffb2240cf61c1",
+            "stream_bounds_v1.csv": "0379e297f0c8d23f8bb08619130e16c1b4b8ef9a818ad012318545357fd41cbe",
+        }),
+    }
+    TRACE_SHA256 = "e681139e1d173e960db44fcf519647b61e08386ea7dc28043dd497e0ada2d0d2"
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_file_digests(self, case, tmp_path):
+        command, fields, want = self.CASES[case]
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **fields)
+        paths = getattr(cli, f"cmd_{command}")(cfg, str(tmp_path))
+        got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for p in paths}
+        assert got == want
+
+    def test_trial_trace_digest(self, tmp_path):
+        grid = mse_mod.solve_grid(make_channel_params(10.0),
+                                  mse_mod.ExponentialRefinementBoundary(0.5), 4, 9)
+        trial = sim.run_trial(sim.precompute_gains(grid), sim.RefinementSource(0.5),
+                              "gaussian", 11, 3)
+        path = tmp_path / "trace.csv"
+        trial.write_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256
+
+
+class TestEntryPoint:
+    def test_import_leaves_monte_carlo_modules_unloaded(self):
+        # numpy.random, concurrent.futures and statistics load on first use
+        code = ("import sys, cascade_iv.cli; print(sorted(m for m in "
+                "('numpy.random', 'concurrent.futures', 'statistics') if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert cli.main(["iv", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["exponents", "--out", str(tmp_path / "b"), "--convention", "delayed"]) == 0
+        assert capsys.readouterr().out.split() == [
+            str(tmp_path / "a" / "iv.csv"), str(tmp_path / "b" / "exponents.csv")]
+        lines = (tmp_path / "b" / "exponents.csv").read_text().splitlines()
+        assert lines[1].endswith(",delayed")
+
+
 class TestSimulateCommand:
     def test_small_run_passes_and_is_deterministic(self, tmp_path):
         cfg = ExperimentConfig(r_max=3, t_max=8, num_trials=20_000, master_seed=7,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascade_iv import exponents as xp
+from cascade_iv._table import write_table
 from cascade_iv.mse import (
     PacketStreamBoundary,
     SingleSampleBoundary,
@@ -461,7 +462,12 @@ class TestCurves:
             xp.sample_exponent_curve("ES", CH10, grid, rate_nats=0.5),
         ]
         path = tmp_path / "curves.csv"
-        xp.write_curve_csv(curves, path)
+        write_table(path, "v,exponent,kind,convention", [
+            np.concatenate([c.velocities for c in curves]),
+            np.concatenate([c.values for c in curves]),
+            [c.label for c in curves for _ in c.velocities],
+            [c.convention.value for c in curves for _ in c.velocities],
+        ])
         lines = path.read_text().splitlines()
         assert lines[0] == "v,exponent,kind,convention"
         assert len(lines) == 1 + 8

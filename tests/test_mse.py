@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascade_iv import cli, mse as mse_mod
+from cascade_iv import _table, cli
+from cascade_iv._table import write_lattice_csv
 from cascade_iv.config import ExperimentConfig
 from cascade_iv.mse import (
     _log_factorials,
@@ -28,7 +29,6 @@ from cascade_iv.mse import (
     mse_at_velocity,
     solve_grid,
     write_grid_csv,
-    write_lattice_csv,
 )
 from cascade_iv.params import HopConvention, Velocity, make_channel_params
 
@@ -170,6 +170,63 @@ class TestWavefront:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+def wavefront_reference(channel, boundary, r_max, t_max):
+    """``solve_grid``'s wavefront before it skipped the runs of +0.0: every cell computed."""
+    pbar = channel.snr_bar
+    qbar = 1.0 - pbar
+    n_cols = t_max + 2
+    values = np.empty((r_max + 1, n_cols))
+    values[:, 0] = 1.0
+    values[0, 1:] = boundary.profile(t_max)
+    flat = values.reshape(-1)
+    diag = np.ones(r_max + 1)
+    up = np.empty(r_max)
+    for d in range(2, r_max + n_cols):
+        if d <= n_cols:
+            diag[0] = values[0, d - 1]
+        lo, hi = max(1, d - n_cols + 1), min(r_max, d - 1)
+        n = hi - lo + 1
+        np.multiply(diag[lo - 1 : hi], pbar, out=up[:n])
+        cells = diag[lo : hi + 1]
+        np.multiply(cells, qbar, out=cells)
+        np.add(cells, up[:n], out=cells)
+        flat[d + lo * (n_cols - 1) : d + hi * (n_cols - 1) + 1 : n_cols - 1] = cells
+    return values
+
+
+class TestZeroRuns:
+    """``solve_grid`` skips the +0.0 runs of underflowed cells without moving a byte."""
+
+    @staticmethod
+    def boundaries(t_max):
+        # a refinement rate of 20 nats underflows its boundary row at t = 17; the
+        # sequence stays at exactly 0, then rises by less than the 1e-15 tolerance
+        profile = np.linspace(0.9, 0.0, t_max + 1)
+        profile[t_max // 2 :] = 0.0
+        profile[-3:-1] = 5e-16
+        return (SingleSampleBoundary(), ExponentialRefinementBoundary(0.5),
+                ExponentialRefinementBoundary(20.0), PacketStreamBoundary(3, 2),
+                SequenceBoundary(tuple(profile)))
+
+    @given(r_max=st.integers(1, 40), t_max=st.integers(0, 600),
+           snr=st.sampled_from([0.3, 10.0, 1e3, 1e6]))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_full_wavefront(self, r_max, t_max, snr):
+        ch = make_channel_params(snr)
+        for boundary in self.boundaries(t_max):
+            got = solve_grid(ch, boundary, r_max, t_max).values
+            want = wavefront_reference(ch, boundary, r_max, t_max)
+            assert got.tobytes() == want.tobytes(), (boundary, r_max, t_max, snr)
+
+    def test_runs_are_reached(self):
+        # the hypothesis shapes hold underflowed runs, at the low-r end and mid-row
+        ch = make_channel_params(1e3)
+        for boundary in self.boundaries(600)[2:]:
+            grid = solve_grid(ch, boundary, 40, 600).values
+            assert (grid[1:] == 0).sum() > 5_000
+            assert grid.tobytes() == wavefront_reference(ch, boundary, 40, 600).tobytes()
 
 
 class TestClosedFormSingle:
@@ -520,13 +577,13 @@ class TestLatticeCsvFallback:
     @pytest.fixture
     def fallback_calls(self, monkeypatch):
         calls = []
-        fallback = mse_mod._fallback_17g
+        fallback = _table._fallback_17g
 
         def counting(x):
             calls.append(x)
             return fallback(x)
 
-        monkeypatch.setattr(mse_mod, "_fallback_17g", counting)
+        monkeypatch.setattr(_table, "_fallback_17g", counting)
         return calls
 
     @pytest.mark.parametrize("scheme,kw,r_max,t_max", [
@@ -552,6 +609,38 @@ class TestLatticeCsvFallback:
         assert path.read_text() == lattice_csv_reference("r,t,x", [values.reshape(1, -1)])
         assert len(fallback_calls) == values.size
         assert "2.9802322387695312e-08" in path.read_text()  # half to even
+
+
+class TestWriteTable:
+    """Integer and text columns, and the checks on column shapes."""
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_ints_match_percent_d(self, tmp_path_factory, ns):
+        path = tmp_path_factory.mktemp("ints") / "t.csv"
+        _table.write_table(path, "n", [np.array(ns, dtype=np.int64)])
+        assert path.read_text() == "n\n" + "".join("%d\n" % n for n in ns)
+
+    def test_mixed_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _table.write_table(path, "a,b,c,d", [
+            np.array([0, 7, 10_000], dtype=np.uint64),
+            ["", "<0.5", "E1"],
+            np.array([b"inst", b"", b"delayed"]),
+            np.array([-0.0, 0.1, 1e22]),
+        ])
+        assert path.read_text() == "a,b,c,d\n0,,inst,-0\n7,<0.5,,0.10000000000000001\n10000,E1,delayed,1e+22\n"
+
+    def test_rejects_mismatched_shapes_and_dtypes(self, tmp_path):
+        with pytest.raises(ValueError):
+            _table.write_table(tmp_path / "t.csv", "a,b", [np.zeros(3), np.zeros(4)])
+        with pytest.raises(TypeError):
+            _table.write_table(tmp_path / "t.csv", "a", [np.zeros(3, dtype=complex)])
+
+    def test_g17_text_keeps_shape(self):
+        text = _table.g17_text(np.array([[0.1, -np.inf], [1e22, 123.0]]))
+        assert text.tolist() == [["0.10000000000000001", "-inf"], ["1e+22", "123"]]
+        assert _table.g17_text(2.0**-25) == "2.9802322387695312e-08"
 
 
 class TestLatticeCsvMemory:
