@@ -536,6 +536,8 @@ def main(argv=None) -> int:
             overrides.setdefault("period", 2)
         if overrides:
             cfg = replace(cfg, **overrides)
+        if args.command in ("simulate", "packet", "stream"):
+            sim.resolve_threads()  # a bad CASCADE_IV_THREADS fails before any output
         out_dir = cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
 

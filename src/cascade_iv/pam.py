@@ -83,6 +83,10 @@ def decode_bits(estimate, n: int) -> np.ndarray:
     residual then drops by the signed contribution sqrt(3) (-1)^b 2^-(i+1).
     Ties (residual exactly 0) give bit 1, choosing the smaller point.
     Output shape is input shape + (n,).
+
+    The contribution is formed as ``b * (-2w) + w`` with w = sqrt(3)
+    2^-(i+1), which is exactly +w or -w, in two passes over preallocated
+    buffers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -91,10 +95,15 @@ def decode_bits(estimate, n: int) -> np.ndarray:
         raise ValueError("estimate must be finite")
     residual = est.copy()
     out = np.empty(est.shape + (n,), dtype=np.int8)
+    b = np.empty(est.shape, dtype=bool)
+    step = np.empty(est.shape)
     for i in range(n):
-        b = (residual <= 0.0).astype(np.int8)
+        w = SQRT3 * 2.0 ** (-(i + 1))
+        np.less_equal(residual, 0.0, out=b)
         out[..., i] = b
-        residual -= SQRT3 * (1.0 - 2.0 * b) * 2.0 ** (-(i + 1))
+        np.multiply(b, -2.0 * w, out=step)
+        step += w
+        residual -= step
     return out
 
 

@@ -13,13 +13,21 @@ Reproducibility: trial i draws everything from its own counter-based stream
 ``Philox(key=(master_seed, i))``, read from counter 0 in a fixed order
 (source draw, then the hop noise lattice in r-major layout, then any decoder
 dither), so every sample is addressable and independent of batching and
-thread count.  Packet bits are read as raw Philox words, two per word,
+worker count.  Packet bits are read as raw Philox words, two per word,
 and equal ``Generator.integers(0, 2)`` draws bit for bit.  A batch builds
 one generator and resets its state to trial i's key rather than building a
 generator per trial, and stores the noise trial-contiguous, (r_max, T, B),
 for the recursion.  Monte Carlo aggregation uses fixed-size batches merged
 in batch order with compensated summation, making aggregates bit-identical
 for any parallelism degree.
+
+Parallelism: batches share no state, so with ``threads`` (or
+``CASCADE_IV_THREADS``) above 1 they run in worker processes forked for the
+call, at most one per batch, free of the interpreter lock that the
+per-trial stream loop would hold in threads.  Each worker returns its
+batch's sums or error counts, which are merged in batch order as above.
+Where ``fork`` is not available (any platform but Linux) the batches run
+in-process, one after another.
 
 One recursion, ``_sweep``, serves every caller.  It is a wavefront over
 the anti-diagonals e = r + t of the lattice: cell (r, t) reads only
@@ -45,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,12 +223,18 @@ def _draw_inputs(source, noise_kind, master_seed, start, count, r_max, t_max,
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else CASCADE_IV_THREADS, else 1."""
+    """Worker count: explicit argument, else CASCADE_IV_THREADS, else 1.
+
+    A CASCADE_IV_THREADS that is not an integer raises ValueError naming it.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("CASCADE_IV_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CASCADE_IV_THREADS must be an integer, got {env!r}") from None
     return 1
 
 
@@ -535,16 +550,17 @@ def _wavefront(gains: GainTable):
     return plan
 
 
-def _sweep(gains: GainTable, shat0: np.ndarray, z: np.ndarray, on_diagonal,
+def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal,
            first_trial: int, hops: bool = False) -> None:
     """Run the lattice recursion for a batch, in place on one (r_max+1, B) state.
 
-    ``shat0`` is the (B, T) node-0 estimate and ``z`` the (r_max, T, B) hop
-    noise.  Cell (n, t) reads only (n-1, t) and (n, t-1), so the cells of
-    one anti-diagonal e = n + t depend only on the diagonal before it: a
-    wavefront step updates all of them at once, with one numpy call per
-    stage on a (k, B) slab, each node reading its hop noise z[n-1, e-n]
-    through a strided view.  Row n of the state holds Shat_n(e - n - 1)
+    ``plan`` is the gain table's ``_wavefront``, ``shat0`` the (B, T)
+    node-0 estimate and ``z`` the (r_max, T, B) hop noise.  Cell (n, t)
+    reads only (n-1, t) and (n, t-1), so the cells of one anti-diagonal
+    e = n + t depend only on the diagonal before it: a wavefront step
+    updates all of them at once, with one numpy call per stage on a (k, B)
+    slab, each node reading its hop noise z[n-1, e-n] through a strided
+    view.  Row n of the state holds Shat_n(e - n - 1)
     before the step and Shat_n(e - n) after it; node 0 is set to
     ``shat0[:, e]`` after the update, which reads its previous value.
 
@@ -566,7 +582,7 @@ def _sweep(gains: GainTable, shat0: np.ndarray, z: np.ndarray, on_diagonal,
     else:  # every stage in place on x
         y = scaled = x
         seen = (None, None)
-    for e, lo, hi, runs in _wavefront(gains):
+    for e, lo, hi, runs in plan:
         # an inf state makes transient nan arithmetic before the finite-state
         # guard below raises; keep that path quiet
         with np.errstate(invalid="ignore"):
@@ -701,7 +717,7 @@ def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     src, z, _ = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
                              gains.r_max, gains.t_max)
     moments = _Moments(gains, src.s, z)
-    _sweep(gains, src.shat0, z, moments, start_trial, hops=True)
+    _sweep(_wavefront(gains), src.shat0, z, moments, start_trial, hops=True)
     return moments.sums
 
 
@@ -729,8 +745,9 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     by_e: dict[int, list[tuple[int, int]]] = {}
     for idx, (r, t) in enumerate(cells):
         by_e.setdefault(r + t, []).append((idx, r))
-    # one noise buffer for every block, so blocks do not fragment the heap
+    # one noise buffer and one gain plan for every block
     noise = np.empty(r_max * (t_max + 1) * min(block, count))
+    plan = _wavefront(gains)
     for first in range(0, count, block):
         trials = slice(first, min(first + block, count))
         n = trials.stop - first
@@ -749,7 +766,7 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
             for idx, r in by_e.get(e, ()):
                 captures[idx, trials] = est[r]
 
-        _sweep(gains, src.shat0, z, capture, start_trial + first)
+        _sweep(plan, src.shat0, z, capture, start_trial + first)
     return bits, captures, dither
 
 
@@ -785,19 +802,36 @@ def _batch_ranges(num_trials: int, batch_size: int):
     ]
 
 
-def _run_batches(jobs, worker, threads: int):
-    """Execute batch jobs, returning results in job order regardless of scheduling."""
-    if threads <= 1:
-        return [worker(*job) for job in jobs]
-    # imported on first use: concurrent.futures adds about 10 ms to every import
-    from concurrent.futures import ThreadPoolExecutor
+def _run_batches(worker, args: tuple, ranges, threads: int) -> list:
+    """``worker(*args, start, count)`` for each batch range, results in range order.
 
-    results = [None] * len(jobs)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, *job): i for i, job in enumerate(jobs)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
+    With more than one worker on Linux, the batches run in a pool of
+    ``min(threads, len(ranges))`` processes forked for this call and joined
+    before it returns, so they run free of the interpreter lock; the worker
+    and ``args`` are pickled to them.  Otherwise, including on every other
+    platform, the batches run in this process one after another.  An
+    exception in a batch reaches the caller with its type and message.
+
+    ``fork`` starts a worker without importing numpy again, which ``spawn``
+    would pay per worker on every call.  The package starts no threads of
+    its own; a caller that runs other threads should pass ``threads=1``,
+    since forking a process with threads is unsafe.
+    """
+    workers = min(threads, len(ranges))
+    if workers <= 1 or not sys.platform.startswith("linux"):
+        return [worker(*args, *batch) for batch in ranges]
+    # imported on first use: together they add about 15 ms to every import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(worker, *args, *batch) for batch in ranges]
+        try:
+            return [fut.result() for fut in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -843,11 +877,8 @@ def run_monte_carlo(
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     threads = resolve_threads(threads)
-
-    def worker(start, count):
-        return _simulate_batch(gains, source, noise_kind, master_seed, start, count)
-
-    results = _run_batches(_batch_ranges(num_trials, batch_size), worker, threads)
+    results = _run_batches(_simulate_batch, (gains, source, noise_kind, master_seed),
+                           _batch_ranges(num_trials, batch_size), threads)
 
     acc = _CompensatedSums()
     identity_max = 0.0
@@ -929,7 +960,7 @@ def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
         _diagonal(x, e - 1, h0, h1)[...] = hop_x[h0:h1, 0]
         _diagonal(y, e - 1, h0, h1)[...] = hop_y[h0:h1, 0]
 
-    _sweep(gains, src.shat0, z, record, trial_index, hops=True)
+    _sweep(_wavefront(gains), src.shat0, z, record, trial_index, hops=True)
     return src, est, x, y, z[..., 0]
 
 
@@ -983,6 +1014,51 @@ class DecodeSpec:
     alphas: np.ndarray | None = None  # per capture cell, for dithered decoding
 
 
+def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, cells,
+                  decode: DecodeSpec, start_trial: int, count: int):
+    """Capture and decode ``count`` trials into (primary, slicer) error stats.
+
+    See ``run_decoding_monte_carlo``; the slicer stats are None unless the
+    decoding is dithered.
+    """
+    dithered = decode.kind == "packet_dithered"
+    n_dither = len(cells) if dithered else 0
+    dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
+    bits, caps, dither = _capture_batch(
+        gains, source, noise_kind, master_seed, start_trial, count, cells, n_dither, dither_half
+    )
+    primary = pam.ErrorStats()
+    secondary = pam.ErrorStats() if dithered else None
+    for idx, (r, t) in enumerate(cells):
+        if decode.kind == "stream":
+            n_bits = decode.packet_bits * (t // decode.period + 1)
+            truth = bits[:, :n_bits]
+            decoded = pam.decode_bits(caps[idx], n_bits)
+            pam.tally_errors(
+                primary, decoded, truth, r, t, decode.packet_bits, decode.period
+            )
+        elif decode.kind == "packet":
+            truth = bits[:, : decode.packet_bits]
+            decoded = pam.decode_bits(caps[idx], decode.packet_bits)
+            pam.tally_errors(
+                primary, decoded, truth, r, t, decode.packet_bits, gains.t_max + 1
+            )
+        else:  # packet_dithered
+            n = decode.decode_bits_n
+            truth = bits[:, :n]
+            dith = pam.dithered_decode(
+                caps[idx],
+                decode.alphas[idx],
+                decode.packet_bits,
+                n,
+                dither=dither[:, idx],
+            )
+            plain = pam.decode_bits(caps[idx], n)
+            pam.tally_errors(primary, dith, truth, r, t, n, gains.t_max + 1)
+            pam.tally_errors(secondary, plain, truth, r, t, n, gains.t_max + 1)
+    return primary, secondary
+
+
 def run_decoding_monte_carlo(
     gains: GainTable,
     source,
@@ -1015,48 +1091,10 @@ def run_decoding_monte_carlo(
     for r, t in cells:
         if not (0 <= r <= gains.r_max and 0 <= t <= gains.t_max):
             raise ValueError(f"capture cell {(r, t)} outside lattice")
-    dithered = decode.kind == "packet_dithered"
-    n_dither = len(cells) if dithered else 0
-    dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
-
-    def worker(start, count):
-        bits, caps, dither = _capture_batch(
-            gains, source, noise_kind, master_seed, start, count, cells, n_dither, dither_half
-        )
-        primary = pam.ErrorStats()
-        secondary = pam.ErrorStats() if dithered else None
-        for idx, (r, t) in enumerate(cells):
-            if decode.kind == "stream":
-                n_bits = decode.packet_bits * (t // decode.period + 1)
-                truth = bits[:, :n_bits]
-                decoded = pam.decode_bits(caps[idx], n_bits)
-                pam.tally_errors(
-                    primary, decoded, truth, r, t, decode.packet_bits, decode.period
-                )
-            elif decode.kind == "packet":
-                truth = bits[:, : decode.packet_bits]
-                decoded = pam.decode_bits(caps[idx], decode.packet_bits)
-                pam.tally_errors(
-                    primary, decoded, truth, r, t, decode.packet_bits, gains.t_max + 1
-                )
-            else:  # packet_dithered
-                n = decode.decode_bits_n
-                truth = bits[:, :n]
-                dith = pam.dithered_decode(
-                    caps[idx],
-                    decode.alphas[idx],
-                    decode.packet_bits,
-                    n,
-                    dither=dither[:, idx],
-                )
-                plain = pam.decode_bits(caps[idx], n)
-                pam.tally_errors(primary, dith, truth, r, t, n, gains.t_max + 1)
-                pam.tally_errors(secondary, plain, truth, r, t, n, gains.t_max + 1)
-        return primary, secondary
-
-    results = _run_batches(_batch_ranges(num_trials, batch_size), worker, threads)
+    results = _run_batches(_decode_batch, (gains, source, noise_kind, master_seed, cells, decode),
+                           _batch_ranges(num_trials, batch_size), threads)
     primary = pam.ErrorStats()
-    secondary = pam.ErrorStats() if dithered else None
+    secondary = pam.ErrorStats() if decode.kind == "packet_dithered" else None
     for p, s in results:
         primary.merge(p)
         if secondary is not None:

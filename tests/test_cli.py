@@ -396,9 +396,9 @@ class TestOutputBytePins:
 
 class TestEntryPoint:
     def test_import_leaves_monte_carlo_modules_unloaded(self):
-        # numpy.random, concurrent.futures and statistics load on first use
-        code = ("import sys, cascade_iv.cli; print(sorted(m for m in "
-                "('numpy.random', 'concurrent.futures', 'statistics') if m in sys.modules))")
+        # numpy.random, multiprocessing, concurrent.futures and statistics load on first use
+        code = ("import sys, cascade_iv.cli; print(sorted(m for m in ('numpy.random', "
+                "'multiprocessing', 'concurrent.futures', 'statistics') if m in sys.modules))")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
@@ -570,6 +570,15 @@ class TestEndToEnd:
         res = run_cli(["mse", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2, res.stdout + res.stderr
         assert "error" in res.stderr.lower()
+
+    @pytest.mark.parametrize("command", ["simulate", "packet", "stream"])
+    def test_non_integer_thread_count_is_a_usage_error(self, tmp_path, command):
+        out = tmp_path / "out"
+        res = run_cli([command, "--out", str(out), "--trials", "100"], tmp_path,
+                      env_extra={"CASCADE_IV_THREADS": "abc"})
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr == "error: CASCADE_IV_THREADS must be an integer, got 'abc'\n"
+        assert res.stdout == "" and not out.exists()
 
     def test_flag_overrides(self, tmp_path):
         res = run_cli(

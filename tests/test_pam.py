@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cascade_iv import pam
 
@@ -119,6 +120,61 @@ class TestDecode:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             pam.decode_bits(math.nan, 2)
+
+
+def slicer_reference(estimate, n):
+    """The slicer loop ``decode_bits`` replaced: int8 bits, contributions via float temporaries."""
+    residual = np.asarray(estimate, dtype=float).copy()
+    out = np.empty(residual.shape + (n,), dtype=np.int8)
+    for i in range(n):
+        b = (residual <= 0.0).astype(np.int8)
+        out[..., i] = b
+        residual -= SQRT3 * (1.0 - 2.0 * b) * 2.0 ** (-(i + 1))
+    return out
+
+
+def _points(bits):
+    """Constellation points of bit rows, summed as the sources sum them."""
+    w = SQRT3 * np.exp2(-(np.arange(bits.shape[1]) + 1.0))
+    return ((1.0 - 2.0 * bits) * w).sum(axis=1)
+
+
+@st.composite
+def _slicer_inputs(draw):
+    """Estimates rich in exact ties (points, midpoints, their neighbours and ±0.0)."""
+    depth = draw(st.integers(1, 60))
+    bits = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=depth, max_size=depth),
+                                  min_size=1, max_size=8)), dtype=np.int8)
+    points = _points(bits)
+    midpoints = 0.5 * (points[:-1] + points[1:])
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+    free = np.array(draw(st.lists(st.floats(-3.0, 3.0), max_size=8)))
+    est = np.concatenate([points, midpoints, tiny, free])
+    est = np.concatenate([est, np.nextafter(est, np.inf), np.nextafter(est, -np.inf)])
+    # beyond bit 1022 the contributions are subnormal, beyond 1074 zero
+    n = draw(st.one_of(st.integers(1, 70), st.integers(1015, 1080)))
+    return est, n
+
+
+class TestSlicerKernel:
+    """``decode_bits`` makes the same decisions as the reference loop."""
+
+    @given(_slicer_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case):
+        est, n = case
+        got = pam.decode_bits(est, n)
+        want = slicer_reference(est, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_signed_zeros_and_deep_ties(self):
+        bits = np.array(list(itertools.product((0, 1), repeat=10)), dtype=np.int8)
+        points = np.sort(_points(bits))
+        est = np.concatenate([points, 0.5 * (points[:-1] + points[1:]), [0.0, -0.0]])
+        for n in (1, 10, 11, 1100):
+            assert np.array_equal(pam.decode_bits(est, n), slicer_reference(est, n))
+        assert np.array_equal(pam.decode_bits(np.float64(-0.0), 3), slicer_reference(-0.0, 3))
 
 
 class TestDitheredDecode:

@@ -1,6 +1,8 @@
 import dataclasses
+import concurrent.futures
 import hashlib
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -477,20 +479,26 @@ class TestBlockIndependence:
     def test_decode_rows_match_pins(self, kind, threads, block, monkeypatch):
         gains, source, noise, seed, cells, spec = TestRegressionPins._decode_case(kind)
         _set_block(monkeypatch, gains, block)
-        sizes = []
+        # calls, trials and the largest block, in shared memory: at threads=3
+        # the batches run in forked workers, which inherit this array
+        counts = multiprocessing.Array("q", 3)
         draw = sim._draw_inputs
 
         def counting_draw(source, noise_kind, master_seed, start, count, *args):
-            sizes.append(count)
+            with counts.get_lock():
+                counts[0] += 1
+                counts[1] += count
+                counts[2] = max(counts[2], count)
             return draw(source, noise_kind, master_seed, start, count, *args)
 
         monkeypatch.setattr(sim, "_draw_inputs", counting_draw)
         primary, secondary = sim.run_decoding_monte_carlo(
             gains, source, noise, 2_500, seed, cells, spec, batch_size=1_000, threads=threads
         )
+        calls, trials, largest = counts[:]
         # batches of 1,000, 1,000 and 500 trials, each cut into blocks
-        assert sum(sizes) == 2_500 and max(sizes) == block
-        assert len(sizes) == 2 * -(-1_000 // block) + -(-500 // block)
+        assert trials == 2_500 and largest == block
+        assert calls == 2 * -(-1_000 // block) + -(-500 // block)
         got = (_rows_digest(primary), secondary and _rows_digest(secondary))
         assert got == TestRegressionPins.PINNED_ROWS[kind]
 
@@ -970,3 +978,76 @@ class TestThreadResolution:
     def test_default_single(self, monkeypatch):
         monkeypatch.delenv("CASCADE_IV_THREADS", raising=False)
         assert sim.resolve_threads(None) == 1
+
+    def test_non_integer_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("CASCADE_IV_THREADS", "abc")
+        with pytest.raises(ValueError, match=r"^CASCADE_IV_THREADS must be an integer, got 'abc'$"):
+            sim.resolve_threads(None)
+
+
+class TestWorkerProcesses:
+    """Batches run in forked worker processes, which never outlive the call."""
+
+    @staticmethod
+    def _broken_gains():
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 4))
+        beta = gains.beta.copy()
+        beta[1, 2] = math.inf
+        return sim.GainTable(
+            channel=gains.channel, r_max=gains.r_max, t_max=gains.t_max,
+            beta=beta, gamma=gains.gamma, silent=gains.silent, grid=gains.grid,
+        )
+
+    def test_worker_exception_reaches_caller(self):
+        broken = self._broken_gains()
+        with pytest.raises(FloatingPointError, match=r"r=2, t=2"):
+            sim.run_monte_carlo(broken, sim.KnownSampleSource(), "gaussian", 200, 1,
+                                batch_size=100, threads=2)
+        with pytest.raises(FloatingPointError, match=r"r=2, t=2"):
+            sim.run_decoding_monte_carlo(broken, sim.SinglePacketSource(2), "gaussian", 200, 1,
+                                         [(2, 2)], sim.DecodeSpec("packet", 2),
+                                         batch_size=100, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_call(self, small_gains):
+        sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 3_000, 5,
+                            batch_size=1_000, threads=3)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_capped_by_batches(self, small_gains, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            """Records the pool size and runs each batch in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                seen.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, **kwargs):
+                pass
+
+        want = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 2_500, 5,
+                                   batch_size=1_000, threads=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("CASCADE_IV_THREADS", "1000000")
+        got = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 2_500, 5,
+                                  batch_size=1_000)
+        assert seen == [(3, "fork")]
+        assert _aggregate_digest(got) == _aggregate_digest(want)
+
+        gains, source, noise, seed, cells, spec = TestRegressionPins._decode_case("packet")
+        primary, _ = sim.run_decoding_monte_carlo(gains, source, noise, 2_500, seed, cells, spec,
+                                                  batch_size=1_000)
+        assert seen[1:] == [(3, "fork")]
+        assert _rows_digest(primary) == TestRegressionPins.PINNED_ROWS["packet"][0]
