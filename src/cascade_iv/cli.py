@@ -456,10 +456,12 @@ def _verify_checks() -> list[dict]:
     mini = mse_mod.solve_grid(channel, mse_mod.SingleSampleBoundary(), 3, 8)
     gains = sim.precompute_gains(mini)
     agg1 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, threads=1)
-    agg2 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, threads=4)
+    # four batches, so that four workers reach the forked-process path
+    one, four = (sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7,
+                                     batch_size=5_000, threads=threads) for threads in (1, 4))
     record(
         "determinism_across_threads",
-        all(np.array_equal(getattr(agg1, f), getattr(agg2, f))
+        all(np.array_equal(getattr(one, f), getattr(four, f))
             for f in ("mse_mean", "power_mean", "y_mean", "y_cov", "y_cov_stderr",
                       "lemma8_diff_mean")),
     )

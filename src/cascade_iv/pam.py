@@ -84,9 +84,11 @@ def decode_bits(estimate, n: int) -> np.ndarray:
     Ties (residual exactly 0) give bit 1, choosing the smaller point.
     Output shape is input shape + (n,).
 
-    The contribution is formed as ``b * (-2w) + w`` with w = sqrt(3)
-    2^-(i+1), which is exactly +w or -w, in two passes over preallocated
-    buffers.
+    The bits are filled bit-major, one contiguous ``estimate``-shaped row
+    per bit, and returned as the view with the bit axis last, so for a 1-D
+    input ``decoded.T`` is C-contiguous.  The contribution is formed as
+    ``b * (-2w) + w`` with w = sqrt(3) 2^-(i+1), which is exactly +w or -w,
+    in two passes over preallocated buffers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -94,17 +96,16 @@ def decode_bits(estimate, n: int) -> np.ndarray:
     if not np.isfinite(est).all():
         raise ValueError("estimate must be finite")
     residual = est.copy()
-    out = np.empty(est.shape + (n,), dtype=np.int8)
-    b = np.empty(est.shape, dtype=bool)
+    out = np.empty((n,) + est.shape, dtype=np.int8)
+    rows = out.view(bool)  # the sign tests write their 0/1 bytes in place
     step = np.empty(est.shape)
     for i in range(n):
         w = SQRT3 * 2.0 ** (-(i + 1))
-        np.less_equal(residual, 0.0, out=b)
-        out[..., i] = b
+        b = np.less_equal(residual, 0.0, out=rows[i, ...])
         np.multiply(b, -2.0 * w, out=step)
         step += w
         residual -= step
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 def sample_dither(packet_bits: int, rng: np.random.Generator, size=None) -> np.ndarray | float:
@@ -198,10 +199,12 @@ def tally_errors(
 ) -> None:
     """Account one batch of decodes at node r, time t into ``stats``.
 
-    ``decoded`` and ``truth`` are (trials, n_bits) prefix arrays; bit n was
-    generated at time floor(n/psi) * period, so the bits of packet tau are
-    tallied at delay t - tau*period.  Per packet the single-bit, whole-packet
-    and whole-prefix error events are counted.
+    ``decoded`` and ``truth`` are (trials, n_bits) prefix arrays in any
+    memory order; bit-major ones, as ``decode_bits`` returns, are compared
+    without a transposing copy.  Bit n was generated at time
+    floor(n/psi) * period, so the bits of packet tau are tallied at delay
+    t - tau*period.  Per packet the single-bit, whole-packet and
+    whole-prefix error events are counted.
     """
     decoded = np.asarray(decoded)
     truth = np.asarray(truth)
@@ -221,8 +224,10 @@ def tally_errors(
     if n_gen == 0:
         return
     width = n_gen * packet_bits
-    # bit-major mismatches: every count below reduces contiguous trial rows
-    mism = np.ascontiguousarray((decoded[:, :width] != truth[:, :width]).T)
+    # bit-major mismatches: every count below reduces contiguous trial rows.
+    # For bit-major inputs, such as ``decode_bits`` output, the transposed
+    # views are already C-contiguous and no copy is made.
+    mism = np.not_equal(decoded[:, :width].T, truth[:, :width].T, order="C")
     per_bit = [int(np.count_nonzero(row)) for row in mism]
     packet_any = np.logical_or.reduce(mism.reshape(n_gen, packet_bits, n_trials), axis=1)
     prefix_any = np.zeros(n_trials, dtype=bool)

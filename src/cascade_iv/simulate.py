@@ -22,12 +22,13 @@ in batch order with compensated summation, making aggregates bit-identical
 for any parallelism degree.
 
 Parallelism: batches share no state, so with ``threads`` (or
-``CASCADE_IV_THREADS``) above 1 they run in worker processes forked for the
-call, at most one per batch, free of the interpreter lock that the
-per-trial stream loop would hold in threads.  Each worker returns its
-batch's sums or error counts, which are merged in batch order as above.
-Where ``fork`` is not available (any platform but Linux) the batches run
-in-process, one after another.
+``CASCADE_IV_THREADS``) above 1 they are spread over that many workers, at
+most one per batch: the calling process is one of them, and the others are
+processes forked for the call, free of the interpreter lock that the
+per-trial stream loop would hold in threads.  Each child returns its
+batch's sums or error counts, which are merged with the caller's own in
+batch order as above.  Where ``fork`` is not available (any platform but
+Linux) the batches run in-process, one after another.
 
 One recursion, ``_sweep``, serves every caller.  It is a wavefront over
 the anti-diagonals e = r + t of the lattice: cell (r, t) reads only
@@ -193,20 +194,26 @@ class _TrialStreams:
     def _draw(self, master_seed, start, noise_kind, shape, dither_half):
         gen = trial_generator(master_seed, start)
         bitgen = gen.bit_generator
+        # The state setter reads counter, key and buffer item by item; Python
+        # ints make that cheap, where uint64 arrays make a numpy scalar per item.
         fresh = bitgen.state
-        key = fresh["state"]["key"]
+        fresh["buffer"] = fresh["buffer"].tolist()
+        state = fresh["state"]
+        state["counter"] = state["counter"].tolist()
+        key = state["key"] = state["key"].tolist()
         chunk = np.empty((min(_NOISE_CHUNK, self.count),) + shape)
-        for i in range(self.count):
-            key[1] = start + i
-            bitgen.state = fresh
-            yield gen
-            j = i % len(chunk)
-            draw_noise(gen, noise_kind, shape, chunk[j])
-            if self.dither is not None:
-                self.dither[i] = gen.uniform(-dither_half, dither_half, size=self.dither.shape[1])
-            if j == len(chunk) - 1 or i == self.count - 1:
-                lo = i - j
-                self.noise[..., lo : i + 1] = np.moveaxis(chunk[: j + 1], 0, -1)
+        rows = list(chunk)
+        for lo in range(0, self.count, _NOISE_CHUNK):
+            n = min(_NOISE_CHUNK, self.count - lo)
+            for i, row in enumerate(rows[:n], lo):
+                key[1] = start + i
+                bitgen.state = fresh
+                yield gen
+                draw_noise(gen, noise_kind, shape, row)
+                if self.dither is not None:
+                    self.dither[i] = gen.uniform(-dither_half, dither_half,
+                                                 size=self.dither.shape[1])
+            self.noise[..., lo : lo + n] = np.moveaxis(chunk[:n], 0, -1)
 
 
 def _draw_inputs(source, noise_kind, master_seed, start, count, r_max, t_max,
@@ -734,8 +741,10 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
 
     Returns the (B, depth) source bits, or None for a source without bits,
     the (n_cells, B) captured estimates and the (B, n_dither) dither, or
-    None without dither.  Every trial reads its own stream, so the results
-    do not depend on the block size.
+    None without dither.  The bits are stored bit-major and returned as the
+    transposed view, the layout of ``pam.decode_bits`` output, so
+    ``pam.tally_errors`` reads both as contiguous bit rows.  Every trial
+    reads its own stream, so the results do not depend on the block size.
     """
     r_max, t_max = gains.r_max, gains.t_max
     block = max(1, _BLOCK_BUDGET // (8 * r_max * (t_max + 1)))
@@ -757,8 +766,8 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
         )
         if src.bits is not None:
             if bits is None:
-                bits = np.empty((count, src.bits.shape[1]), dtype=src.bits.dtype)
-            bits[trials] = src.bits
+                bits = np.empty((src.bits.shape[1], count), dtype=src.bits.dtype)
+            bits[:, trials] = src.bits.T
         if dither is not None:
             dither[trials] = block_dither
 
@@ -767,7 +776,7 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
                 captures[idx, trials] = est[r]
 
         _sweep(plan, src.shat0, z, capture, start_trial + first)
-    return bits, captures, dither
+    return None if bits is None else bits.T, captures, dither
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -805,12 +814,17 @@ def _batch_ranges(num_trials: int, batch_size: int):
 def _run_batches(worker, args: tuple, ranges, threads: int) -> list:
     """``worker(*args, start, count)`` for each batch range, results in range order.
 
-    With more than one worker on Linux, the batches run in a pool of
-    ``min(threads, len(ranges))`` processes forked for this call and joined
-    before it returns, so they run free of the interpreter lock; the worker
-    and ``args`` are pickled to them.  Otherwise, including on every other
-    platform, the batches run in this process one after another.  An
-    exception in a batch reaches the caller with its type and message.
+    With ``w = min(threads, len(ranges))`` above 1 on Linux, the caller is
+    one of the w workers: batches 0, w, 2w, ... run here, and the others in
+    a pool of w - 1 processes forked for this call and joined before it
+    returns, so they run free of the interpreter lock; the worker and
+    ``args`` are pickled to them.  Every child batch is submitted before
+    the caller starts its own, so the children are forked before the caller
+    allocates a batch.  Each process holds one batch at a time, as a pool of
+    w would.  Otherwise, including on every other platform, the batches run
+    in this process one after another.  An exception in a batch reaches the
+    caller with its type and message; when several batches fail, the one
+    with the lowest index is raised.
 
     ``fork`` starts a worker without importing numpy again, which ``spawn``
     would pay per worker on every call.  The package starts no threads of
@@ -824,11 +838,27 @@ def _run_batches(worker, args: tuple, ranges, threads: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers,
+    with ProcessPoolExecutor(max_workers=workers - 1,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(worker, *args, *batch) for batch in ranges]
         try:
-            return [fut.result() for fut in futures]
+            futures = {k: pool.submit(worker, *args, *batch)
+                       for k, batch in enumerate(ranges) if k % workers}
+            own, error = {}, None
+            for k in range(0, len(ranges), workers):
+                try:
+                    own[k] = worker(*args, *ranges[k])
+                except Exception as exc:
+                    error = exc
+                    break
+            results = []
+            for k in range(len(ranges)):
+                if k % workers:
+                    results.append(futures[k].result())
+                elif k in own:
+                    results.append(own[k])
+                else:  # the caller's first failed batch; every lower one succeeded
+                    raise error
+            return results
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

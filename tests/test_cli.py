@@ -673,6 +673,32 @@ class TestEndToEnd:
             outputs[threads] = (out / "simulate.csv").read_bytes()
         assert outputs["1"] == outputs["4"]
 
+    MULTI_BATCH = {
+        "simulate": {"r_max": 3, "t_max": 6, "num_trials": 45_000, "master_seed": 7},
+        "packet": {"scheme": "single_packet", "packet_bits": 3, "r_max": 4,
+                   "num_trials": 45_000, "master_seed": 5},
+        "stream": {"scheme": "packet_stream", "packet_bits": 2, "period": 2, "r_max": 4,
+                   "num_trials": 45_000, "master_seed": 3},
+    }
+
+    @pytest.mark.parametrize("command", list(MULTI_BATCH))
+    def test_multi_batch_bytes_across_worker_counts(self, command, tmp_path, capsys,
+                                                    monkeypatch):
+        # 45,000 trials are three default batches, so 2 and 4 workers fork
+        # children beside the working caller
+        runs = {}
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"w{threads}"
+            cfg = tmp_path / f"w{threads}.cfg"
+            ExperimentConfig(out_dir=str(out), **self.MULTI_BATCH[command]).save(cfg)
+            monkeypatch.setenv("CASCADE_IV_THREADS", threads)
+            code = cli.main([command, "--config", str(cfg)])
+            printed = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs[threads] = (code, printed.out.replace(str(out), "<out>"), printed.err, files)
+        assert runs["1"][0] == 0 and runs["1"][3]
+        assert runs["1"] == runs["2"] == runs["4"]
+
     def test_packet_command_above_snr_velocity_is_reported_not_asserted(self, tmp_path):
         # v > P: the errors stay bounded away from zero; the command still
         # emits the observation columns and exits cleanly

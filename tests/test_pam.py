@@ -117,6 +117,17 @@ class TestDecode:
         out = pam.decode_bits(np.zeros((4, 5)), 3)
         assert out.shape == (4, 5, 3)
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_shape_and_values_for_any_input_rank(self, shape):
+        # the bits are stored bit-major; the result is the input shape + (n,)
+        est = np.random.default_rng(5).uniform(-2.0, 2.0, size=shape)
+        out = pam.decode_bits(est, 6)
+        assert out.shape == shape + (6,) and out.dtype == np.int8
+        for idx in np.ndindex(shape):
+            assert np.array_equal(out[idx], pam.decode_bits(float(est[idx]), 6))
+        if len(shape) == 1:
+            assert out.T.flags.c_contiguous
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             pam.decode_bits(math.nan, 2)
@@ -348,6 +359,27 @@ class TestTallyAgainstReference:
                     assert got.per_bit == want.per_bit
                     assert all(type(v) is int for pair in got.per_bit.values() for v in pair)
                 assert list(fast.rows()) == list(slow.rows())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_trials=st.integers(1, 40),
+        psi=st.integers(1, 3),
+        n_packets=st.integers(1, 4),
+        period=st.integers(0, 3),
+        t=st.integers(-1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_memory_order_does_not_matter(self, n_trials, psi, n_packets, period, t, seed):
+        rng = np.random.default_rng(seed)
+        truth = rng.integers(0, 2, size=(n_trials, n_packets * psi)).astype(np.int8)
+        decoded = truth ^ (rng.random(truth.shape) < 0.3).astype(np.int8)
+        reference = pam.ErrorStats()
+        reference_tally(reference, decoded, truth, 1, t, psi, period)
+        for d_order, t_order in itertools.product("CF", repeat=2):
+            stats = pam.ErrorStats()
+            pam.tally_errors(stats, np.asarray(decoded, order=d_order),
+                             np.asarray(truth, order=t_order), 1, t, psi, period)
+            assert list(stats.rows()) == list(reference.rows())
 
     def test_later_packets_not_generated_yet(self):
         truth = np.zeros((50, 8), dtype=np.int8)

@@ -109,6 +109,29 @@ class TestBatchStreams:
             want = sim.draw_noise(sim.trial_generator(3, b), "uniform", (1, 3))
             assert np.array_equal(z[..., b], want)
 
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1])
+    def test_plain_int_resets_match_fresh_generators(self, seed):
+        # two full noise chunks and one trial of a third
+        count, first, shape, n_dither, half = 2 * sim._NOISE_CHUNK + 1, 17, (2, 3), 2, 0.5
+        streams = sim._TrialStreams(seed, first, count, "gaussian", shape, n_dither, half)
+        words = np.array([g.bit_generator.random_raw(3) for g in streams])
+        streams.finish()
+        for i in range(count):
+            gen = sim.trial_generator(seed, first + i)
+            assert np.array_equal(words[i], gen.bit_generator.random_raw(3))
+            assert np.array_equal(streams.noise[..., i], sim.draw_noise(gen, "gaussian", shape))
+            assert np.array_equal(streams.dither[i], gen.uniform(-half, half, size=n_dither))
+
+    @pytest.mark.parametrize("psi", [1, 3])
+    def test_odd_packet_bits_reset_the_buffered_half(self, psi):
+        # the odd bit leaves a buffered 32-bit half, which the next trial's
+        # reset must drop, or that trial's odd bit would read it
+        src, z, _ = sim._draw_inputs(sim.SinglePacketSource(psi), "gaussian", 8, 3, 6, 2, 2)
+        for b in range(6):
+            gen = sim.trial_generator(8, 3 + b)
+            assert np.array_equal(src.bits[b], gen.integers(0, 2, size=psi))
+            assert np.array_equal(z[..., b], sim.draw_noise(gen, "gaussian", (2, 3)))
+
     def test_streams_iterate_once(self):
         streams = sim._TrialStreams(1, 0, 2, "zero", (1, 1))
         assert len(streams) == 2
@@ -1043,11 +1066,69 @@ class TestWorkerProcesses:
         monkeypatch.setenv("CASCADE_IV_THREADS", "1000000")
         got = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 2_500, 5,
                                   batch_size=1_000)
-        assert seen == [(3, "fork")]
+        # three workers for three batches: the caller and two forked children
+        assert seen == [(2, "fork")]
         assert _aggregate_digest(got) == _aggregate_digest(want)
 
         gains, source, noise, seed, cells, spec = TestRegressionPins._decode_case("packet")
         primary, _ = sim.run_decoding_monte_carlo(gains, source, noise, 2_500, seed, cells, spec,
                                                   batch_size=1_000)
-        assert seen[1:] == [(3, "fork")]
+        assert seen[1:] == [(2, "fork")]
         assert _rows_digest(primary) == TestRegressionPins.PINNED_ROWS["packet"][0]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_child_failure_reaches_the_working_caller(self, small_gains, threads):
+        # batch 0 runs in the caller and succeeds; batch 1 runs in a child and
+        # fails.  At threads=2 the caller's batch 2 fails too, and the lower
+        # index wins.
+        refusing = _RefusesFromTrial(1_000)
+        with pytest.raises(ValueError, match=r"^trial 1000 refused$"):
+            sim.run_monte_carlo(small_gains, refusing, "gaussian", 3_000, 5,
+                                batch_size=1_000, threads=threads)
+        with pytest.raises(ValueError, match=r"^trial 1000 refused$"):
+            sim.run_decoding_monte_carlo(small_gains, refusing, "gaussian", 3_000, 5,
+                                         [(2, 3)], sim.DecodeSpec("packet", 2),
+                                         batch_size=1_000, threads=threads)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_failure_wins_over_later_child_failures(self, small_gains):
+        # every batch fails; batch 0 is the caller's own
+        with pytest.raises(ValueError, match=r"^trial 0 refused$"):
+            sim.run_monte_carlo(small_gains, _RefusesFromTrial(0), "gaussian", 3_000, 5,
+                                batch_size=1_000, threads=3)
+        assert multiprocessing.active_children() == []
+
+    def test_results_identical_for_any_worker_count(self, small_gains):
+        gains, source, noise, seed, cells, spec = TestRegressionPins._decode_case("stream")
+        digests = set()
+        for threads in (1, 2, 3, 4):
+            agg = sim.run_monte_carlo(small_gains, sim.KnownSampleSource(), "gaussian", 2_500, 5,
+                                      batch_size=500, threads=threads)
+            primary, _ = sim.run_decoding_monte_carlo(gains, source, noise, 2_500, seed, cells,
+                                                      spec, batch_size=500, threads=threads)
+            digests.add((_aggregate_digest(agg), _rows_digest(primary)))
+        assert len(digests) == 1
+        assert digests.pop()[1] == TestRegressionPins.PINNED_ROWS["stream"][0]
+        assert multiprocessing.active_children() == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefusesFromTrial:
+    """A known source of 0.5, with two zero packet bits, that raises on any
+    trial at or after ``first``.
+
+    It reads the trial index from the key its stream was reset to.
+    """
+
+    first: int
+
+    def boundary(self):
+        return SingleSampleBoundary()
+
+    def draw_batch(self, gens, t_max):
+        for g in gens:
+            trial = int(g.bit_generator.state["state"]["key"][1])
+            if trial >= self.first:
+                raise ValueError(f"trial {trial} refused")
+        bits = np.zeros((len(gens), 2), dtype=np.int8)
+        return dataclasses.replace(sim.KnownSampleSource(0.5).draw_batch(gens, t_max), bits=bits)
