@@ -23,7 +23,6 @@ from .mse import (
     SingleSampleBoundary,
     closed_form_single,
     closed_form_streaming,
-    mse_at_velocity,
     solve_grid,
 )
 from .exponents import (

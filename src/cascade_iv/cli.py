@@ -135,7 +135,7 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         dp = grid.values[1:, 1:]
         log_cf = log_cf[1:]
         # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.
-        cf = np.array(list(map(math.exp, log_cf.ravel().tolist()))).reshape(dp.shape)
+        cf = np.fromiter(map(math.exp, log_cf.ravel().tolist()), float, dp.size).reshape(dp.shape)
         linear = dp >= mse_mod.UNDERFLOW_LINEAR
         rel = np.zeros_like(dp)
         np.divide(np.abs(cf - dp), dp, out=rel, where=linear)

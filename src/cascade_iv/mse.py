@@ -19,7 +19,11 @@ equality at the end of each period.
 plain numpy: cells with equal r + t depend only on the previous diagonal, so
 the whole lattice takes r_max + t_max vector steps.  Each cell is computed as
 ``(1 - snr_bar) * left + snr_bar * up``, the arithmetic of a first-order IIR
-filter run along each row.
+filter run along each row.  A step is three ufunc calls on a contiguous copy
+of the last diagonal and one write through a fixed anti-diagonal view of the
+lattice.  Cells that underflow to +0.0 keep the lattice's initial zero: a
+step starts where the last diagonal's run of +0.0 ended, and a scalar scan
+from there finds where its own run ends.
 
 Closed forms are evaluated in the log domain because the binomial factors
 overflow float64 long before r = t = 200.  Log-binomials at integer
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._table import write_lattice_csv
-from .params import ChannelParams, HopConvention, Velocity
+from .params import ChannelParams
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -58,8 +63,6 @@ __all__ = [
     "closed_form_streaming",
     "log_closed_form_single_grid",
     "log_closed_form_streaming_grid",
-    "mse_at_velocity",
-    "velocity_time_index",
     "write_grid_csv",
 ]
 
@@ -183,15 +186,20 @@ def solve_grid(
     Anti-diagonal wavefront: every cell of diagonal d = r + t + 1 needs only
     its left and upper neighbours, both on diagonal d - 1.  The previous
     diagonal is kept in a contiguous buffer indexed by r, so each step is
-    two contiguous multiplies, one add and one strided write into
-    ``values``.  The convex-combination structure keeps every entry inside
-    [0, 1]; the result is read-only.
+    two contiguous multiplies, one add and one write into ``values``
+    through a fixed anti-diagonal view of it (row d of the view is diagonal
+    d, stepping n_cols - 1 cells per r).  The boundary cell of each step is
+    read from a Python list of the profile.  The convex-combination
+    structure keeps every entry inside [0, 1]; the result is C-contiguous
+    and read-only.
 
-    Deep cells underflow: a cell whose two neighbours are both +0.0 is
+    Deep cells underflow to +0.0, and underflow raises nothing whatever
+    ``np.seterr`` says: a cell whose two neighbours are both +0.0 is
     exactly +0.0, so the run of +0.0 at the low-r end of a diagonal carries
-    over to the next one.  ``values`` starts at zero, and each step computes
-    only from the end of the last run (62 % of a 2000 x 2000 single-sample
-    lattice is +0.0).
+    over to the next one.  ``values`` starts at zero, each step computes
+    only from the end of the last run, and a scalar scan from there finds
+    where the new run ends (62 % of a 2000 x 2000 single-sample lattice is
+    +0.0).
     """
     if r_max < 1 or t_max < 0:
         raise ValueError("need r_max >= 1 and t_max >= 0")
@@ -203,41 +211,38 @@ def solve_grid(
     qbar = 1.0 - pbar
     n_cols = t_max + 2
     values = np.zeros((r_max + 1, n_cols))
-    values[:, 0] = 1.0  # M_r(-1) = 1
-    values[0, 1:] = boundary.profile(t_max)
-    flat = values.reshape(-1)
-    # diag[r] holds cell (r, d - r) of the last diagonal d, in column
-    # coordinates; rows not yet reached keep M_r(-1) = 1.  Its cells lo..z-1
-    # are zero.
-    diag = np.ones(r_max + 1)
-    up = np.empty(r_max)
-    z = 1
-    for d in range(2, r_max + n_cols):
-        if d <= n_cols:
-            diag[0] = values[0, d - 1]
-            if diag[0]:
-                z = 1  # a nonzero boundary cell ends the run
-        lo, hi = max(z, d - n_cols + 1), min(r_max, d - 1)
-        n = hi - lo + 1
-        np.multiply(diag[lo - 1 : hi], pbar, out=up[:n])
-        cells = diag[lo : hi + 1]
-        np.multiply(cells, qbar, out=cells)
-        np.add(cells, up[:n], out=cells)
-        flat[d + lo * (n_cols - 1) : d + hi * (n_cols - 1) + 1 : n_cols - 1] = cells
-        z = lo if n > 0 and cells.item(0) else lo + _leading_zeros(cells)
+    # diagonals[d, r] is values[r, d - r]; its last element is the lattice's
+    # last cell, so the view stays inside ``values``.
+    step = values.itemsize
+    diagonals = as_strided(values, shape=(r_max + n_cols, r_max + 1),
+                           strides=(step, (n_cols - 1) * step))
+    with np.errstate(under="ignore"):
+        values[:, 0] = 1.0  # M_r(-1) = 1
+        values[0, 1:] = boundary.profile(t_max)
+        edge = values[0, 1:].tolist()
+        # diag[r] holds cell (r, d - r) of the last diagonal d, in column
+        # coordinates; rows not yet reached keep M_r(-1) = 1.  Its cells
+        # lo..z-1 are zero.
+        diag = np.ones(r_max + 1)
+        up = np.empty(r_max)
+        z = 1
+        for d in range(2, r_max + n_cols):
+            if d <= n_cols:
+                diag[0] = edge[d - 2]
+                if edge[d - 2]:
+                    z = 1  # a nonzero boundary cell ends the run
+            lo, hi = max(z, d - n_cols + 1), min(r_max, d - 1)
+            n = hi - lo + 1
+            np.multiply(diag[lo - 1 : hi], pbar, out=up[:n])
+            cells = diag[lo : hi + 1]
+            np.multiply(cells, qbar, out=cells)
+            np.add(cells, up[:n], out=cells)
+            diagonals[d, lo : hi + 1] = cells
+            z = lo
+            while z <= hi and not diag.item(z):
+                z += 1
     values.setflags(write=False)
     return MseGrid(channel=channel, boundary=boundary, r_max=r_max, t_max=t_max, values=values)
-
-
-def _leading_zeros(a: np.ndarray) -> int:
-    """The number of zeros before the first nonzero entry of ``a``, searched in growing windows."""
-    start, width = 0, 8
-    while start < a.size:
-        hits = np.flatnonzero(a[start : start + width])
-        if hits.size:
-            return start + int(hits[0])
-        start, width = start + width, 4 * width
-    return a.size
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -348,36 +353,6 @@ def log_closed_form_streaming_grid(
     log_ii[1:] = r * math.log(pbar) - 2.0 * rate_nats * (s + 1) + cum
     log_ii[0] = -2.0 * rate_nats * (np.arange(t_max + 1) + 1)
     return log_i, log_ii
-
-
-def velocity_time_index(v: Velocity, r: int) -> int:
-    """Time index paired with relay r when moving at velocity v.
-
-    Instantaneous convention: t = floor(r / v).  Delayed hops retard node r by
-    exactly r steps, so the delayed lattice is the instantaneous one shifted:
-    t = floor(r / v) - r, which is the instantaneous index at the translated
-    velocity v/(1-v).
-    """
-    if r < 1:
-        raise ValueError("need r >= 1")
-    t = math.floor(r / v.value)
-    if v.convention is HopConvention.DELAYED:
-        t -= r
-    return t
-
-
-def mse_at_velocity(
-    source: MseGrid | Callable[[int, int], float], v: Velocity, r: int
-) -> float:
-    """M_r(t) along the fixed-velocity trajectory t = floor(r / v)."""
-    t = velocity_time_index(v, r)
-    if isinstance(source, MseGrid):
-        if t > source.t_max:
-            raise IndexError(
-                f"t={t} for (r={r}, v={v.value}) exceeds solved t_max={source.t_max}"
-            )
-        return source.at(r, max(t, -1))
-    return source(r, t)
 
 
 def write_grid_csv(grid: MseGrid, path) -> None:

@@ -30,8 +30,6 @@ __all__ = [
     "SQRT3",
     "min_distance",
     "encode",
-    "encode_point",
-    "PamPoint",
     "decode_bits",
     "sample_dither",
     "dithered_decode",
@@ -59,21 +57,6 @@ def encode(bits, n: int | None = None) -> float:
         raise ValueError(f"requested depth {n} exceeds {bits.size} available bits")
     i = np.arange(n)
     return float(SQRT3 * np.sum((1 - 2 * bits[:n]) * np.exp2(-(i + 1.0))))
-
-
-@dataclass(frozen=True)
-class PamPoint:
-    """A constellation point with its depth and minimum distance."""
-
-    value: float
-    depth: int
-    min_distance: float
-
-
-def encode_point(bits, n: int | None = None) -> PamPoint:
-    bits = np.asarray(bits, dtype=np.int64)
-    depth = bits.size if n is None else n
-    return PamPoint(value=encode(bits, depth), depth=depth, min_distance=min_distance(depth))
 
 
 def decode_bits(estimate, n: int) -> np.ndarray:

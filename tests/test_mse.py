@@ -26,11 +26,10 @@ from cascade_iv.mse import (
     log_closed_form_single_grid,
     log_closed_form_streaming,
     log_closed_form_streaming_grid,
-    mse_at_velocity,
     solve_grid,
     write_grid_csv,
 )
-from cascade_iv.params import HopConvention, Velocity, make_channel_params
+from cascade_iv.params import make_channel_params
 
 CH10 = make_channel_params(10.0)
 PBAR = 10.0 / 11.0
@@ -162,6 +161,29 @@ class TestWavefront:
         assert grid.values.shape == (6, 9)
         with pytest.raises(ValueError):
             grid.values[1, 1] = 0.5
+
+    def test_allocates_only_its_lattice(self):
+        solve_grid(CH10, SingleSampleBoundary(), 3, 4)  # warm up lazy set-up
+        tracemalloc.start()
+        try:
+            values = solve_grid(CH10, SingleSampleBoundary(), 2000, 2000).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2**20, peak - values.nbytes
+        assert values.flags.c_contiguous and not values.flags.writeable
+
+    @pytest.mark.parametrize("boundary", [
+        SingleSampleBoundary(), ExponentialRefinementBoundary(20.0), PacketStreamBoundary(3, 2),
+        SequenceBoundary((0.5,) * 10 + (0.0,) * 330 + (5e-16,) * 61),  # a run ended by the boundary
+    ])
+    def test_underflow_raises_nothing(self, boundary):
+        # cells and boundary rows underflow to +0.0 whatever numpy's error state
+        want = solve_grid(CH10, boundary, 30, 400).values
+        with np.errstate(all="raise"):
+            got = solve_grid(CH10, boundary, 30, 400).values
+        assert (want[1:] == 0).any()
+        assert got.tobytes() == want.tobytes()
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # the package needs numpy only: no scipy module at all may be loaded
@@ -437,36 +459,6 @@ class TestBoundaries:
     def test_refinement_profile(self):
         b = ExponentialRefinementBoundary(0.25)
         assert b.profile(3)[2] == pytest.approx(math.exp(-2 * 0.25 * 3), rel=1e-15)
-
-
-class TestMseAtVelocity:
-    def test_infinite_velocity_hits_time_zero(self):
-        grid = solve_grid(CH10, SingleSampleBoundary(), 3, 5)
-        got = mse_at_velocity(grid, Velocity(1e9), 1)
-        assert got == 1.0 - PBAR
-
-    def test_unit_velocity(self):
-        grid = solve_grid(CH10, SingleSampleBoundary(), 4, 4)
-        assert mse_at_velocity(grid, Velocity(1.0), 4) == grid.at(4, 4)
-
-    def test_velocity_five(self):
-        grid = solve_grid(CH10, SingleSampleBoundary(), 10, 4)
-        assert mse_at_velocity(grid, Velocity(5.0), 10) == grid.at(10, 2)
-
-    def test_delayed_equals_instantaneous_after_translation(self):
-        grid = solve_grid(CH10, SingleSampleBoundary(), 6, 12)
-        inst = mse_at_velocity(grid, Velocity(1.0), 6)
-        delayed = mse_at_velocity(grid, Velocity(0.5, HopConvention.DELAYED), 6)
-        assert delayed == inst
-
-    def test_callable_backend(self):
-        got = mse_at_velocity(lambda r, t: closed_form_single(CH10, r, t), Velocity(2.0), 9)
-        assert got == closed_form_single(CH10, 9, 4)
-
-    def test_beyond_grid_rejected(self):
-        grid = solve_grid(CH10, SingleSampleBoundary(), 4, 3)
-        with pytest.raises(IndexError):
-            mse_at_velocity(grid, Velocity(0.5), 4)
 
 
 class TestGridCsv:

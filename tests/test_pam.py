@@ -40,12 +40,6 @@ class TestEncode:
         with pytest.raises(ValueError):
             pam.encode([0, 2])
 
-    def test_point_metadata(self):
-        pt = pam.encode_point([1, 0, 1])
-        assert pt.depth == 3
-        assert pt.min_distance == pam.min_distance(3) == pytest.approx(SQRT3 / 4)
-        assert abs(pt.value) < SQRT3
-
     def test_variance_formula(self):
         # Var(S^psi) over uniform bits = 1 - 4^-psi  (geometric series oracle)
         for psi in (1, 2, 3, 6, 10):
