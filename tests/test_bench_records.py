@@ -1,0 +1,56 @@
+"""Every ``BENCH_*.json`` record speaks the benchmark's vocabulary.
+
+A record holds before/after runs of ``perfbench/run.py`` for one change: for
+each workload and end-to-end metric the parent's and the change's runs,
+medians, quartiles and pair wins, and the traced per-layer figures that show
+where the difference arose.  Its names must be ones ``BENCHMARK.json``
+defines, so that a renamed workload or metric cannot leave a record that no
+run can be compared with.
+"""
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
+END_TO_END = {m["name"]: m for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"] for m in SPEC["per_layer"]}
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_names_only_what_the_benchmark_defines(path):
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    assert claim["workload"] in WORKLOADS and claim["metric"] in END_TO_END
+    assert set(record["workloads"]) <= WORKLOADS
+    for name, workload in record["workloads"].items():
+        assert set(workload["end_to_end"]) <= set(END_TO_END), name
+        assert set(workload["traced"]) <= PER_LAYER, name
+        for metric, entry in workload["end_to_end"].items():
+            assert entry["unit"] == END_TO_END[metric]["unit"], (name, metric)
+            assert entry["better"] == END_TO_END[metric]["better"], (name, metric)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_is_complete(path):
+    record = json.loads(path.read_text())
+    for commit in ("parent", "change"):
+        assert re.fullmatch(r"[0-9a-f]{40}", record[commit]), commit
+    assert record["parent"] != record["change"]
+    pairs = record["pairs"]
+    for name, workload in record["workloads"].items():
+        assert len(workload["seeds"]) == pairs, name
+        for metric, entry in workload["end_to_end"].items():
+            for side in ("parent", "change"):
+                stats = entry[side]
+                assert len(stats["runs"]) == pairs, (name, metric, side)
+                assert stats["q1"] <= stats["median"] <= stats["q3"], (name, metric, side)
+            assert entry["wins"] + entry["losses"] + entry["ties"] == pairs, (name, metric)
+
+
+def test_a_record_exists():
+    assert RECORDS, "no BENCH_*.json at the repository root"
