@@ -8,7 +8,15 @@ one shape, 1-D or 2-D, and rows follow the elements in C order.  A text
 column carries the cells no number format covers: the censored ``<10/n``
 rates, empty cells and labels; ``g17_text`` gives the ``%.17g`` text of
 its numeric cells.  ``write_lattice_csv`` prefixes 2-D columns with their
-``r,t`` indices.
+``r,t`` indices.  ``open_table`` writes one table in pieces, and
+``g17_fields`` formats floats block by block into text that two tables of
+the same values can share, so each value is formatted once.
+
+Files: the columns are checked before the file is opened, so a rejected
+call leaves an existing file as it was.  A file is opened as
+``open(path, "wb")`` opens it, but an existing regular file is overwritten
+in place and then cut to the new length, rather than truncated on open; it
+keeps its inode either way.
 
 Byte contract: the file is byte for byte what per-value ``'%d'`` and
 ``'%.17g'`` formatting writes.  Floats go through a numpy kernel built on
@@ -24,12 +32,15 @@ size; no buffer for the text of the whole table is built.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import stat
 
 import numpy as np
 
-__all__ = ["g17_text", "write_lattice_csv", "write_table"]
+__all__ = ["g17_fields", "g17_text", "open_table", "write_lattice_csv", "write_table"]
 
 _BLOCK_ROWS = 4096
 
@@ -39,6 +50,8 @@ _K_MIN, _K_MAX = -324, 308
 # "0.000" that fixed notation puts before the digits of |x| < 1, the first
 # digit and the point; 16 more digits; an exponent of at most 5 ("e-308").
 _G17_WIDTH = 32
+# dtype of the fields ``g17_fields`` yields.
+G17_FIELD = np.dtype(f"S{_G17_WIDTH}")
 
 
 def _fallback_17g(x: float) -> bytes:
@@ -277,44 +290,84 @@ def _rows(column: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def _field(chunk: np.ndarray, tables):
     """(width, writer) of one column's block: ``writer(out)`` fills the (rows, width) field."""
-    kind = chunk.dtype.kind
-    if kind == "f":
+    if chunk.dtype.kind == "f":
         values = chunk.astype(np.float64, copy=False)
         return _G17_WIDTH, lambda out: _format_floats(values, out, tables)
-    if kind in "iu":
-        return _int_field(chunk, tables)
-    if kind == "S":
+    if chunk.dtype.kind == "S":
         text = chunk.view(np.uint8).reshape(chunk.size, chunk.itemsize)
         return chunk.itemsize, lambda out: np.copyto(out, text)
-    raise TypeError(f"cannot write a column of dtype {chunk.dtype}")
+    return _int_field(chunk, tables)
 
 
-def write_table(path, header: str, columns) -> None:
-    """Write ``header`` and one CSV row per element of ``columns`` to ``path``.
+def _checked(columns) -> list[np.ndarray]:
+    """``columns`` as arrays of one 1-D or 2-D shape and a kind ``write_table`` writes.
 
-    The columns are int, float or text arrays of one shape, 1-D or 2-D;
-    rows follow their elements in C order.  See the module docstring for
-    the byte contract and the memory bound.
+    Raises ``ValueError`` for mismatched shapes and ``TypeError`` for any
+    other dtype, before a caller opens its file.
     """
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
     columns = [c.astype(np.bytes_) if c.dtype.kind == "U" else c for c in columns]
     shape = columns[0].shape
     if any(c.shape != shape for c in columns) or len(shape) > 2:
         raise ValueError(f"columns need one 1-D or 2-D shape, got {[c.shape for c in columns]}")
+    for c in columns:
+        if c.dtype.kind not in "fiuS":
+            raise TypeError(f"cannot write a column of dtype {c.dtype}")
+    return columns
+
+
+def _write_rows(fh, columns: list[np.ndarray]) -> None:
+    """Append one CSV row per element of the ``_checked`` ``columns`` to ``fh``."""
     tables = _tables()
-    n = math.prod(shape)
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            fields = [_field(_rows(c, lo, hi), tables) for c in columns]
-            ends = np.cumsum([width + 1 for width, _ in fields])
-            block = np.empty((hi - lo, ends[-1]), dtype=np.uint8)
-            for end, (width, write) in zip(ends, fields):
-                write(block[:, end - 1 - width : end - 1])
-                block[:, end - 1] = ord(",")
-            block[:, -1] = ord("\n")
-            fh.write(block.tobytes().translate(None, b"\0"))
+    n = columns[0].size
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        fields = [_field(_rows(c, lo, hi), tables) for c in columns]
+        ends = np.cumsum([width + 1 for width, _ in fields])
+        block = np.empty((hi - lo, ends[-1]), dtype=np.uint8)
+        for end, (width, write) in zip(ends, fields):
+            write(block[:, end - 1 - width : end - 1])
+            block[:, end - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        fh.write(block.tobytes().translate(None, b"\0"))
+
+
+def _open_untruncated(path, flags):
+    """The opener of ``open(path, "wb")`` without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def open_table(path, header: str):
+    """Write ``header`` to ``path``; yields ``append(columns)``, which adds rows.
+
+    ``append`` takes what ``write_table`` takes and writes the same rows, so
+    one table can be written in pieces, beside another.  ``path`` is opened
+    as ``wb`` opens it but not truncated: an existing regular file is
+    overwritten in place and cut at the end of the new table on exit, which
+    costs the file system less than freeing its blocks on open.
+    """
+    with open(path, "wb", opener=_open_untruncated) as fh:
+        try:
+            fh.write(header.encode() + b"\n")
+            yield lambda columns: _write_rows(fh, _checked(columns))
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
+def write_table(path, header: str, columns) -> None:
+    """Write ``header`` and one CSV row per element of ``columns`` to ``path``.
+
+    The columns are int, float or text arrays of one shape, 1-D or 2-D;
+    rows follow their elements in C order.  They are checked before
+    ``path`` is opened, so a rejected call leaves an existing file as it
+    was.  See the module docstring for the byte contract and the memory
+    bound.
+    """
+    columns = _checked(columns)
+    with open_table(path, header) as append:
+        append(columns)
 
 
 def write_lattice_csv(path, header: str, columns, r0: int = 0, t0: int = 0) -> None:
@@ -328,6 +381,23 @@ def write_lattice_csv(path, header: str, columns, r0: int = 0, t0: int = 0) -> N
     r = np.broadcast_to(np.arange(r0, r0 + n_r)[:, None], (n_r, n_t))
     t = np.broadcast_to(np.arange(t0, t0 + n_t), (n_r, n_t))
     write_table(path, header, [r, t, *columns])
+
+
+def g17_fields(values: np.ndarray):
+    """Yield ``(lo, fields)``: the ``%.17g`` text of ``values[lo:lo + fields.size]``.
+
+    ``values`` is a 1-D float64 array, formatted ``_BLOCK_ROWS`` values at a
+    time.  ``fields`` is a ``G17_FIELD`` array of NUL-padded text, NUL
+    bytes anywhere in a field; as a text column of ``write_table`` it
+    writes the same bytes as the float column would.  A caller writing the
+    same values to two tables formats them once this way.
+    """
+    tables = _tables()
+    for lo in range(0, values.size, _BLOCK_ROWS):
+        chunk = values[lo : lo + _BLOCK_ROWS]
+        out = np.empty((chunk.size, _G17_WIDTH), dtype=np.uint8)
+        _format_floats(chunk, out, tables)
+        yield lo, out.view(G17_FIELD)[:, 0]
 
 
 def g17_text(values) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ import numpy as np
 from . import exponents as xp
 from . import mse as mse_mod
 from . import simulate as sim
-from ._table import g17_text, write_lattice_csv, write_table
+from ._table import G17_FIELD, g17_text, open_table, write_lattice_csv, write_table
 from .config import ExperimentConfig
 from .params import (
     HopConvention,
@@ -126,16 +127,17 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     paths = [path]
     if cfg.scheme in ("single_sample", "single_packet", "refined_source"):
         if cfg.scheme == "refined_source":
-            log_i, log_ii = mse_mod.log_closed_form_streaming_grid(
+            log_cf = np.logaddexp(*mse_mod.log_closed_form_streaming_grid(
                 channel, cfg.rate_nats, cfg.r_max, cfg.t_max
-            )
-            log_cf = np.logaddexp(log_i, log_ii)
+            ))
         else:
             log_cf = mse_mod.log_closed_form_single_grid(channel, cfg.r_max, cfg.t_max)
         dp = grid.values[1:, 1:]
         log_cf = log_cf[1:]
-        # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.
-        cf = np.fromiter(map(math.exp, log_cf.ravel().tolist()), float, dp.size).reshape(dp.shape)
+        # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.  One
+        # row at a time as Python floats, not the whole grid (32 bytes a cell).
+        rows = itertools.chain.from_iterable(map(np.ndarray.tolist, log_cf))
+        cf = np.fromiter(map(math.exp, rows), float, dp.size).reshape(dp.shape)
         linear = dp >= mse_mod.UNDERFLOW_LINEAR
         rel = np.zeros_like(dp)
         np.divide(np.abs(cf - dp), dp, out=rel, where=linear)
@@ -145,16 +147,34 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             if d > 0:
                 rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
         max_rel = rel.max()  # NaN in any cell propagates
-        write_lattice_csv(path, "r,t,mse_dp,mse_closed,rel_discrepancy", [dp, cf, rel], r0=1)
         summary = os.path.join(out_dir, "mse_summary.csv")
         write_table(summary, "max_rel_discrepancy", [max_rel])
         paths.append(summary)
+        header, r0 = "r,t,mse_dp,mse_closed,rel_discrepancy", 1
+        cf, rel = cf.reshape(-1), rel.reshape(-1)
+
+        def more_columns(r, col, text):
+            i = (r - 1) * (cfg.t_max + 1) + col - 1  # the cells' index in dp
+            return [cf[i], rel[i]]
     else:  # packet_stream: staircase boundary, no closed form
-        dp = grid.values[:, 1:]
-        write_lattice_csv(path, "r,t,mse_dp,boundary_staircase",
-                          [dp, np.broadcast_to(dp[0], dp.shape)])
+        header, r0 = "r,t,mse_dp,boundary_staircase", 0
+        row0 = np.empty(cfg.t_max + 2, dtype=G17_FIELD)  # filled before any row r > 0 is read
+
+        def more_columns(r, col, text):
+            first = r == 0
+            row0[col[first]] = text[first]
+            return [row0[col]]
+
     grid_path = os.path.join(out_dir, "mse_grid.csv")
-    mse_mod.write_grid_csv(grid, grid_path)
+    with open_table(path, header) as append:
+        # mse.csv holds the lattice cells r >= r0, t >= 0 (mse_dp); it is
+        # written block by block beside mse_grid.csv, from the same text.
+        def on_block(r, col, text):
+            keep = (r >= r0) & (col >= 1)
+            r, col, text = r[keep], col[keep], text[keep]
+            append([r, col - 1, text, *more_columns(r, col, text)])
+
+        mse_mod.write_grid_csv(grid, grid_path, on_block)
     paths.append(grid_path)
     return paths
 

@@ -43,7 +43,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._table import write_lattice_csv
+from ._table import g17_fields, open_table
 from .params import ChannelParams
 
 __all__ = [
@@ -355,6 +355,20 @@ def log_closed_form_streaming_grid(
     return log_i, log_ii
 
 
-def write_grid_csv(grid: MseGrid, path) -> None:
-    """Export ``r,t,mse`` rows, r-major then t (t = -1 column included)."""
-    write_lattice_csv(path, "r,t,mse", [grid.values], t0=-1)
+def write_grid_csv(grid: MseGrid, path, on_block=None) -> None:
+    """Export ``r,t,mse`` rows, r-major then t (t = -1 column included).
+
+    The lattice is formatted once, a block of cells at a time
+    (``_table.g17_fields``).  ``on_block(r, col, text)``, when given, is
+    called with each block after its rows are written: the cells'
+    ``values[r, col]`` indices and their ``%.17g`` text, which a table of
+    the same values written alongside takes as a text column instead of
+    formatting them again.
+    """
+    n_cols = grid.t_max + 2
+    with open_table(path, "r,t,mse") as append:
+        for lo, text in g17_fields(grid.values.reshape(-1)):
+            r, col = np.divmod(np.arange(lo, lo + text.size), n_cols)
+            append([r, col - 1, text])
+            if on_block is not None:
+                on_block(r, col, text)

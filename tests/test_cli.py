@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from cascade_iv import cli
+from cascade_iv import _table, cli
 from cascade_iv import mse as mse_mod
 from cascade_iv import simulate as sim
 from cascade_iv.config import ExperimentConfig
@@ -324,6 +325,74 @@ class TestMseBytePins:
         got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
                for p in paths}
         assert got == self.PINNED[f"{scheme}-{snr}-{r_max}x{t_max}"]
+
+
+class TestMseWriter:
+    """``cmd_mse`` formats each lattice value once and rewrites earlier outputs in place."""
+
+    SCHEMES = TestMseBytePins.SCHEMES
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_rerun_into_used_directory(self, scheme, tmp_path):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        used.mkdir()
+        fresh.mkdir()
+        kw = self.SCHEMES[scheme]
+        cli.cmd_mse(ExperimentConfig(scheme=scheme, r_max=30, t_max=400, **kw), str(used))
+        small = ExperimentConfig(scheme=scheme, snr=0.7, r_max=12, t_max=35, **kw)
+        paths = cli.cmd_mse(small, str(used))
+        want = cli.cmd_mse(small, str(fresh))
+        assert [os.path.basename(p) for p in paths] == [os.path.basename(p) for p in want]
+        for got_path, want_path in zip(paths, want):
+            with open(got_path, "rb") as got, open(want_path, "rb") as ref:
+                assert got.read() == ref.read(), got_path
+
+    def test_formats_each_lattice_value_once(self, tmp_path, monkeypatch):
+        sizes = []
+        real = _table._format_floats
+
+        def counting(values, out, tables):
+            sizes.append(values.size)
+            return real(values, out, tables)
+
+        monkeypatch.setattr(_table, "_format_floats", counting)
+        cfg = ExperimentConfig(scheme="refined_source", rate_nats=0.5, r_max=200, t_max=200)
+        cli.cmd_mse(cfg, str(tmp_path))
+        # the 201x202 lattice once, mse_closed and rel_discrepancy over its
+        # 200x201 cells r >= 1, t >= 0, and the one summary value
+        assert sum(sizes) == 201 * 202 + 2 * 200 * 201 + 1
+
+    def test_memory_stays_near_the_arrays(self, tmp_path, monkeypatch):
+        """The traced peak is the lattice and the closed-form arrays plus a few MiB.
+
+        The text of the whole 601x602 lattice would add 11.5 MB.  All writing,
+        mse.csv included, happens inside ``mse.write_grid_csv``, which may add
+        at most 4 MiB to what ``cmd_mse`` holds when it calls it.
+        """
+        cfg = ExperimentConfig(scheme="refined_source", rate_nats=0.5, r_max=600, t_max=600)
+        cli.cmd_mse(cfg, str(tmp_path))  # build the formatter's tables
+        peaks, writer_growth = [], []
+        real = mse_mod.write_grid_csv
+
+        def measured(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            real(*args)
+            writer_growth.append(tracemalloc.get_traced_memory()[1] - current)
+
+        monkeypatch.setattr(mse_mod, "write_grid_csv", measured)
+        tracemalloc.start()
+        try:
+            mse_mod.log_closed_form_streaming_grid(make_channel_params(cfg.snr), 0.5, 600, 600)
+            closed_form_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cli.cmd_mse(cfg, str(tmp_path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert writer_growth[0] <= 4 * 2**20, writer_growth
+        assert max(peaks) <= 601 * 602 * 8 + closed_form_peak + 4 * 2**20, (peaks, closed_form_peak)
 
 
 class TestOutputBytePins:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -628,6 +629,47 @@ class TestWriteTable:
             _table.write_table(tmp_path / "t.csv", "a,b", [np.zeros(3), np.zeros(4)])
         with pytest.raises(TypeError):
             _table.write_table(tmp_path / "t.csv", "a", [np.zeros(3, dtype=complex)])
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(3, dtype=complex)],
+        [np.zeros(3), np.zeros(3, dtype=bool)],
+        [np.zeros(3), np.zeros(4)],
+        [np.zeros((2, 2, 2))],
+    ], ids=["complex", "bool", "shapes", "3-D"])
+    def test_rejected_call_leaves_existing_file_untouched(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old,table\n1,2\n")
+        with pytest.raises((TypeError, ValueError)):
+            _table.write_table(path, "a,b", columns)
+        assert path.read_bytes() == b"old,table\n1,2\n"
+
+    def test_shorter_table_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _table.write_table(path, "x", [np.linspace(0.1, 1.0, 10_000)])
+        _table.write_table(path, "x", [np.array([0.5, 2.0])])
+        assert path.read_bytes() == b"x\n0.5\n2\n"
+
+    def test_rewrite_keeps_the_inode(self, tmp_path):
+        path, link = tmp_path / "t.csv", tmp_path / "link.csv"
+        _table.write_table(path, "x", [np.arange(1000)])
+        os.link(path, link)
+        inode = path.stat().st_ino
+        _table.write_table(path, "y", [np.array([7, 8])])
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes() == b"y\n7\n8\n"
+
+    def test_writes_to_a_device(self):
+        # not a regular file: opened "wb", never truncated
+        _table.write_table(os.devnull, "x", [np.arange(3)])
+
+    def test_open_table_appends_rows(self, tmp_path):
+        values = np.concatenate([hard_doubles(), np.linspace(-3, 3, 9_000)])
+        whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
+        _table.write_table(whole, "i,x", [np.arange(values.size), values])
+        with _table.open_table(pieces, "i,x") as append:
+            for lo, text in _table.g17_fields(values):
+                append([np.arange(lo, lo + text.size), text])
+        assert pieces.read_bytes() == whole.read_bytes()
 
     def test_g17_text_keeps_shape(self):
         text = _table.g17_text(np.array([[0.1, -np.inf], [1e22, 123.0]]))
