@@ -12,11 +12,8 @@ its numeric cells.  ``write_lattice_csv`` prefixes 2-D columns with their
 ``g17_fields`` formats floats block by block into text that two tables of
 the same values can share, so each value is formatted once.
 
-Files: the columns are checked before the file is opened, so a rejected
-call leaves an existing file as it was.  A file is opened as
-``open(path, "wb")`` opens it, but an existing regular file is overwritten
-in place and then cut to the new length, rather than truncated on open; it
-keeps its inode either way.
+Files: the columns are checked before the file is opened with
+``open(path, "wb")``, so a rejected call leaves an existing file as it was.
 
 Byte contract: the file is byte for byte what per-value ``'%d'`` and
 ``'%.17g'`` formatting writes.  Floats go through a numpy kernel built on
@@ -35,8 +32,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
-import stat
 
 import numpy as np
 
@@ -332,28 +327,16 @@ def _write_rows(fh, columns: list[np.ndarray]) -> None:
         fh.write(block.tobytes().translate(None, b"\0"))
 
 
-def _open_untruncated(path, flags):
-    """The opener of ``open(path, "wb")`` without ``O_TRUNC``."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 @contextlib.contextmanager
 def open_table(path, header: str):
     """Write ``header`` to ``path``; yields ``append(columns)``, which adds rows.
 
     ``append`` takes what ``write_table`` takes and writes the same rows, so
-    one table can be written in pieces, beside another.  ``path`` is opened
-    as ``wb`` opens it but not truncated: an existing regular file is
-    overwritten in place and cut at the end of the new table on exit, which
-    costs the file system less than freeing its blocks on open.
+    one table can be written in pieces, beside another.
     """
-    with open(path, "wb", opener=_open_untruncated) as fh:
-        try:
-            fh.write(header.encode() + b"\n")
-            yield lambda columns: _write_rows(fh, _checked(columns))
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        yield lambda columns: _write_rows(fh, _checked(columns))
 
 
 def write_table(path, header: str, columns) -> None:

@@ -151,28 +151,26 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         write_table(summary, "max_rel_discrepancy", [max_rel])
         paths.append(summary)
         header, r0 = "r,t,mse_dp,mse_closed,rel_discrepancy", 1
-        cf, rel = cf.reshape(-1), rel.reshape(-1)
 
-        def more_columns(r, col, text):
-            i = (r - 1) * (cfg.t_max + 1) + col - 1  # the cells' index in dp
-            return [cf[i], rel[i]]
+        def more_columns(r, t, text):
+            return [cf[r - 1, t], rel[r - 1, t]]
     else:  # packet_stream: staircase boundary, no closed form
         header, r0 = "r,t,mse_dp,boundary_staircase", 0
-        row0 = np.empty(cfg.t_max + 2, dtype=G17_FIELD)  # filled before any row r > 0 is read
+        row0 = np.empty(cfg.t_max + 1, dtype=G17_FIELD)  # filled before any row r > 0 is read
 
-        def more_columns(r, col, text):
+        def more_columns(r, t, text):
             first = r == 0
-            row0[col[first]] = text[first]
-            return [row0[col]]
+            row0[t[first]] = text[first]
+            return [row0[t]]
 
     grid_path = os.path.join(out_dir, "mse_grid.csv")
     with open_table(path, header) as append:
         # mse.csv holds the lattice cells r >= r0, t >= 0 (mse_dp); it is
         # written block by block beside mse_grid.csv, from the same text.
-        def on_block(r, col, text):
-            keep = (r >= r0) & (col >= 1)
-            r, col, text = r[keep], col[keep], text[keep]
-            append([r, col - 1, text, *more_columns(r, col, text)])
+        def on_block(r, t, text):
+            keep = (r >= r0) & (t >= 0)
+            r, t, text = r[keep], t[keep], text[keep]
+            append([r, t, text, *more_columns(r, t, text)])
 
         mse_mod.write_grid_csv(grid, grid_path, on_block)
     paths.append(grid_path)

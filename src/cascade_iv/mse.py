@@ -359,16 +359,16 @@ def write_grid_csv(grid: MseGrid, path, on_block=None) -> None:
     """Export ``r,t,mse`` rows, r-major then t (t = -1 column included).
 
     The lattice is formatted once, a block of cells at a time
-    (``_table.g17_fields``).  ``on_block(r, col, text)``, when given, is
-    called with each block after its rows are written: the cells'
-    ``values[r, col]`` indices and their ``%.17g`` text, which a table of
-    the same values written alongside takes as a text column instead of
-    formatting them again.
+    (``_table.g17_fields``).  ``on_block(r, t, text)``, when given, is
+    called with each block after its rows are written: the cells' ``r`` and
+    ``t`` (the ``r,t`` of their rows) and their ``%.17g`` text, which a
+    table of the same values written alongside takes as a text column
+    instead of formatting them again.
     """
-    n_cols = grid.t_max + 2
     with open_table(path, "r,t,mse") as append:
         for lo, text in g17_fields(grid.values.reshape(-1)):
-            r, col = np.divmod(np.arange(lo, lo + text.size), n_cols)
-            append([r, col - 1, text])
+            r, col = np.divmod(np.arange(lo, lo + text.size), grid.t_max + 2)
+            t = col - 1
+            append([r, t, text])
             if on_block is not None:
-                on_block(r, col, text)
+                on_block(r, t, text)

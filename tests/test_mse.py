@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -642,25 +641,6 @@ class TestWriteTable:
         with pytest.raises((TypeError, ValueError)):
             _table.write_table(path, "a,b", columns)
         assert path.read_bytes() == b"old,table\n1,2\n"
-
-    def test_shorter_table_leaves_no_stale_tail(self, tmp_path):
-        path = tmp_path / "t.csv"
-        _table.write_table(path, "x", [np.linspace(0.1, 1.0, 10_000)])
-        _table.write_table(path, "x", [np.array([0.5, 2.0])])
-        assert path.read_bytes() == b"x\n0.5\n2\n"
-
-    def test_rewrite_keeps_the_inode(self, tmp_path):
-        path, link = tmp_path / "t.csv", tmp_path / "link.csv"
-        _table.write_table(path, "x", [np.arange(1000)])
-        os.link(path, link)
-        inode = path.stat().st_ino
-        _table.write_table(path, "y", [np.array([7, 8])])
-        assert path.stat().st_ino == inode
-        assert link.read_bytes() == path.read_bytes() == b"y\n7\n8\n"
-
-    def test_writes_to_a_device(self):
-        # not a regular file: opened "wb", never truncated
-        _table.write_table(os.devnull, "x", [np.arange(3)])
 
     def test_open_table_appends_rows(self, tmp_path):
         values = np.concatenate([hard_doubles(), np.linspace(-3, 3, 9_000)])
