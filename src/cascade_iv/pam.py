@@ -31,7 +31,6 @@ __all__ = [
     "min_distance",
     "encode",
     "decode_bits",
-    "sample_dither",
     "dithered_decode",
     "CellErrorCounts",
     "ErrorStats",
@@ -91,34 +90,17 @@ def decode_bits(estimate, n: int) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def sample_dither(packet_bits: int, rng: np.random.Generator, size=None) -> np.ndarray | float:
-    """Uniform dither on [-D_psi/2, D_psi/2), the residual tail of a psi-bit point."""
-    half = 0.5 * min_distance(packet_bits)
-    return rng.uniform(-half, half, size=size)
+def dithered_decode(estimate, alpha, n: int, dither) -> np.ndarray:
+    """Slice ``estimate + alpha * dither`` at depth n.
 
-
-def dithered_decode(
-    estimate,
-    alpha,
-    packet_bits: int,
-    n: int,
-    rng: np.random.Generator | None = None,
-    dither=None,
-) -> np.ndarray:
-    """Slice ``estimate + alpha * U`` at depth n, with U the psi-bit dither.
-
+    ``dither`` is the psi-bit dither U, uniform on [-D_psi/2, D_psi/2).
     ``alpha`` is the coefficient multiplying the constellation point inside
-    the linear estimate and must lie in (0, 1).  ``dither`` may be supplied
-    explicitly (tests force it to 0); otherwise it is drawn from ``rng``.
+    the linear estimate and must lie in (0, 1).
     """
     alpha_arr = np.asarray(alpha, dtype=float)
     if not ((alpha_arr > 0.0) & (alpha_arr < 1.0)).all():
         raise ValueError("alpha must lie strictly inside (0, 1)")
     est = np.asarray(estimate, dtype=float)
-    if dither is None:
-        if rng is None:
-            raise ValueError("need rng when no explicit dither is given")
-        dither = sample_dither(packet_bits, rng, size=est.shape)
     return decode_bits(est + alpha_arr * np.asarray(dither, dtype=float), n)
 
 

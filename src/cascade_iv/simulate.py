@@ -40,13 +40,12 @@ keeps is an observer of the diagonals: the moments and probes of
 on and cover only the output pairs of ``probe_pairs``, so only y(0) and
 y(t-1) are kept.
 
-Decoding runs each batch through blocks of about 16 MiB of noise
-(``_BLOCK_BUDGET``; the trials per block follow from the lattice shape),
-so its memory does not grow with the batch: the captures are integer error
-counts once sliced, and each trial reads its own stream, so the counts do
-not depend on the block size.  ``run_monte_carlo`` keeps whole batches,
-because its float sums are reduced over the trials of a batch and their
-rounding depends on how the trials are grouped.
+Every caller runs its batches through one driver, ``_run_blocks``, in
+blocks of about 16 MiB of noise (``_BLOCK_BUDGET``), so memory does not
+grow with the batch.  The blocks are leaves of the pairwise tree in which
+numpy sums a row of the batch's trials, so the float sums of
+``run_monte_carlo``, added along that tree, are the bits of one
+whole-batch sum; decoding counts are integers and do not depend on it.
 """
 
 from __future__ import annotations
@@ -661,6 +660,13 @@ class _Moments:
             "y2y2_sum": np.zeros((r_max, n_pairs)),
         }
 
+    def join(self, other: "_Moments") -> "_Moments":
+        """Add in the sums of ``other``, whose trials follow these."""
+        for key, value in other.sums.items():
+            mine = self.sums[key]
+            self.sums[key] = max(mine, value) if key == "identity_max" else mine + value
+        return self
+
     def _scatter(self, key: str, d: int, lo: int, hi: int, values: np.ndarray) -> None:
         """Per-row sums of ``values`` into cells (n, d - n), n = lo..hi-1, of ``sums[key]``."""
         _diagonal(self.sums[key], d, lo, hi)[...] = values.sum(axis=1)
@@ -718,20 +724,57 @@ class _Moments:
         prev[lo:hi] = est[lo:hi]
 
 
+# Noise bytes of one block, about 2k trials on the criterion-8 lattice; a
+# block may exceed it only at numpy's leaf of 128 values, summed in one pass.
+_BLOCK_BUDGET = 16 << 20
+_PAIRWISE_LEAF = 128
+
+
+def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
+                start_trial: int, count: int, leaf, join=None, hops: bool = False,
+                n_dither: int = 0, dither_half: float = 0.0):
+    """Draw and sweep ``count`` trials in blocks cut by ``_pairwise``.
+
+    Each block is drawn into one reused noise buffer; ``leaf(trials, src, z,
+    dither)``, given its slice of the batch, returns its ``_sweep`` observer.
+    """
+    r_max, T = gains.r_max, gains.t_max + 1
+    size = max(_BLOCK_BUDGET // (8 * r_max * T), _PAIRWISE_LEAF)
+    noise = np.empty(r_max * T * min(size, count))
+    plan = _wavefront(gains)
+
+    def block(first, n):
+        src, z, dither = _draw_inputs(source, noise_kind, master_seed, start_trial + first, n,
+                                      r_max, gains.t_max, n_dither, dither_half,
+                                      noise[: r_max * T * n].reshape(r_max, T, n))
+        observer = leaf(slice(first, first + n), src, z, dither)
+        _sweep(plan, src.shat0, z, observer, start_trial + first, hops)
+        return observer
+
+    return _pairwise(block, join, size, 0, count)
+
+
+def _pairwise(block, join, size, first, n):
+    """``block(first, n)``, or, above ``size``, the halves where numpy's pairwise
+    sum splits a row of n values, cut again and joined by ``join`` (None without).
+
+    This is not nested in ``_run_blocks``: a closure that calls itself is a
+    reference cycle, which would hold the noise buffer until gc collects it.
+    """
+    if n <= size:
+        return block(first, n)
+    half = n // 2 - n // 2 % 8
+    left = _pairwise(block, join, size, first, half)
+    right = _pairwise(block, join, size, first + half, n - half)
+    return join(left, right) if join else None
+
+
 def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
                     start_trial: int, count: int) -> dict:
     """Run ``count`` trials and return partial sums (see run_monte_carlo)."""
-    src, z, _ = _draw_inputs(source, noise_kind, master_seed, start_trial, count,
-                             gains.r_max, gains.t_max)
-    moments = _Moments(gains, src.s, z)
-    _sweep(_wavefront(gains), src.shat0, z, moments, start_trial, hops=True)
-    return moments.sums
-
-
-# Noise bytes of one decoding block.  A decoding batch draws, sweeps and
-# captures its trials in blocks of this much noise, so its memory depends on
-# the lattice shape only; about 2k trials on the criterion-8 lattice.
-_BLOCK_BUDGET = 16 << 20
+    return _run_blocks(gains, source, noise_kind, master_seed, start_trial, count,
+                       lambda trials, src, z, dither: _Moments(gains, src.s, z),
+                       _Moments.join, hops=True).sums
 
 
 def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
@@ -746,37 +789,28 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     ``pam.tally_errors`` reads both as contiguous bit rows.  Every trial
     reads its own stream, so the results do not depend on the block size.
     """
-    r_max, t_max = gains.r_max, gains.t_max
-    block = max(1, _BLOCK_BUDGET // (8 * r_max * (t_max + 1)))
     captures = np.empty((len(cells), count))
     dither = np.empty((count, n_dither)) if n_dither else None
-    bits = None
+    bits = []
     by_e: dict[int, list[tuple[int, int]]] = {}
     for idx, (r, t) in enumerate(cells):
         by_e.setdefault(r + t, []).append((idx, r))
-    # one noise buffer and one gain plan for every block
-    noise = np.empty(r_max * (t_max + 1) * min(block, count))
-    plan = _wavefront(gains)
-    for first in range(0, count, block):
-        trials = slice(first, min(first + block, count))
-        n = trials.stop - first
-        src, z, block_dither = _draw_inputs(
-            source, noise_kind, master_seed, start_trial + first, n, r_max, t_max,
-            n_dither, dither_half, noise[: r_max * (t_max + 1) * n].reshape(r_max, t_max + 1, n),
-        )
+
+    def leaf(trials, src, z, block_dither):
         if src.bits is not None:
-            if bits is None:
-                bits = np.empty((src.bits.shape[1], count), dtype=src.bits.dtype)
-            bits[:, trials] = src.bits.T
+            bits.append(src.bits.T)
         if dither is not None:
             dither[trials] = block_dither
 
-        def capture(e, lo, hi, est, x, y, trials=trials):
+        def capture(e, lo, hi, est, x, y):
             for idx, r in by_e.get(e, ()):
                 captures[idx, trials] = est[r]
 
-        _sweep(plan, src.shat0, z, capture, start_trial + first)
-    return None if bits is None else bits.T, captures, dither
+        return capture
+
+    _run_blocks(gains, source, noise_kind, master_seed, start_trial, count, leaf,
+                n_dither=n_dither, dither_half=dither_half)
+    return np.concatenate(bits, axis=1).T if bits else None, captures, dither
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -902,7 +936,7 @@ def run_monte_carlo(
     error-covariance identity differences.  Trial i always uses the stream
     (master_seed, i); batches have a fixed size and are merged in index
     order with compensated summation, so the aggregate is bit-identical for
-    any thread count.
+    any thread count.  Memory holds one block of noise per worker.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
@@ -979,10 +1013,10 @@ def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
     inputs x and outputs y, and the (r_max, T) noise.
     """
     r_max, T = gains.r_max, gains.t_max + 1
-    src, z, _ = _draw_inputs(source, noise_kind, master_seed, trial_index, 1, r_max, gains.t_max)
     est = np.empty((r_max + 1, T))
     x = np.empty((r_max, T))
     y = np.empty((r_max, T))
+    inputs = []
 
     def record(e, lo, hi, state, hop_x, hop_y):
         _diagonal(est, e, lo, hi)[...] = state[lo:hi, 0]
@@ -990,8 +1024,12 @@ def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
         _diagonal(x, e - 1, h0, h1)[...] = hop_x[h0:h1, 0]
         _diagonal(y, e - 1, h0, h1)[...] = hop_y[h0:h1, 0]
 
-    _sweep(_wavefront(gains), src.shat0, z, record, trial_index, hops=True)
-    return src, est, x, y, z[..., 0]
+    def leaf(trials, src, z, dither):
+        inputs.extend((src, z[..., 0]))
+        return record
+
+    _run_blocks(gains, source, noise_kind, master_seed, trial_index, 1, leaf, hops=True)
+    return inputs[0], est, x, y, inputs[1]
 
 
 def run_trial(
@@ -1076,13 +1114,7 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
         else:  # packet_dithered
             n = decode.decode_bits_n
             truth = bits[:, :n]
-            dith = pam.dithered_decode(
-                caps[idx],
-                decode.alphas[idx],
-                decode.packet_bits,
-                n,
-                dither=dither[:, idx],
-            )
+            dith = pam.dithered_decode(caps[idx], decode.alphas[idx], n, dither[:, idx])
             plain = pam.decode_bits(caps[idx], n)
             pam.tally_errors(primary, dith, truth, r, t, n, gains.t_max + 1)
             pam.tally_errors(secondary, plain, truth, r, t, n, gains.t_max + 1)

@@ -534,6 +534,15 @@ class TestSimulateBytePins:
         assert got == want
 
 
+class TestSimulateBytePinsInLeafBlocks(TestSimulateBytePins):
+    """The same digests with every batch cut into blocks of at most 128 trials."""
+
+    @pytest.fixture(autouse=True)
+    def leaf_blocks(self, monkeypatch):
+        # a budget below one trial leaves only numpy's 128-value floor
+        monkeypatch.setattr(sim, "_BLOCK_BUDGET", 0)
+
+
 class TestCensored:
     def test_threshold_is_ten_expected_errors(self):
         # 10 errors in 400 trials is reported; 9 is censored

@@ -187,21 +187,14 @@ class TestDitheredDecode:
         rng = np.random.default_rng(0)
         est = rng.uniform(-1.5, 1.5, size=64)
         plain = pam.decode_bits(est, 4)
-        dith = pam.dithered_decode(est, alpha=0.7, packet_bits=8, n=4, dither=np.zeros(64))
+        dith = pam.dithered_decode(est, alpha=0.7, n=4, dither=np.zeros(64))
         assert np.array_equal(plain, dith)
-
-    def test_dither_range(self):
-        rng = np.random.default_rng(1)
-        d = pam.sample_dither(5, rng, size=10_000)
-        half = 0.5 * pam.min_distance(5)
-        assert (d >= -half).all() and (d < half).all()
-        assert abs(d.mean()) < half / 20
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            pam.dithered_decode(0.3, alpha=1.0, packet_bits=4, n=2, dither=0.0)
+            pam.dithered_decode(0.3, alpha=1.0, n=2, dither=0.0)
         with pytest.raises(ValueError):
-            pam.dithered_decode(0.3, alpha=0.0, packet_bits=4, n=2, dither=0.0)
+            pam.dithered_decode(0.3, alpha=0.0, n=2, dither=0.0)
 
     def test_deep_packet_statistics_match_uniform_source(self):
         # S^psi + U^psi is uniform on [-sqrt3, sqrt3): for psi large the
@@ -211,7 +204,8 @@ class TestDitheredDecode:
         bits = rng.integers(0, 2, size=(20_000, psi))
         w = SQRT3 * np.exp2(-(np.arange(psi) + 1.0))
         s_fin = ((1 - 2 * bits) * w).sum(axis=1)
-        u = pam.sample_dither(psi, rng, size=20_000)
+        half = 0.5 * pam.min_distance(psi)
+        u = rng.uniform(-half, half, size=20_000)
         s = s_fin + u
         assert abs(s.mean()) < 0.02
         assert np.var(s) == pytest.approx(1.0, abs=0.02)
@@ -220,10 +214,6 @@ class TestDitheredDecode:
         cdf = (xs + SQRT3) / (2 * SQRT3)
         emp = np.arange(1, xs.size + 1) / xs.size
         assert np.abs(emp - cdf).max() < 0.015
-
-    def test_requires_rng_or_dither(self):
-        with pytest.raises(ValueError):
-            pam.dithered_decode(0.1, alpha=0.5, packet_bits=3, n=2)
 
 
 class TestErrorStats:

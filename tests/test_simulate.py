@@ -1,5 +1,6 @@
 import dataclasses
 import concurrent.futures
+import gc
 import hashlib
 import math
 import multiprocessing
@@ -268,6 +269,37 @@ class TestRegressionPins:
         )
 
 
+class TestRegressionPinsInLeafBlocks(TestRegressionPins):
+    """The same pins with every batch cut into blocks of at most 128 trials.
+
+    Each batch of 1,000 then runs as eight blocks, whose sums
+    ``_Moments.join`` adds along numpy's pairwise tree.
+    """
+
+    @pytest.fixture(autouse=True)
+    def leaf_blocks(self, monkeypatch):
+        # a budget below one trial leaves only numpy's 128-value floor
+        monkeypatch.setattr(sim, "_BLOCK_BUDGET", 0)
+
+    @pytest.mark.parametrize("noise", sim.NOISE_KINDS)
+    def test_single_batch_matches_time_major(self, noise, monkeypatch):
+        gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 6, 20))
+        source, draw, blocks = sim.PacketStreamSource(2, 2), sim._draw_inputs, []
+
+        def counting_draw(source, noise_kind, master_seed, start, count, *args):
+            blocks.append(count)
+            return draw(source, noise_kind, master_seed, start, count, *args)
+
+        def aggregate():
+            return sim.run_monte_carlo(gains, source, noise, 300, 17, batch_size=300, threads=1)
+
+        monkeypatch.setattr(sim, "_draw_inputs", counting_draw)
+        agg = aggregate()
+        assert blocks == [72, 72, 72, 84]  # 300 = (72 + 72) + (72 + 84)
+        monkeypatch.setattr(sim, "_simulate_batch", _time_major_simulate_batch)
+        assert _aggregate_digest(agg) == _aggregate_digest(aggregate())
+
+
 # ---------------------------------------------------------------------------
 # Time-major reference engine
 # ---------------------------------------------------------------------------
@@ -418,7 +450,7 @@ def _time_major_captures(gains, source, noise_kind, master_seed, start, count, c
 
 
 def _set_block(monkeypatch, gains, trials):
-    """Make a decoding block of ``gains``' lattice hold ``trials`` trials."""
+    """Give a block of ``gains``' lattice a budget of ``trials`` trials (128 at the least)."""
     monkeypatch.setattr(sim, "_BLOCK_BUDGET", trials * 8 * gains.r_max * (gains.t_max + 1))
 
 
@@ -493,6 +525,70 @@ class TestWavefrontMatchesTimeMajor:
         self._check(gains, sim.KnownSampleSource(), "gaussian", monkeypatch, trials=40)
 
 
+def _tree_blocks(n, trials):
+    """Trials per block of a batch of ``n`` at a budget of ``trials`` a block.
+
+    numpy sums a row of more than 128 values as the sum of its first
+    n//2 - (n//2) % 8 values plus the sum of the rest; a batch is cut at
+    those splits until its blocks fit the budget or reach 128 trials.
+    """
+    if n <= max(trials, 128):
+        return [n]
+    half = n // 2 - n // 2 % 8
+    return _tree_blocks(half, trials) + _tree_blocks(n - half, trials)
+
+
+class _RowSums:
+    """A ``_sweep`` observer that ignores the sweep and carries its block's row sums."""
+
+    def __init__(self, sums):
+        self.sums = sums
+
+    def __call__(self, *diagonal):
+        pass
+
+    def join(self, other):
+        return _RowSums(self.sums + other.sums)
+
+
+class TestPairwiseTree:
+    """Per-block row sums added along the driver's cuts equal ``sum(axis=1)``.
+
+    This pins numpy's summation order, on which the bytes of every
+    ``run_monte_carlo`` aggregate rest: a change to numpy's pairwise kernel
+    fails here instead of silently moving them.
+    """
+
+    @pytest.mark.parametrize("n", [129, 1_000, 5_000, 12_345, 20_000, 20_001, 99_999])
+    def test_joined_block_sums_equal_the_batch_sum(self, n, monkeypatch):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 1, 0))
+        rng = np.random.default_rng(n)
+        a = np.empty((3, n))
+        a[0] = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)  # mixed signs and scales
+        a[1] = -0.0
+        a[2] = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        want = a.sum(axis=1)
+
+        def zero_draw(source, noise_kind, master_seed, start, count, r_max, t_max, *args):
+            out = args[-1]
+            out.fill(0.0)
+            return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((count, t_max + 1))), out, None
+
+        monkeypatch.setattr(sim, "_draw_inputs", zero_draw)
+        for trials in (1, 64, 127, 128, 129, 136, 200, 256, 1_000, 1_024, 2_047, 4_096):
+            _set_block(monkeypatch, gains, trials)
+            blocks = []
+
+            def leaf(block, src, z, dither):
+                blocks.append(block.stop - block.start)
+                # a fresh C-contiguous slab, as the engine's observers sum
+                return _RowSums(np.ascontiguousarray(a[:, block]).sum(axis=1))
+
+            got = sim._run_blocks(gains, None, "zero", 0, 0, n, leaf, _RowSums.join).sums
+            assert blocks == _tree_blocks(n, trials)
+            assert _same_bits(got, want), trials
+
+
 class TestBlockIndependence:
     """Decoding counts do not depend on how a batch is cut into blocks."""
 
@@ -519,9 +615,10 @@ class TestBlockIndependence:
             gains, source, noise, 2_500, seed, cells, spec, batch_size=1_000, threads=threads
         )
         calls, trials, largest = counts[:]
-        # batches of 1,000, 1,000 and 500 trials, each cut into blocks
-        assert trials == 2_500 and largest == block
-        assert calls == 2 * -(-1_000 // block) + -(-500 // block)
+        # batches of 1,000, 1,000 and 500 trials, each cut along numpy's pairwise tree
+        blocks = 2 * _tree_blocks(1_000, block) + _tree_blocks(500, block)
+        assert trials == 2_500 and largest == max(blocks)
+        assert calls == len(blocks)
         got = (_rows_digest(primary), secondary and _rows_digest(secondary))
         assert got == TestRegressionPins.PINNED_ROWS[kind]
 
@@ -750,12 +847,12 @@ class TestProbeReference:
         np.testing.assert_allclose(agg.y_cov_stderr, stderr, rtol=1e-12, atol=0)
 
 
-def test_probe_memory_stays_near_the_noise_buffer():
-    # the noise of one batch is the one O(r_max T B) array; the probes add
-    # O(r_max B), not a second (r_max, T, B) output buffer
+def test_probe_memory_is_bounded_by_blocks():
+    # a batch holds one block of noise; the probes add O(r_max B) per
+    # block, not a second (r_max, T, B) output buffer
     gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 12, 200))
-    batch = 2_000
-    noise_bytes = 12 * 201 * batch * 8
+    batch = 5_000
+    batch_noise = 12 * 201 * batch * 8  # what one whole-batch sweep held: 96 MB
     tracemalloc.start()
     try:
         sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", batch, 1,
@@ -763,7 +860,25 @@ def test_probe_memory_stays_near_the_noise_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * noise_bytes, peak / noise_bytes
+    assert peak <= 1.5 * sim._BLOCK_BUDGET < batch_noise / 3, peak
+
+
+def test_batches_leave_no_reference_cycles():
+    # a reference cycle through a batch's closures keeps its noise buffer
+    # and captures alive until the cyclic collector runs, which may be many
+    # batches later
+    gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 4, 9))
+    source, spec = sim.PacketStreamSource(2, 2), sim.DecodeSpec("stream", 2, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run_monte_carlo(gains, source, "gaussian", 3_000, 1, threads=1)
+        sim.run_decoding_monte_carlo(gains, source, "gaussian", 3_000, 1, [(2, 3)], spec,
+                                     threads=1)
+        sim.run_trial(gains, source, "gaussian", 1, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestSources:
