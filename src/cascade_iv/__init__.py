@@ -12,7 +12,6 @@ from .params import (
     Velocity,
     make_channel_params,
     make_stream_params,
-    stream_params_from_rate,
     translate_velocity,
 )
 from .mse import (
@@ -21,13 +20,10 @@ from .mse import (
     PacketStreamBoundary,
     SequenceBoundary,
     SingleSampleBoundary,
-    closed_form_single,
-    closed_form_streaming,
     solve_grid,
 )
 from .exponents import (
     ExponentCurve,
-    binary_entropy,
     delta_star,
     e1,
     e2,

@@ -353,16 +353,16 @@ def write_table(path, header: str, columns) -> None:
         append(columns)
 
 
-def write_lattice_csv(path, header: str, columns, r0: int = 0, t0: int = 0) -> None:
+def write_lattice_csv(path, header: str, columns) -> None:
     """Write 2-D lattice arrays as ``r,t,v1,v2,...`` CSV rows, r-major then t.
 
     ``columns`` are arrays of one shape ``(n_r, n_t)``; the row for element
-    ``[i, j]`` is ``"%d,%d" % (r0 + i, t0 + j)`` followed by each column's
-    element, formatted by ``write_table``.
+    ``[r, t]`` is ``"%d,%d" % (r, t)`` followed by each column's element,
+    formatted by ``write_table``.
     """
     n_r, n_t = np.shape(columns[0])
-    r = np.broadcast_to(np.arange(r0, r0 + n_r)[:, None], (n_r, n_t))
-    t = np.broadcast_to(np.arange(t0, t0 + n_t), (n_r, n_t))
+    r = np.broadcast_to(np.arange(n_r)[:, None], (n_r, n_t))
+    t = np.broadcast_to(np.arange(n_t), (n_r, n_t))
     write_table(path, header, [r, t, *columns])
 
 

@@ -232,13 +232,12 @@ def simulate_verdicts(cfg: ExperimentConfig, agg: sim.MonteCarloAggregate, grid)
     ]
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     channel = make_channel_params(cfg.snr)
     source = _source_for(cfg)
     grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, cfg.t_max)
     gains = sim.precompute_gains(grid)
-    agg = sim.run_monte_carlo(gains, source, cfg.noise, cfg.num_trials, cfg.master_seed,
-                              threads=threads)
+    agg = sim.run_monte_carlo(gains, source, cfg.noise, cfg.num_trials, cfg.master_seed)
     # node r_max transmits on no simulated hop: its power cells are empty
     power = np.concatenate([g17_text(agg.power_mean), np.full((1, cfg.t_max + 1), "")])
     path = os.path.join(out_dir, "simulate.csv")
@@ -248,19 +247,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int | None = None
 
     verdicts = simulate_verdicts(cfg, agg, grid)
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(verdicts, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths = [path, report_path]
-    failures = [v for v in verdicts if not v["passed"]]
-    if failures:
-        fail_path = os.path.join(out_dir, "failures.json")
-        with open(fail_path, "w") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(fail_path)
-        raise VerificationFailure(paths, failures)
-    return paths
+    _write_json(report_path, verdicts)
+    _raise_failures(verdicts, [path, report_path], out_dir)
+    return [path, report_path]
 
 
 class VerificationFailure(RuntimeError):
@@ -270,13 +259,29 @@ class VerificationFailure(RuntimeError):
         self.failures = failures
 
 
+def _write_json(path: str, checks: list[dict]) -> None:
+    """``checks`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(checks, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _raise_failures(checks: list[dict], paths: list[str], out_dir: str) -> None:
+    """If any of ``checks`` failed, write them to failures.json and raise VerificationFailure."""
+    failures = [c for c in checks if not c["passed"]]
+    if failures:
+        fail_path = os.path.join(out_dir, "failures.json")
+        _write_json(fail_path, failures)
+        raise VerificationFailure([*paths, fail_path], failures)
+
+
 def _censored(rates, n) -> np.ndarray:
     """Error rates over ``n`` trials as text, ``<10/n`` below ten expected errors."""
     threshold = 10.0 / np.asarray(n, dtype=float)
     return np.where(rates < threshold, np.char.add("<", g17_text(threshold)), g17_text(rates))
 
 
-def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
+def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     if cfg.packet_bits is None:
         raise ValueError("packet command requires packet_bits")
     if cfg.r_max < 2:
@@ -289,17 +294,17 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
     r_list = list(range(2, cfg.r_max + 1))
     cells = [(r, math.floor(r / v)) for r in r_list]
     t_max = max(t for _, t in cells)
-    grid = mse_mod.solve_grid(channel, mse_mod.SingleSampleBoundary(), cfg.r_max, t_max)
+    source = sim.SinglePacketSource(cfg.packet_bits)
+    grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, t_max)
     gains = sim.precompute_gains(grid)
     stats, _ = sim.run_decoding_monte_carlo(
         gains,
-        sim.SinglePacketSource(cfg.packet_bits),
+        source,
         cfg.noise,
         cfg.num_trials,
         cfg.master_seed,
         cells,
         sim.DecodeSpec(kind="packet", packet_bits=cfg.packet_bits),
-        threads=threads,
     )
     rows = []
     for r, t in cells:
@@ -329,7 +334,7 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
     return [path]
 
 
-def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> list[str]:
+def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     if cfg.packet_bits is None or cfg.period is None:
         raise ValueError("stream command requires packet_bits and period")
     if cfg.r_max < 4:
@@ -349,18 +354,14 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
             )
         velocities = [0.5 * xp.iv_lower_bound_stream(channel, stream.rate_nats)]
 
+    source = sim.PacketStreamSource(cfg.packet_bits, cfg.period)
     paths = []
     for vi, v in enumerate(velocities):
         r_list = [r for r in range(4, cfg.r_max + 1, 4)]
         tau_cap = 8
         deltas = {r: math.floor(r / v) for r in r_list}
         t_max = tau_cap * cfg.period + max(deltas.values())
-        grid = mse_mod.solve_grid(
-            channel,
-            mse_mod.PacketStreamBoundary(cfg.packet_bits, cfg.period),
-            cfg.r_max,
-            t_max,
-        )
+        grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, t_max)
         gains = sim.precompute_gains(grid)
         cells = []
         for r in r_list:
@@ -370,13 +371,12 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) 
                     cells.append((r, t))
         stats, _ = sim.run_decoding_monte_carlo(
             gains,
-            sim.PacketStreamSource(cfg.packet_bits, cfg.period),
+            source,
             cfg.noise,
             cfg.num_trials,
             cfg.master_seed,
             cells,
             sim.DecodeSpec(kind="stream", packet_bits=cfg.packet_bits, period=cfg.period),
-            threads=threads,
         )
         suffix = f"_v{vi}" if len(velocities) > 1 else ""
         err_path = os.path.join(out_dir, f"stream_errors{suffix}.csv")
@@ -496,19 +496,11 @@ def _verify_checks() -> list[dict]:
 def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     checks = _verify_checks()
     path = os.path.join(out_dir, "verify.json")
-    with open(path, "w") as fh:
-        json.dump(checks, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, checks)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['check']}" + (f": {c['detail']}" if c["detail"] else ""))
-    failures = [c for c in checks if not c["passed"]]
-    if failures:
-        fail_path = os.path.join(out_dir, "failures.json")
-        with open(fail_path, "w") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        raise VerificationFailure([path, fail_path], failures)
+    _raise_failures(checks, [path], out_dir)
     return [path]
 
 
@@ -547,13 +539,10 @@ def main(argv=None) -> int:
             overrides["num_trials"] = args.trials
         if args.convention is not None:
             overrides["convention"] = args.convention
-        if args.command == "packet" and cfg.scheme != "single_packet" and not args.config:
-            overrides.setdefault("scheme", "single_packet")
-            overrides.setdefault("packet_bits", 2)
-        if args.command == "stream" and cfg.scheme != "packet_stream" and not args.config:
-            overrides.setdefault("scheme", "packet_stream")
-            overrides.setdefault("packet_bits", 2)
-            overrides.setdefault("period", 2)
+        if args.command == "packet" and not args.config:
+            overrides.update(scheme="single_packet", packet_bits=2)
+        if args.command == "stream" and not args.config:
+            overrides.update(scheme="packet_stream", packet_bits=2, period=2)
         if overrides:
             cfg = replace(cfg, **overrides)
         if args.command in ("simulate", "packet", "stream"):

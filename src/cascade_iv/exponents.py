@@ -44,7 +44,6 @@ from .params import ChannelParams, HopConvention, Velocity, eta_factor, translat
 
 __all__ = [
     "RateAboveCapacityError",
-    "binary_entropy",
     "kl_divergence",
     "e1",
     "es",
@@ -70,13 +69,6 @@ class RateAboveCapacityError(ValueError):
 
 def _xlogy(x: float, y: float) -> float:
     return 0.0 if x == 0.0 else x * math.log(y)
-
-
-def binary_entropy(p: float) -> float:
-    """h(p) in nats, with the 0 log 0 = 0 convention at p in {0, 1}."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return -_xlogy(p, p) - _xlogy(1.0 - p, 1.0 - p)
 
 
 def kl_divergence(p: float, q: float) -> float:
@@ -171,33 +163,30 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def packet_error_bound_chebyshev(mse: float, packet_bits: int, clamp: bool = True) -> float:
+def packet_error_bound_chebyshev(mse: float, packet_bits: int) -> float:
     """Chebyshev packet-error bound (1/3) 2^(2 psi) mse for any unit-variance noise."""
     if mse < 0.0 or packet_bits < 1:
         raise ValueError("need mse >= 0 and packet_bits >= 1")
-    raw = (2.0 ** (2 * packet_bits)) * mse / 3.0
-    return _clamp01(raw) if clamp else raw
+    return _clamp01((2.0 ** (2 * packet_bits)) * mse / 3.0)
 
 
-def packet_error_bound_gaussian(mse: float, packet_bits: int, clamp: bool = True) -> float:
+def packet_error_bound_gaussian(mse: float, packet_bits: int) -> float:
     """Chernoff-Hoeffding packet-error bound 2 exp(-3 / (2^(2 psi + 1) mse)) for (sub-)Gaussian noise."""
     if mse < 0.0 or packet_bits < 1:
         raise ValueError("need mse >= 0 and packet_bits >= 1")
     if mse == 0.0:
         return 0.0
-    raw = 2.0 * math.exp(-3.0 / (2.0 ** (2 * packet_bits + 1) * mse))
-    return _clamp01(raw) if clamp else raw
+    return _clamp01(2.0 * math.exp(-3.0 / (2.0 ** (2 * packet_bits + 1) * mse)))
 
 
-def prefix_error_bound(mse: float, n_bits: int, clamp: bool = True) -> float:
+def prefix_error_bound(mse: float, n_bits: int) -> float:
     """Dithered-decoder bound (2/sqrt 3) 2^n sqrt(mse) on an n-bit prefix error.
 
     Holds uniformly in the total packet size; n counts the decoded bits.
     """
     if mse < 0.0 or n_bits < 0:
         raise ValueError("need mse >= 0 and n_bits >= 0")
-    raw = (2.0 / math.sqrt(3.0)) * (2.0**n_bits) * math.sqrt(mse)
-    return _clamp01(raw) if clamp else raw
+    return _clamp01((2.0 / math.sqrt(3.0)) * (2.0**n_bits) * math.sqrt(mse))
 
 
 def stream_envelope_exponent(channel: ChannelParams, rate_nats: float, v: float) -> float:
@@ -222,18 +211,16 @@ def stream_envelope_exponent(channel: ChannelParams, rate_nats: float, v: float)
 
 
 def worst_bit_error_bound(grid, packet_bits: int, period: int, r: int, delta: int,
-                          tau_max: int | None = None) -> float:
+                          tau_max: int) -> float:
     """Exact finite-delay bound on the worst-bit error P_e(r, delta).
 
-    Maximizes, over packet indices tau with tau*period + delta inside the
-    grid, the clamped (tau+1)*psi-bit prefix bound evaluated on the exact
-    lattice MSE.  ``grid`` must expose ``at(r, t)`` and ``t_max``.
+    Maximizes, over packet indices tau <= tau_max with tau*period + delta
+    inside the grid, the clamped (tau+1)*psi-bit prefix bound evaluated on
+    the exact lattice MSE.  ``grid`` must expose ``at(r, t)`` and ``t_max``.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    taus = range(0, (grid.t_max - delta) // period + 1)
-    if tau_max is not None:
-        taus = range(0, min(tau_max + 1, (grid.t_max - delta) // period + 1))
+    taus = range(0, min(tau_max + 1, (grid.t_max - delta) // period + 1))
     best = None
     for tau in taus:
         t = tau * period + delta
@@ -285,14 +272,6 @@ class ExponentCurve:
         if self.rate_nats is None:
             return self.kind
         return f"{self.kind}(R={self.rate_nats!r})"
-
-    def per_time_values(self) -> np.ndarray:
-        """The same exponents measured per time step instead of per relay.
-
-        Along t = floor(r/v) trajectories the two normalizations differ by a
-        factor v; the per-time form stays finite as v -> 0 (v * ES -> 2R).
-        """
-        return self.velocities * self.values
 
 
 def sample_exponent_curve(

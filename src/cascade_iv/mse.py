@@ -29,9 +29,7 @@ Closed forms are evaluated in the log domain because the binomial factors
 overflow float64 long before r = t = 200.  Log-binomials at integer
 arguments index one table of ln k!, built as a Neumaier-compensated running
 sum of ln k (within one ulp of the exact value for k <= 4000), and sums of
-exponentials go through ``np.logaddexp``.  Linear wrappers may underflow to
-0.0; callers comparing values below ~1e-300 should use the ``log_*``
-variants.
+exponentials go through ``np.logaddexp``.
 """
 
 from __future__ import annotations
@@ -58,9 +56,7 @@ __all__ = [
     "MseGrid",
     "solve_grid",
     "log_closed_form_single",
-    "closed_form_single",
     "log_closed_form_streaming",
-    "closed_form_streaming",
     "log_closed_form_single_grid",
     "log_closed_form_streaming_grid",
     "write_grid_csv",
@@ -73,14 +69,12 @@ UNDERFLOW_LINEAR = 1e-300
 
 
 class GridSizeError(ValueError):
-    """Requested grid exceeds the configured cell-count cap."""
+    """Requested grid has more than ``DEFAULT_CELL_CAP`` cells."""
 
 
 @dataclass(frozen=True)
 class SingleSampleBoundary:
     """Source known perfectly at the transmitter from t = 0 on."""
-
-    kind = "single_sample"
 
     def profile(self, t_max: int) -> np.ndarray:
         return np.zeros(t_max + 1)
@@ -91,7 +85,6 @@ class ExponentialRefinementBoundary:
     """Transmitter-side MSE exp(-2 R (t+1)), the fixed-rate refinement idealization."""
 
     rate_nats: float
-    kind = "exponential_refinement"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate_nats) or self.rate_nats <= 0.0:
@@ -113,7 +106,6 @@ class PacketStreamBoundary:
 
     packet_bits: int
     period: int
-    kind = "packet_stream"
 
     def __post_init__(self) -> None:
         if self.packet_bits < 1 or self.period < 1:
@@ -129,7 +121,6 @@ class SequenceBoundary:
     """Explicit boundary row M_0(t), for caller-supplied refinement profiles."""
 
     values: tuple
-    kind = "sequence"
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -179,7 +170,6 @@ def solve_grid(
     boundary: BoundaryCondition,
     r_max: int,
     t_max: int,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> MseGrid:
     """Solve the lattice by dynamic programming in O(r_max * t_max).
 
@@ -204,8 +194,8 @@ def solve_grid(
     if r_max < 1 or t_max < 0:
         raise ValueError("need r_max >= 1 and t_max >= 0")
     n_cells = (r_max + 1) * (t_max + 2)
-    if n_cells > cell_cap:
-        raise GridSizeError(f"grid of {n_cells} cells exceeds cap {cell_cap}")
+    if n_cells > DEFAULT_CELL_CAP:
+        raise GridSizeError(f"grid of {n_cells} cells exceeds cap {DEFAULT_CELL_CAP}")
 
     pbar = channel.snr_bar
     qbar = 1.0 - pbar
@@ -276,11 +266,6 @@ def log_closed_form_single(channel: ChannelParams, r: int, t: int) -> float:
     return (t + 1) * math.log1p(-pbar) + float(np.logaddexp.reduce(terms))
 
 
-def closed_form_single(channel: ChannelParams, r: int, t: int) -> float:
-    """Linear-domain wrapper; may underflow to 0.0 for deep cells."""
-    return math.exp(log_closed_form_single(channel, r, t))
-
-
 def log_closed_form_streaming(
     channel: ChannelParams, rate_nats: float, r: int, t: int
 ) -> tuple[float, float]:
@@ -307,13 +292,6 @@ def log_closed_form_streaming(
     )
     log_ii = r * math.log(pbar) + float(np.logaddexp.reduce(terms))
     return log_closed_form_single(channel, r, t), log_ii
-
-
-def closed_form_streaming(
-    channel: ChannelParams, rate_nats: float, r: int, t: int
-) -> tuple[float, float]:
-    log_i, log_ii = log_closed_form_streaming(channel, rate_nats, r, t)
-    return math.exp(log_i), math.exp(log_ii)
 
 
 def log_closed_form_single_grid(

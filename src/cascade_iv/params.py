@@ -29,7 +29,6 @@ __all__ = [
     "make_channel_params",
     "make_stream_params",
     "eta_factor",
-    "stream_params_from_rate",
     "translate_velocity",
 ]
 
@@ -80,8 +79,8 @@ class StreamParams:
     capacity are allowed (eta >= 1) and flagged via ``below_capacity``.
     """
 
-    packet_bits: int | None
-    period: int | None
+    packet_bits: int
+    period: int
     rate_nats: float
     eta: float
 
@@ -100,19 +99,6 @@ def make_stream_params(packet_bits: int, period: int, channel: ChannelParams) ->
     return StreamParams(
         packet_bits=int(packet_bits),
         period=int(period),
-        rate_nats=rate,
-        eta=eta_factor(channel, rate),
-    )
-
-
-def stream_params_from_rate(rate_nats: float, channel: ChannelParams) -> StreamParams:
-    """Continuous-rate surrogate without a packet structure (rate 0 allowed)."""
-    rate = float(rate_nats)
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate_nats must be finite and >= 0, got {rate_nats!r}")
-    return StreamParams(
-        packet_bits=None,
-        period=None,
         rate_nats=rate,
         eta=eta_factor(channel, rate),
     )

@@ -163,17 +163,15 @@ class _TrialStreams:
     and draws from the generator it is handed.  When it asks for the next
     trial, the current trial's noise and dither are drawn; ``finish`` draws
     them for the trials the source did not iterate over.  Noise lands in
-    ``noise``, a trial-contiguous (r_max, T, B) array (``out`` when given),
-    so the recursion reads each hop cell as one contiguous vector.
+    ``noise``, the caller's trial-contiguous (r_max, T, B) array ``out``, so
+    the recursion reads each hop cell as one contiguous vector.
     """
 
-    def __init__(self, master_seed, start, count, noise_kind, noise_shape,
-                 n_dither=0, dither_half=0.0, out=None):
-        shape = tuple(noise_shape)
-        self.count = count
-        self.noise = np.empty(shape + (count,)) if out is None else out
-        self.dither = np.empty((count, n_dither)) if n_dither else None
-        self._trials = self._draw(master_seed, start, noise_kind, shape, dither_half)
+    def __init__(self, master_seed, start, noise_kind, out, n_dither=0, dither_half=0.0):
+        self.count = out.shape[-1]
+        self.noise = out
+        self.dither = np.empty((self.count, n_dither)) if n_dither else None
+        self._trials = self._draw(master_seed, start, noise_kind, out.shape[:-1], dither_half)
         self._iterated = False
 
     def __len__(self) -> int:
@@ -215,17 +213,16 @@ class _TrialStreams:
             self.noise[..., lo : lo + n] = np.moveaxis(chunk[:n], 0, -1)
 
 
-def _draw_inputs(source, noise_kind, master_seed, start, count, r_max, t_max,
-                 n_dither=0, dither_half=0.0, out=None):
-    """Source draws, (r_max, T, B) noise and (B, n_dither) dither of one batch.
+def _draw_inputs(source, noise_kind, master_seed, start, out, n_dither=0, dither_half=0.0):
+    """Source draws and (B, n_dither) dither of the trials from ``start`` on.
 
-    With ``out``, a C-contiguous (r_max, T, B) array, the noise is drawn there.
+    Their noise is drawn into ``out``, a C-contiguous (r_max, T, B) array,
+    whose shape sets the trial count B and the horizon T = t_max + 1.
     """
-    streams = _TrialStreams(master_seed, start, count, noise_kind, (r_max, t_max + 1),
-                            n_dither, dither_half, out)
-    src = source.draw_batch(streams, t_max)
+    streams = _TrialStreams(master_seed, start, noise_kind, out, n_dither, dither_half)
+    src = source.draw_batch(streams, out.shape[1] - 1)
     streams.finish()
-    return src, streams.noise, streams.dither
+    return src, streams.dither
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -388,26 +385,29 @@ class CustomRefinementSource:
         return _draw_quantized(gens, plans, t_max)
 
 
+# Bits of a packet-stream source beyond its deepest staircase prefix.
+_GUARD_BITS = 24
+
+
 @dataclass(frozen=True)
 class PacketStreamSource:
     """I.i.d. uniform bit packets mapped to nested PAM prefixes.
 
     The packet arriving at t = tau*T enters the transmitter estimate at that
     instant: Shat_0(t) is the PAM point of the first psi*(floor(t/T)+1) bits.
-    The virtual source is the deep expansion of ``depth`` bits (default: the
-    staircase depth plus a 24-bit guard band, beyond float64 resolution of
-    the decoded prefixes).
+    The virtual source is the deep expansion of ``depth`` bits: the
+    staircase depth plus a guard band of ``_GUARD_BITS``, beyond float64
+    resolution of the decoded prefixes.
     """
 
     packet_bits: int
     period: int
-    extra_depth: int = 24
 
     def boundary(self) -> BoundaryCondition:
         return PacketStreamBoundary(self.packet_bits, self.period)
 
     def depth(self, t_max: int) -> int:
-        return self.packet_bits * (t_max // self.period + 1) + self.extra_depth
+        return self.packet_bits * (t_max // self.period + 1) + _GUARD_BITS
 
     def draw_batch(self, gens, t_max: int) -> SourceBatch:
         depth = self.depth(t_max)
@@ -470,7 +470,7 @@ class GainTable:
     clamp_count: int = 0
 
 
-def precompute_gains(grid: MseGrid, eps_degenerate: float = EPS_DEGENERATE) -> GainTable:
+def precompute_gains(grid: MseGrid) -> GainTable:
     """Gain tables from a solved lattice.
 
     beta_r(t) = sqrt(P / (M_{r+1}(t-1) - M_r(t))) and
@@ -483,7 +483,7 @@ def precompute_gains(grid: MseGrid, eps_degenerate: float = EPS_DEGENERATE) -> G
     if (diff < _NEG_DIFF_TOL).any():
         worst = float(diff.min())
         raise CorruptedGridError(f"lattice decrease went negative ({worst:.3e})")
-    silent = diff <= eps_degenerate
+    silent = diff <= EPS_DEGENERATE
     safe = np.where(silent, 1.0, diff)
     beta = np.where(silent, 0.0, np.sqrt(P / safe))
     gamma = np.zeros((grid.r_max + 1, grid.t_max + 1))
@@ -744,9 +744,9 @@ def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
     plan = _wavefront(gains)
 
     def block(first, n):
-        src, z, dither = _draw_inputs(source, noise_kind, master_seed, start_trial + first, n,
-                                      r_max, gains.t_max, n_dither, dither_half,
-                                      noise[: r_max * T * n].reshape(r_max, T, n))
+        z = noise[: r_max * T * n].reshape(r_max, T, n)
+        src, dither = _draw_inputs(source, noise_kind, master_seed, start_trial + first, z,
+                                   n_dither, dither_half)
         observer = leaf(slice(first, first + n), src, z, dither)
         _sweep(plan, src.shat0, z, observer, start_trial + first, hops)
         return observer
@@ -839,6 +839,11 @@ class _CompensatedSums:
 
 
 def _batch_ranges(num_trials: int, batch_size: int):
+    """``(start, count)`` of each batch of ``batch_size`` trials; the last may be short."""
+    if num_trials < 1:
+        raise ValueError("num_trials must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     return [
         (start, min(batch_size, num_trials - start))
         for start in range(0, num_trials, batch_size)
@@ -938,11 +943,10 @@ def run_monte_carlo(
     order with compensated summation, so the aggregate is bit-identical for
     any thread count.  Memory holds one block of noise per worker.
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be >= 1")
+    ranges = _batch_ranges(num_trials, batch_size)
     threads = resolve_threads(threads)
     results = _run_batches(_simulate_batch, (gains, source, noise_kind, master_seed),
-                           _batch_ranges(num_trials, batch_size), threads)
+                           ranges, threads)
 
     acc = _CompensatedSums()
     identity_max = 0.0
@@ -1148,13 +1152,14 @@ def run_decoding_monte_carlo(
         decode.decode_bits_n is None or decode.alphas is None
     ):
         raise ValueError("dithered decoding needs decode_bits_n and alphas")
+    ranges = _batch_ranges(num_trials, batch_size)
     threads = resolve_threads(threads)
     cells = list(capture_cells)
     for r, t in cells:
         if not (0 <= r <= gains.r_max and 0 <= t <= gains.t_max):
             raise ValueError(f"capture cell {(r, t)} outside lattice")
     results = _run_batches(_decode_batch, (gains, source, noise_kind, master_seed, cells, decode),
-                           _batch_ranges(num_trials, batch_size), threads)
+                           ranges, threads)
     primary = pam.ErrorStats()
     secondary = pam.ErrorStats() if decode.kind == "packet_dithered" else None
     for p, s in results:

@@ -526,7 +526,7 @@ class TestSimulateBytePins:
         overrides, want = self.CASES[case]
         cfg = ExperimentConfig(out_dir=str(tmp_path), **overrides)
         try:
-            paths = cli.cmd_simulate(cfg, str(tmp_path), threads=1)
+            paths = cli.cmd_simulate(cfg, str(tmp_path))
         except cli.VerificationFailure as exc:
             paths = exc.paths
         got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()

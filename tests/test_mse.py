@@ -20,8 +20,6 @@ from cascade_iv.mse import (
     PacketStreamBoundary,
     SequenceBoundary,
     SingleSampleBoundary,
-    closed_form_single,
-    closed_form_streaming,
     log_closed_form_single,
     log_closed_form_single_grid,
     log_closed_form_streaming,
@@ -103,7 +101,8 @@ class TestSolveGrid:
 
     def test_cell_cap(self):
         with pytest.raises(GridSizeError):
-            solve_grid(CH10, SingleSampleBoundary(), 1000, 1000, cell_cap=1000)
+            # 10001 x 10002 cells exceed DEFAULT_CELL_CAP; nothing is allocated
+            solve_grid(CH10, SingleSampleBoundary(), 10_000, 10_000)
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -254,17 +253,19 @@ class TestZeroRuns:
 class TestClosedFormSingle:
     def test_single_relay_geometric(self):
         for t in (0, 1, 5, 40):
-            assert closed_form_single(CH10, 1, t) == pytest.approx(
+            assert math.exp(log_closed_form_single(CH10, 1, t)) == pytest.approx(
                 (1.0 / 11.0) ** (t + 1), rel=1e-12
             )
 
     def test_time_zero(self):
-        assert closed_form_single(CH10, 3, 0) == pytest.approx(1.0 - PBAR**3, rel=1e-12)
-        assert closed_form_single(CH10, 3, 0) == pytest.approx(0.24868, abs=1e-5)
+        m30 = math.exp(log_closed_form_single(CH10, 3, 0))
+        assert m30 == pytest.approx(1.0 - PBAR**3, rel=1e-12)
+        assert m30 == pytest.approx(0.24868, abs=1e-5)
 
     def test_matches_grid_deep_cell(self):
         grid = solve_grid(CH10, SingleSampleBoundary(), 5, 50)
-        assert closed_form_single(CH10, 5, 50) == pytest.approx(grid.at(5, 50), rel=1e-9)
+        assert math.exp(log_closed_form_single(CH10, 5, 50)) == pytest.approx(grid.at(5, 50),
+                                                                               rel=1e-9)
 
     def test_grid_variant_matches_scalar(self):
         log_grid = log_closed_form_single_grid(CH10, 6, 9)
@@ -287,9 +288,9 @@ class TestClosedFormSingle:
 
     def test_rejects_bad_cells(self):
         with pytest.raises(ValueError):
-            closed_form_single(CH10, 0, 3)
+            log_closed_form_single(CH10, 0, 3)
         with pytest.raises(ValueError):
-            closed_form_single(CH10, 3, -1)
+            log_closed_form_single(CH10, 3, -1)
 
 
 class TestClosedFormStreaming:
@@ -298,7 +299,7 @@ class TestClosedFormStreaming:
         # r relay steps: MSE_II(r, 0) = pbar^r e^{-2R}
         rate = 0.5
         for r in (1, 2, 5):
-            _, mse_ii = closed_form_streaming(CH10, rate, r, 0)
+            mse_ii = math.exp(log_closed_form_streaming(CH10, rate, r, 0)[1])
             assert mse_ii == pytest.approx(PBAR**r * math.exp(-2 * rate), rel=1e-13)
 
     def test_term_enumeration_oracle_r1_t2(self):
@@ -310,7 +311,7 @@ class TestClosedFormStreaming:
             + math.exp(-2 * rate * 2) * (1.0 / 11.0)
             + math.exp(-2 * rate * 1) * (1.0 / 11.0) ** 2
         )
-        _, mse_ii = closed_form_streaming(CH10, rate, 1, 2)
+        mse_ii = math.exp(log_closed_form_streaming(CH10, rate, 1, 2)[1])
         assert mse_ii == pytest.approx(oracle, rel=1e-13)
 
     def test_total_matches_hand_unrolled_dp(self):
@@ -319,12 +320,12 @@ class TestClosedFormStreaming:
         m10 = PBAR * b[0] + (1 - PBAR) * 1.0
         m11 = PBAR * b[1] + (1 - PBAR) * m10
         m12 = PBAR * b[2] + (1 - PBAR) * m11
-        mse_i, mse_ii = closed_form_streaming(CH10, rate, 1, 2)
+        mse_i, mse_ii = map(math.exp, log_closed_form_streaming(CH10, rate, 1, 2))
         assert mse_i + mse_ii == pytest.approx(m12, rel=1e-13)
 
     def test_part_one_is_single_sample_closed_form(self):
-        mse_i, _ = closed_form_streaming(CH10, 0.8, 4, 7)
-        assert mse_i == closed_form_single(CH10, 4, 7)
+        log_i, _ = log_closed_form_streaming(CH10, 0.8, 4, 7)
+        assert log_i == log_closed_form_single(CH10, 4, 7)
 
     def test_matches_grid_everywhere(self):
         rate = math.log(2.0)
@@ -497,11 +498,11 @@ class TestGridCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def lattice_csv_reference(header, columns, r0=0, t0=0):
+def lattice_csv_reference(header, columns):
     """Per-cell ``%d`` and ``f"{x:.17g}"`` formatting, the contract of ``write_lattice_csv``."""
     n_r, n_t = columns[0].shape
     rows = [header] + [
-        ",".join([str(r0 + i), str(t0 + j)] + [f"{c[i, j]:.17g}" for c in columns])
+        ",".join([str(i), str(j)] + [f"{c[i, j]:.17g}" for c in columns])
         for i in range(n_r)
         for j in range(n_t)
     ]
@@ -550,9 +551,9 @@ class TestLatticeCsvExactness:
         columns = list(values.reshape(3, -1, 200).transpose(0, 2, 1))
         assert not columns[0].flags.c_contiguous
         path = tmp_path / "lattice.csv"
-        write_lattice_csv(path, "r,t,a,b,c", columns, r0=1, t0=-1)
+        write_lattice_csv(path, "r,t,a,b,c", columns)
         got = path.read_text()
-        assert first_difference(got, lattice_csv_reference("r,t,a,b,c", columns, 1, -1)) is None
+        assert first_difference(got, lattice_csv_reference("r,t,a,b,c", columns)) is None
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -663,11 +664,11 @@ class TestLatticeCsvMemory:
     LIMIT = 4 * 2**20
 
     @staticmethod
-    def traced_peak(path, header, columns, **kw):
+    def traced_peak(path, header, columns):
         write_lattice_csv(path, header, [c[:1, :1] for c in columns])  # build the tables
         tracemalloc.start()
         try:
-            write_lattice_csv(path, header, columns, **kw)
+            write_lattice_csv(path, header, columns)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -678,10 +679,10 @@ class TestLatticeCsvMemory:
         cf = np.exp(np.logaddexp(log_i, log_ii)[1:])
         rel = np.abs(cf - dp) / dp
         peak = self.traced_peak(tmp_path / "mse.csv", "r,t,mse_dp,mse_closed,rel_discrepancy",
-                                [dp, cf, rel], r0=1)
+                                [dp, cf, rel])
         assert peak <= self.LIMIT, peak
 
     def test_grid_csv(self, tmp_path):
         grid = solve_grid(CH10, SingleSampleBoundary(), 300, 300)
-        peak = self.traced_peak(tmp_path / "mse_grid.csv", "r,t,mse", [grid.values], t0=-1)
+        peak = self.traced_peak(tmp_path / "mse_grid.csv", "r,t,mse", [grid.values])
         assert peak <= self.LIMIT, peak

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from cascade_iv.params import (
     HopConvention,
     Velocity,
+    eta_factor,
     make_channel_params,
     make_stream_params,
-    stream_params_from_rate,
     translate_velocity,
 )
 
@@ -52,15 +52,14 @@ class TestStreamParams:
         assert sp.eta == pytest.approx(4.0 / 11.0, rel=1e-14)
         assert sp.below_capacity
 
-    def test_zero_rate_surrogate(self):
+    def test_zero_rate_eta(self):
         ch = make_channel_params(10.0)
-        sp = stream_params_from_rate(0.0, ch)
-        assert sp.eta == 1.0 - ch.snr_bar
-        assert sp.packet_bits is None
+        assert eta_factor(ch, 0.0) == 1.0 - ch.snr_bar
 
     def test_rate_at_or_above_capacity_flagged_not_rejected(self):
+        # 2 bits per step is 1.386 nats, above C = 1.199 nats at SNR 10
         ch = make_channel_params(10.0)
-        sp = stream_params_from_rate(1.3, ch)
+        sp = make_stream_params(2, 1, ch)
         assert sp.eta >= 1.0
         assert not sp.below_capacity
 
@@ -74,8 +73,8 @@ class TestStreamParams:
     @pytest.mark.parametrize("scale", [0.25, 0.5, 0.9, 0.999, 1.001, 1.5])
     def test_eta_below_one_iff_rate_below_capacity(self, snr, scale):
         ch = make_channel_params(snr)
-        sp = stream_params_from_rate(scale * ch.capacity_nats, ch)
-        assert (sp.eta < 1.0) == (sp.rate_nats < ch.capacity_nats)
+        rate = scale * ch.capacity_nats
+        assert (eta_factor(ch, rate) < 1.0) == (rate < ch.capacity_nats)
 
 
 class TestVelocity:

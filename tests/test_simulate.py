@@ -73,6 +73,13 @@ class TestNoise:
         assert not np.array_equal(a, c)
 
 
+def _draw(source, kind, seed, first, count, r_max, t_max, n_dither=0, half=0.0):
+    """``sim._draw_inputs`` into a new (r_max, t_max + 1, count) array: (source, noise, dither)."""
+    z = np.empty((r_max, t_max + 1, count))
+    src, dither = sim._draw_inputs(source, kind, seed, first, z, n_dither, half)
+    return src, z, dither
+
+
 class TestBatchStreams:
     """One Philox per batch, reset per trial, reads each trial's own stream."""
 
@@ -81,7 +88,7 @@ class TestBatchStreams:
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
     def test_reset_matches_fresh_generator(self, seed, first, kind):
         r_max, t_max, n_dither, half = 2, 3, 3, 0.25
-        src, z, dither = sim._draw_inputs(
+        src, z, dither = _draw(
             sim.KnownSampleSource(), kind, seed, first, 3, r_max, t_max, n_dither, half
         )
         assert z.shape == (r_max, t_max + 1, 3)
@@ -94,9 +101,7 @@ class TestBatchStreams:
 
     def test_noise_layout_is_trial_contiguous_across_chunks(self):
         count = sim._NOISE_CHUNK + 7  # one full chunk and a partial one
-        _, z, dither = sim._draw_inputs(
-            sim.KnownSampleSource(1.0), "gaussian", 5, 10, count, 2, 2
-        )
+        _, z, dither = _draw(sim.KnownSampleSource(1.0), "gaussian", 5, 10, count, 2, 2)
         assert dither is None
         assert z.flags.c_contiguous and z.shape == (2, 3, count)
         for b in (0, sim._NOISE_CHUNK - 1, sim._NOISE_CHUNK, count - 1):
@@ -105,7 +110,7 @@ class TestBatchStreams:
 
     def test_source_that_draws_nothing_still_gets_noise(self):
         # KnownSampleSource(value) never iterates its generators
-        _, z, _ = sim._draw_inputs(sim.KnownSampleSource(0.5), "uniform", 3, 0, 4, 1, 2)
+        _, z, _ = _draw(sim.KnownSampleSource(0.5), "uniform", 3, 0, 4, 1, 2)
         for b in range(4):
             want = sim.draw_noise(sim.trial_generator(3, b), "uniform", (1, 3))
             assert np.array_equal(z[..., b], want)
@@ -114,7 +119,8 @@ class TestBatchStreams:
     def test_plain_int_resets_match_fresh_generators(self, seed):
         # two full noise chunks and one trial of a third
         count, first, shape, n_dither, half = 2 * sim._NOISE_CHUNK + 1, 17, (2, 3), 2, 0.5
-        streams = sim._TrialStreams(seed, first, count, "gaussian", shape, n_dither, half)
+        streams = sim._TrialStreams(seed, first, "gaussian", np.empty(shape + (count,)),
+                                    n_dither, half)
         words = np.array([g.bit_generator.random_raw(3) for g in streams])
         streams.finish()
         for i in range(count):
@@ -127,14 +133,14 @@ class TestBatchStreams:
     def test_odd_packet_bits_reset_the_buffered_half(self, psi):
         # the odd bit leaves a buffered 32-bit half, which the next trial's
         # reset must drop, or that trial's odd bit would read it
-        src, z, _ = sim._draw_inputs(sim.SinglePacketSource(psi), "gaussian", 8, 3, 6, 2, 2)
+        src, z, _ = _draw(sim.SinglePacketSource(psi), "gaussian", 8, 3, 6, 2, 2)
         for b in range(6):
             gen = sim.trial_generator(8, 3 + b)
             assert np.array_equal(src.bits[b], gen.integers(0, 2, size=psi))
             assert np.array_equal(z[..., b], sim.draw_noise(gen, "gaussian", (2, 3)))
 
     def test_streams_iterate_once(self):
-        streams = sim._TrialStreams(1, 0, 2, "zero", (1, 1))
+        streams = sim._TrialStreams(1, 0, "zero", np.empty((1, 1, 2)))
         assert len(streams) == 2
         list(streams)
         with pytest.raises(RuntimeError):
@@ -286,9 +292,9 @@ class TestRegressionPinsInLeafBlocks(TestRegressionPins):
         gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 6, 20))
         source, draw, blocks = sim.PacketStreamSource(2, 2), sim._draw_inputs, []
 
-        def counting_draw(source, noise_kind, master_seed, start, count, *args):
-            blocks.append(count)
-            return draw(source, noise_kind, master_seed, start, count, *args)
+        def counting_draw(source, noise_kind, master_seed, start, out, *args):
+            blocks.append(out.shape[-1])
+            return draw(source, noise_kind, master_seed, start, out, *args)
 
         def aggregate():
             return sim.run_monte_carlo(gains, source, noise, 300, 17, batch_size=300, threads=1)
@@ -410,8 +416,8 @@ class _TimeMajorMoments:
 
 
 def _time_major_simulate_batch(gains, source, noise_kind, master_seed, start_trial, count):
-    src, z, _ = sim._draw_inputs(source, noise_kind, master_seed, start_trial, count,
-                                 gains.r_max, gains.t_max)
+    src, z, _ = _draw(source, noise_kind, master_seed, start_trial, count,
+                      gains.r_max, gains.t_max)
     moments = _TimeMajorMoments(gains, src.s, z)
     _time_major_sweep(gains, src.shat0, z, moments, start_trial, hops=moments.hops)
     return moments.sums
@@ -420,8 +426,7 @@ def _time_major_simulate_batch(gains, source, noise_kind, master_seed, start_tri
 def _time_major_trace(gains, source, noise_kind, master_seed, trial_index):
     """(estimates, x, y) of one trial."""
     r_max, T = gains.r_max, gains.t_max + 1
-    src, z, _ = sim._draw_inputs(source, noise_kind, master_seed, trial_index, 1, r_max,
-                                 gains.t_max)
+    src, z, _ = _draw(source, noise_kind, master_seed, trial_index, 1, r_max, gains.t_max)
     est, x, y = np.empty((r_max + 1, T)), np.empty((r_max, T)), np.empty((r_max, T))
     hops = (np.empty((r_max, 1)), np.empty((r_max, 1)))
 
@@ -436,8 +441,7 @@ def _time_major_trace(gains, source, noise_kind, master_seed, trial_index):
 
 def _time_major_captures(gains, source, noise_kind, master_seed, start, count, cells):
     """(n_cells, B) estimates at ``cells`` from one whole-batch sweep."""
-    src, z, _ = sim._draw_inputs(source, noise_kind, master_seed, start, count,
-                                 gains.r_max, gains.t_max)
+    src, z, _ = _draw(source, noise_kind, master_seed, start, count, gains.r_max, gains.t_max)
     captures = np.empty((len(cells), count))
 
     def capture(t, est):
@@ -569,10 +573,10 @@ class TestPairwiseTree:
         a[2] = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         want = a.sum(axis=1)
 
-        def zero_draw(source, noise_kind, master_seed, start, count, r_max, t_max, *args):
-            out = args[-1]
+        def zero_draw(source, noise_kind, master_seed, start, out, *args):
             out.fill(0.0)
-            return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((count, t_max + 1))), out, None
+            _, T, count = out.shape
+            return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((count, T))), None
 
         monkeypatch.setattr(sim, "_draw_inputs", zero_draw)
         for trials in (1, 64, 127, 128, 129, 136, 200, 256, 1_000, 1_024, 2_047, 4_096):
@@ -603,12 +607,13 @@ class TestBlockIndependence:
         counts = multiprocessing.Array("q", 3)
         draw = sim._draw_inputs
 
-        def counting_draw(source, noise_kind, master_seed, start, count, *args):
+        def counting_draw(source, noise_kind, master_seed, start, out, *args):
+            count = out.shape[-1]
             with counts.get_lock():
                 counts[0] += 1
                 counts[1] += count
                 counts[2] = max(counts[2], count)
-            return draw(source, noise_kind, master_seed, start, count, *args)
+            return draw(source, noise_kind, master_seed, start, out, *args)
 
         monkeypatch.setattr(sim, "_draw_inputs", counting_draw)
         primary, secondary = sim.run_decoding_monte_carlo(
@@ -1102,6 +1107,27 @@ class TestDecodingMonteCarlo:
                 [(5, 1)],
                 sim.DecodeSpec(kind="packet", packet_bits=2),
             )
+
+
+class TestBadMonteCarloArguments:
+    """Both drivers reject a trial count or batch size below 1, naming the argument."""
+
+    @pytest.mark.parametrize("num_trials,batch_size,name", [
+        (0, 100, "num_trials"), (-3, 100, "num_trials"),
+        (100, 0, "batch_size"), (100, -5, "batch_size"),
+    ])
+    @pytest.mark.parametrize("driver", ["moments", "decoding"])
+    def test_rejected(self, driver, num_trials, batch_size, name):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 2, 2))
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            if driver == "moments":
+                sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", num_trials, 0,
+                                    batch_size=batch_size, threads=1)
+            else:
+                sim.run_decoding_monte_carlo(gains, sim.SinglePacketSource(2), "gaussian",
+                                             num_trials, 0, [(2, 2)],
+                                             sim.DecodeSpec("packet", 2),
+                                             batch_size=batch_size, threads=1)
 
 
 class TestThreadResolution:
