@@ -289,6 +289,11 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             f"packet command needs r_max >= 2 (packets are decoded at r = 2..r_max), "
             f"got r_max = {cfg.r_max}"
         )
+    if cfg.velocities and len(cfg.velocities) > 1:
+        raise ValueError(
+            f"packet command takes one velocity, got {len(cfg.velocities)}; "
+            "run it once per velocity"
+        )
     channel = make_channel_params(cfg.snr)
     v = cfg.velocities[0] if cfg.velocities else 1.0
     r_list = list(range(2, cfg.r_max + 1))
@@ -545,6 +550,11 @@ def main(argv=None) -> int:
             overrides.update(scheme="packet_stream", packet_bits=2, period=2)
         if overrides:
             cfg = replace(cfg, **overrides)
+        if cfg.convention == "delayed" and args.command != "exponents":
+            raise ValueError(
+                f"{args.command} ignores the hop convention; "
+                "convention = delayed is read only by the exponents command"
+            )
         if args.command in ("simulate", "packet", "stream"):
             sim.resolve_threads()  # a bad CASCADE_IV_THREADS fails before any output
         out_dir = cfg.out_dir

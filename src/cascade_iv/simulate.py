@@ -813,29 +813,15 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     return np.concatenate(bits, axis=1).T if bits else None, captures, dither
 
 
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One compensated-summation step; mutates ``comp`` and returns the new total."""
-    new = total + x
-    comp += np.where(np.abs(total) >= np.abs(x), (total - new) + x, (x - new) + total)
-    return new
-
-
-class _CompensatedSums:
-    """Order-deterministic compensated accumulator for dicts of float arrays."""
-
-    def __init__(self):
-        self.totals: dict[str, np.ndarray] = {}
-        self.comps: dict[str, np.ndarray] = {}
-
-    def add(self, key: str, x: np.ndarray) -> None:
-        if key not in self.totals:
-            self.totals[key] = np.array(x, dtype=float, copy=True)
-            self.comps[key] = np.zeros_like(self.totals[key])
-        else:
-            self.totals[key] = _neumaier_add(self.totals[key], self.comps[key], x)
-
-    def value(self, key: str) -> np.ndarray:
-        return self.totals[key] + self.comps[key]
+def _compensated_sum(parts) -> np.ndarray:
+    """Neumaier's compensated sum of equally shaped float arrays, in list order."""
+    total = np.array(parts[0], dtype=float)
+    comp = np.zeros_like(total)
+    for x in parts[1:]:
+        new = total + x
+        comp += np.where(np.abs(total) >= np.abs(x), (total - new) + x, (x - new) + total)
+        total = new
+    return total + comp
 
 
 def _batch_ranges(num_trials: int, batch_size: int):
@@ -850,8 +836,12 @@ def _batch_ranges(num_trials: int, batch_size: int):
     ]
 
 
-def _run_batches(worker, args: tuple, ranges, threads: int) -> list:
-    """``worker(*args, start, count)`` for each batch range, results in range order.
+def _run_batches(worker, args: tuple, num_trials: int, batch_size: int, threads) -> list:
+    """``worker(*args, start, count)`` for each batch of ``_batch_ranges``, in batch order.
+
+    The trials 0..num_trials-1 are cut into batches of ``batch_size`` (the
+    last may be short), and ``threads`` is read by ``resolve_threads``; a
+    bad argument raises ValueError before any batch runs.
 
     With ``w = min(threads, len(ranges))`` above 1 on Linux, the caller is
     one of the w workers: batches 0, w, 2w, ... run here, and the others in
@@ -870,7 +860,8 @@ def _run_batches(worker, args: tuple, ranges, threads: int) -> list:
     its own; a caller that runs other threads should pass ``threads=1``,
     since forking a process with threads is unsafe.
     """
-    workers = min(threads, len(ranges))
+    ranges = _batch_ranges(num_trials, batch_size)
+    workers = min(resolve_threads(threads), len(ranges))
     if workers <= 1 or not sys.platform.startswith("linux"):
         return [worker(*args, *batch) for batch in ranges]
     # imported on first use: together they add about 15 ms to every import
@@ -943,32 +934,22 @@ def run_monte_carlo(
     order with compensated summation, so the aggregate is bit-identical for
     any thread count.  Memory holds one block of noise per worker.
     """
-    ranges = _batch_ranges(num_trials, batch_size)
-    threads = resolve_threads(threads)
     results = _run_batches(_simulate_batch, (gains, source, noise_kind, master_seed),
-                           ranges, threads)
+                           num_trials, batch_size, threads)
+    n = sum(res.pop("n") for res in results)
+    identity_max = max(res.pop("identity_max") for res in results)
+    acc = {key: _compensated_sum([res[key] for res in results]) for key in results[0]}
 
-    acc = _CompensatedSums()
-    identity_max = 0.0
-    n = 0
-    for res in results:  # batch order, not completion order
-        n += res["n"]
-        identity_max = max(identity_max, res["identity_max"])
-        for key, val in res.items():
-            if key in ("n", "identity_max"):
-                continue
-            acc.add(key, val)
-
-    mse_mean = acc.value("sq_sum") / n
-    mse_var = np.maximum(acc.value("sq2_sum") / n - mse_mean**2, 0.0)
-    power_mean = acc.value("pow_sum") / n
-    power_var = np.maximum(acc.value("pow2_sum") / n - power_mean**2, 0.0)
-    y_mean = acc.value("y_sum") / n
-    yy = acc.value("yy_sum") / n
+    mse_mean = acc["sq_sum"] / n
+    mse_var = np.maximum(acc["sq2_sum"] / n - mse_mean**2, 0.0)
+    power_mean = acc["pow_sum"] / n
+    power_var = np.maximum(acc["pow2_sum"] / n - power_mean**2, 0.0)
+    y_mean = acc["y_sum"] / n
+    yy = acc["yy_sum"] / n
     t, u = np.array(probe_pairs(gains.t_max + 1), dtype=int).reshape(-1, 2).T
-    prod_var = np.maximum(acc.value("y2y2_sum") / n - yy**2, 0.0)
-    d_mean = acc.value("d_sum") / n
-    d_var = np.maximum(acc.value("d2_sum") / n - d_mean**2, 0.0)
+    prod_var = np.maximum(acc["y2y2_sum"] / n - yy**2, 0.0)
+    d_mean = acc["d_sum"] / n
+    d_var = np.maximum(acc["d2_sum"] / n - d_mean**2, 0.0)
     return MonteCarloAggregate(
         channel=gains.channel,
         r_max=gains.r_max,
@@ -976,7 +957,7 @@ def run_monte_carlo(
         n_trials=n,
         mse_mean=mse_mean,
         mse_stderr=np.sqrt(mse_var / n),
-        err_mean=acc.value("err_sum") / n,
+        err_mean=acc["err_sum"] / n,
         power_mean=power_mean,
         power_stderr=np.sqrt(power_var / n),
         identity_max=identity_max,
@@ -1009,12 +990,12 @@ class TrialResult:
                           [self.x.T, self.y.T, self.z.T, self.estimates[1:].T])
 
 
-def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
-                 trial_index: int):
-    """One trial with every estimate, channel input and output kept.
+def run_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
+              trial_index: int = 0) -> TrialResult:
+    """Run trial ``trial_index`` alone, keeping every estimate, channel input and output.
 
-    Returns the source batch, the (r_max+1, T) estimates, the (r_max, T)
-    inputs x and outputs y, and the (r_max, T) noise.
+    The trial reads its own stream (master_seed, trial_index), so its values
+    are those it has in any Monte Carlo run of the same gains and source.
     """
     r_max, T = gains.r_max, gains.t_max + 1
     est = np.empty((r_max + 1, T))
@@ -1033,18 +1014,7 @@ def _trace_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
         return record
 
     _run_blocks(gains, source, noise_kind, master_seed, trial_index, 1, leaf, hops=True)
-    return inputs[0], est, x, y, inputs[1]
-
-
-def run_trial(
-    gains: GainTable,
-    source,
-    noise_kind: str,
-    master_seed: int,
-    trial_index: int = 0,
-) -> TrialResult:
-    """Run a single trial with full traces retained."""
-    src, est, x, y, z = _trace_trial(gains, source, noise_kind, master_seed, trial_index)
+    src, z = inputs
     s = float(src.s[0])
     return TrialResult(
         source_value=s,
@@ -1062,7 +1032,7 @@ def coefficient_trial(gains: GainTable) -> np.ndarray:
     The scheme is linear, so one noise-free pass with constant source 1
     yields alpha exactly: estimates[r, t] = alpha_r(t).
     """
-    return _trace_trial(gains, KnownSampleSource(value=1.0), "zero", 0, 0)[1]
+    return run_trial(gains, KnownSampleSource(value=1.0), "zero", 0, 0).estimates
 
 
 # ---------------------------------------------------------------------------
@@ -1073,10 +1043,13 @@ def coefficient_trial(gains: GainTable) -> np.ndarray:
 class DecodeSpec:
     """What to decode at each captured cell.
 
-    kind "packet": slice the whole packet (packet_bits) at every cell.
-    kind "stream": slice the full prefix psi*(floor(t/T)+1) at every cell and
-    tally per-packet delays.  kind "packet_dithered": dithered slicer at
-    ``decode_bits_n`` with per-cell alphas, alongside the plain slicer.
+    kind "stream": slice the full prefix of psi = packet_bits bits per packet,
+    psi*(floor(t/period)+1) bits at time t, and tally each packet at its
+    own delay.  kind "packet": the stream decode at period t_max + 1, so
+    every cell slices the one packet of packet_bits bits.  kind
+    "packet_dithered": the packet decode at psi = ``decode_bits_n``, by the
+    dithered slicer with one alpha per capture cell and, alongside, by the
+    plain slicer.  A bad field raises ValueError naming it.
     """
 
     kind: str
@@ -1084,6 +1057,22 @@ class DecodeSpec:
     period: int = 1
     decode_bits_n: int | None = None
     alphas: np.ndarray | None = None  # per capture cell, for dithered decoding
+
+    def __post_init__(self) -> None:
+        kinds = ("packet", "stream", "packet_dithered")
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
+        if self.packet_bits < 1:
+            raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits!r}")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period!r}")
+        if self.kind == "packet_dithered":
+            if self.decode_bits_n is None or self.decode_bits_n < 1:
+                raise ValueError(
+                    f"decode_bits_n must be >= 1 for dithered decoding, got {self.decode_bits_n!r}"
+                )
+            if self.alphas is None:
+                raise ValueError("alphas are required for dithered decoding")
 
 
 def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, cells,
@@ -1094,6 +1083,8 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
     decoding is dithered.
     """
     dithered = decode.kind == "packet_dithered"
+    psi = decode.decode_bits_n if dithered else decode.packet_bits
+    period = decode.period if decode.kind == "stream" else gains.t_max + 1
     n_dither = len(cells) if dithered else 0
     dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
     bits, caps, dither = _capture_batch(
@@ -1102,26 +1093,13 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
     primary = pam.ErrorStats()
     secondary = pam.ErrorStats() if dithered else None
     for idx, (r, t) in enumerate(cells):
-        if decode.kind == "stream":
-            n_bits = decode.packet_bits * (t // decode.period + 1)
-            truth = bits[:, :n_bits]
-            decoded = pam.decode_bits(caps[idx], n_bits)
-            pam.tally_errors(
-                primary, decoded, truth, r, t, decode.packet_bits, decode.period
-            )
-        elif decode.kind == "packet":
-            truth = bits[:, : decode.packet_bits]
-            decoded = pam.decode_bits(caps[idx], decode.packet_bits)
-            pam.tally_errors(
-                primary, decoded, truth, r, t, decode.packet_bits, gains.t_max + 1
-            )
-        else:  # packet_dithered
-            n = decode.decode_bits_n
-            truth = bits[:, :n]
-            dith = pam.dithered_decode(caps[idx], decode.alphas[idx], n, dither[:, idx])
-            plain = pam.decode_bits(caps[idx], n)
-            pam.tally_errors(primary, dith, truth, r, t, n, gains.t_max + 1)
-            pam.tally_errors(secondary, plain, truth, r, t, n, gains.t_max + 1)
+        n = psi * (t // period + 1)
+        truth = bits[:, :n]
+        decoded = pam.decode_bits(caps[idx], n)
+        if secondary is not None:  # the plain slicer, then the dithered one
+            pam.tally_errors(secondary, decoded, truth, r, t, psi, period)
+            decoded = pam.dithered_decode(caps[idx], decode.alphas[idx], n, dither[:, idx])
+        pam.tally_errors(primary, decoded, truth, r, t, psi, period)
     return primary, secondary
 
 
@@ -1146,20 +1124,15 @@ def run_decoding_monte_carlo(
     depend on ``batch_size``, the thread count or the block size.  Memory
     holds one block of noise per worker, plus each batch's captures and bits.
     """
-    if decode.kind not in ("packet", "stream", "packet_dithered"):
-        raise ValueError(f"unknown decode kind {decode.kind!r}")
-    if decode.kind == "packet_dithered" and (
-        decode.decode_bits_n is None or decode.alphas is None
-    ):
-        raise ValueError("dithered decoding needs decode_bits_n and alphas")
-    ranges = _batch_ranges(num_trials, batch_size)
-    threads = resolve_threads(threads)
     cells = list(capture_cells)
     for r, t in cells:
         if not (0 <= r <= gains.r_max and 0 <= t <= gains.t_max):
             raise ValueError(f"capture cell {(r, t)} outside lattice")
+    if decode.alphas is not None and np.shape(decode.alphas) != (len(cells),):
+        raise ValueError(f"alphas must hold one entry per capture cell ({len(cells)}), "
+                         f"got shape {np.shape(decode.alphas)}")
     results = _run_batches(_decode_batch, (gains, source, noise_kind, master_seed, cells, decode),
-                           ranges, threads)
+                           num_trials, batch_size, threads)
     primary = pam.ErrorStats()
     secondary = pam.ErrorStats() if decode.kind == "packet_dithered" else None
     for p, s in results:

@@ -775,6 +775,40 @@ class TestEndToEnd:
         errs = [int(r[3]) for r in rows]
         assert min(errs) > 0  # no convergence at velocities above the bound
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["iv", "mse", "simulate", "packet", "stream", "verify"])
+    def test_delayed_convention_is_a_usage_error_outside_exponents(self, command, via, tmp_path,
+                                                                  capsys):
+        # only exponents translates velocities to delayed hops; the others
+        # would treat delayed-hop velocities as instantaneous
+        out = tmp_path / "out"
+        args = [command, "--out", str(out)]
+        if via == "flag":
+            args += ["--convention", "delayed"]
+        else:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text("[experiment]\nconvention = delayed\n")
+            args += ["--config", str(cfg)]
+        assert cli.main(args) == 2
+        printed = capsys.readouterr()
+        assert printed.err == (f"error: {command} ignores the hop convention; "
+                               "convention = delayed is read only by the exponents command\n")
+        assert printed.out == "" and not out.exists()
+
+    def test_packet_takes_one_velocity(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "out"
+        ExperimentConfig(
+            scheme="single_packet", packet_bits=2, r_max=6, velocities=(0.5, 1.5, 3.0),
+            num_trials=2_000, master_seed=3, out_dir=str(out),
+        ).save(cfg)
+        assert cli.main(["packet", "--config", str(cfg)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == (
+            "error: packet command takes one velocity, got 3; run it once per velocity\n"
+        )
+        assert printed.out == "" and not any(out.iterdir())
+
     def test_convention_flag_changes_exponent_grid(self, tmp_path):
         res = run_cli(["exponents", "--out", str(tmp_path / "a"), "--convention", "delayed"], tmp_path)
         assert res.returncode == 0, res.stdout + res.stderr

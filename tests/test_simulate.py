@@ -213,6 +213,10 @@ class TestRegressionPins:
             return (gains, sim.SinglePacketSource(2), "uniform", 9,
                     [(1, 1), (2, 2), (3, 3)], sim.DecodeSpec("packet", 2))
         alpha = sim.coefficient_trial(gains)
+        if kind == "packet_dithered_n2":  # 2 of 12 bits, as test_dithered_runs_both_decoders
+            spec = sim.DecodeSpec("packet_dithered", 12, decode_bits_n=2,
+                                  alphas=np.array([alpha[2, 2]]))
+            return gains, sim.SinglePacketSource(12), "gaussian", 13, [(2, 2)], spec
         cells = [(2, 2), (3, 3)]
         spec = sim.DecodeSpec("packet_dithered", 3, decode_bits_n=3,
                               alphas=np.array([alpha[r, t] for r, t in cells]))
@@ -225,10 +229,14 @@ class TestRegressionPins:
             "17a6ff0e78af15e42fad0ffe552817220b0c3eede88c195530eb2f22f5c9daeb",
             "cc7031ec724392bf378368ed52300029167b16f6c276e352aedb6a2d4a312abe",
         ),
+        "packet_dithered_n2": (
+            "f1f4ea9386502c323199cb1f13e3e119f2b4c1021cbbb215a95eb002d869ef41",
+            "e1534a086dae82c5fdab90698e9764429ae2c8bfc77d789ca1962776b6272df3",
+        ),
     }
 
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("kind", ["stream", "packet", "packet_dithered"])
+    @pytest.mark.parametrize("kind", ["stream", "packet", "packet_dithered", "packet_dithered_n2"])
     def test_decode_rows(self, kind, threads):
         gains, source, noise, seed, cells, spec = self._decode_case(kind)
         primary, secondary = sim.run_decoding_monte_carlo(
@@ -471,12 +479,10 @@ class TestWavefrontMatchesTimeMajor:
 
     def _check(self, gains, source, noise, monkeypatch, trials=TRIALS):
         for trial in (0, 5):
-            _, est, x, y, _ = sim._trace_trial(gains, source, noise, self.SEED, trial)
+            tr = sim.run_trial(gains, source, noise, self.SEED, trial)
             want = _time_major_trace(gains, source, noise, self.SEED, trial)
-            for got, ref in zip((est, x, y), want):
+            for got, ref in zip((tr.estimates, tr.x, tr.y), want):
                 assert _same_bits(got, ref)
-        tr = sim.run_trial(gains, source, noise, self.SEED, 5)
-        assert _same_bits(tr.estimates, want[0])
 
         def aggregate():
             return sim.run_monte_carlo(gains, source, noise, trials, self.SEED,
@@ -1094,6 +1100,22 @@ class TestDecodingMonteCarlo:
         # dither adds noise, so the dithered decoder cannot beat the slicer by much
         assert dith.cells[(2, 2)].prefix_errors >= plain.cells[(2, 2)].prefix_errors
 
+    @pytest.mark.parametrize("source", [sim.SinglePacketSource(2), sim.PacketStreamSource(2, 2)])
+    def test_packet_is_stream_with_one_packet_per_lattice(self, source):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 3))
+        cells = [(1, 1), (2, 2), (3, 3), (3, 0)]
+
+        def rows(spec):
+            primary, secondary = sim.run_decoding_monte_carlo(
+                gains, source, "uniform", 2_500, 9, cells, spec, batch_size=1_000, threads=1
+            )
+            assert secondary is None
+            return list(primary.rows())
+
+        packet = rows(sim.DecodeSpec("packet", 2))
+        assert packet == rows(sim.DecodeSpec("stream", 2, gains.t_max + 1))
+        assert [row[:2] for row in packet] == sorted(cells)
+
     def test_capture_cell_validation(self):
         grid = solve_grid(CH10, SingleSampleBoundary(), 2, 2)
         gains = sim.precompute_gains(grid)
@@ -1107,6 +1129,32 @@ class TestDecodingMonteCarlo:
                 [(5, 1)],
                 sim.DecodeSpec(kind="packet", packet_bits=2),
             )
+
+
+class TestBadDecodeSpec:
+    """A ``DecodeSpec`` checks its own fields on construction and names the bad one."""
+
+    @pytest.mark.parametrize("args,kwargs,field", [
+        (("bogus", 2), {}, "kind"),
+        (("stream", 0, 2), {}, "packet_bits"),
+        (("packet", -1), {}, "packet_bits"),
+        (("stream", 2, 0), {}, "period"),
+        (("stream", 2, -1), {}, "period"),
+        (("packet_dithered", 3), {"alphas": np.array([0.5])}, "decode_bits_n"),
+        (("packet_dithered", 3), {"decode_bits_n": 0, "alphas": np.array([0.5])},
+         "decode_bits_n"),
+        (("packet_dithered", 3), {"decode_bits_n": 3}, "alphas"),
+    ])
+    def test_rejected_on_construction(self, args, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            sim.DecodeSpec(*args, **kwargs)
+
+    def test_alphas_hold_one_entry_per_capture_cell(self):
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 3))
+        spec = sim.DecodeSpec("packet_dithered", 3, decode_bits_n=3, alphas=np.array([0.5]))
+        with pytest.raises(ValueError, match=r"^alphas must hold one entry per capture cell"):
+            sim.run_decoding_monte_carlo(gains, sim.SinglePacketSource(3), "gaussian", 100, 0,
+                                         [(2, 2), (3, 3)], spec, threads=1)
 
 
 class TestBadMonteCarloArguments:
