@@ -169,7 +169,8 @@ def tally_errors(
     without a transposing copy.  Bit n was generated at time
     floor(n/psi) * period, so the bits of packet tau are tallied at delay
     t - tau*period.  Per packet the single-bit, whole-packet and
-    whole-prefix error events are counted.
+    whole-prefix error events are counted.  A ``period`` below 1 raises
+    ValueError.
     """
     decoded = np.asarray(decoded)
     truth = np.asarray(truth)
@@ -178,14 +179,11 @@ def tally_errors(
     n_trials, n_bits = decoded.shape
     if n_bits % packet_bits:
         raise ValueError("prefix length must be a whole number of packets")
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period!r}")
     n_packets = n_bits // packet_bits
     # packet tau is tallied iff tau * period <= t
-    if t < 0:
-        n_gen = 0
-    elif period < 1:
-        n_gen = n_packets
-    else:
-        n_gen = min(n_packets, t // period + 1)
+    n_gen = min(n_packets, t // period + 1) if t >= 0 else 0
     if n_gen == 0:
         return
     width = n_gen * packet_bits

@@ -11,11 +11,13 @@ at evaluation time rather than by a second engine.
 
 Reproducibility: trial i draws everything from its own counter-based stream
 ``Philox(key=(master_seed, i))``, read from counter 0 in a fixed order
-(source draw, then the hop noise lattice in r-major layout, then any decoder
-dither), so every sample is addressable and independent of batching and
-worker count.  Packet bits are read as raw Philox words, two per word,
-and equal ``Generator.integers(0, 2)`` draws bit for bit.  A batch builds
-one generator and resets its state to trial i's key rather than building a
+(source words, then the hop noise lattice in r-major layout, then any
+decoder dither words), so every sample is addressable and independent of
+batching and worker count.  A source declares how many 32-bit halves it
+reads, and maps the raw words of all its trials to its draws in one call:
+its uniforms and packet bits equal ``Generator.uniform`` and
+``Generator.integers(0, 2)`` draws bit for bit.  A batch builds one
+generator and resets its state to trial i's key rather than building a
 generator per trial, and stores the noise trial-contiguous, (r_max, T, B),
 for the recursion.  Monte Carlo aggregation uses fixed-size batches merged
 in batch order with compensated summation, making aggregates bit-identical
@@ -146,83 +148,76 @@ def draw_noise(gen: np.random.Generator, kind: str, shape,
     return out
 
 
+def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Uniform draws on [lo, hi), one per raw 64-bit Philox word.
+
+    ``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * u`` with u the
+    top 53 bits of the next word times 2**-53, so this is that value, word
+    for word.
+    """
+    return lo + (hi - lo) * ((words >> np.uint64(11)) * 2.0**-53)
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) int8 bits from (B, k) raw words, equal to ``integers(0, 2, size=n)`` per row.
+
+    ``integers(0, 2)`` is Lemire's method on [0, 2), which never rejects:
+    bit j is the top bit of the stream's 32-bit output j, and each 64-bit
+    Philox word supplies two of them, low half first.
+    """
+    halves = words[:, :, None] >> np.array([31, 63], dtype=np.uint64) & np.uint64(1)
+    return halves.reshape(len(words), -1)[:, :n].astype(np.int8)
+
+
 # Trials whose r-major noise is drawn before one transposed copy into the
 # trial-contiguous batch array; about 1 MB on the criterion-8 lattice.
 _NOISE_CHUNK = 128
 
 
-class _TrialStreams:
-    """The per-trial streams of one batch, read from one Philox reset per trial.
-
-    Trial i reads ``Philox(key=(master_seed, i))`` from counter 0: its
-    source draw, then its hop noise in r-major (r_max, T) order, then
-    ``n_dither`` dither values.  Resetting the state of one generator gives
-    the same numbers as a fresh ``trial_generator`` per trial.
-
-    A source's ``draw_batch`` iterates this object once, in trial order,
-    and draws from the generator it is handed.  When it asks for the next
-    trial, the current trial's noise and dither are drawn; ``finish`` draws
-    them for the trials the source did not iterate over.  Noise lands in
-    ``noise``, the caller's trial-contiguous (r_max, T, B) array ``out``, so
-    the recursion reads each hop cell as one contiguous vector.
-    """
-
-    def __init__(self, master_seed, start, noise_kind, out, n_dither=0, dither_half=0.0):
-        self.count = out.shape[-1]
-        self.noise = out
-        self.dither = np.empty((self.count, n_dither)) if n_dither else None
-        self._trials = self._draw(master_seed, start, noise_kind, out.shape[:-1], dither_half)
-        self._iterated = False
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        if self._iterated:
-            raise RuntimeError("a batch's trial streams can be iterated only once")
-        self._iterated = True
-        return self._trials
-
-    def finish(self) -> None:
-        self._iterated = True
-        for _ in self._trials:
-            pass
-
-    def _draw(self, master_seed, start, noise_kind, shape, dither_half):
-        gen = trial_generator(master_seed, start)
-        bitgen = gen.bit_generator
-        # The state setter reads counter, key and buffer item by item; Python
-        # ints make that cheap, where uint64 arrays make a numpy scalar per item.
-        fresh = bitgen.state
-        fresh["buffer"] = fresh["buffer"].tolist()
-        state = fresh["state"]
-        state["counter"] = state["counter"].tolist()
-        key = state["key"] = state["key"].tolist()
-        chunk = np.empty((min(_NOISE_CHUNK, self.count),) + shape)
-        rows = list(chunk)
-        for lo in range(0, self.count, _NOISE_CHUNK):
-            n = min(_NOISE_CHUNK, self.count - lo)
-            for i, row in enumerate(rows[:n], lo):
-                key[1] = start + i
-                bitgen.state = fresh
-                yield gen
-                draw_noise(gen, noise_kind, shape, row)
-                if self.dither is not None:
-                    self.dither[i] = gen.uniform(-dither_half, dither_half,
-                                                 size=self.dither.shape[1])
-            self.noise[..., lo : lo + n] = np.moveaxis(chunk[:n], 0, -1)
-
-
-def _draw_inputs(source, noise_kind, master_seed, start, out, n_dither=0, dither_half=0.0):
+def _draw_inputs(source, noise_kind, master_seed, start, out, chunk,
+                 n_dither=0, dither_half=0.0):
     """Source draws and (B, n_dither) dither of the trials from ``start`` on.
 
-    Their noise is drawn into ``out``, a C-contiguous (r_max, T, B) array,
-    whose shape sets the trial count B and the horizon T = t_max + 1.
+    Trial i reads ``Philox(key=(master_seed, i))`` from counter 0: the
+    source's ``halves(t_max)`` 32-bit halves as raw words, then its hop
+    noise in r-major (r_max, T) order, then ``n_dither`` dither words.
+    Resetting the state of one generator gives the same numbers as a fresh
+    ``trial_generator`` per trial.  An odd last half is read by
+    ``integers``, which leaves the word's high half buffered for the
+    noise, as ``integers(0, 2)`` does.  The source turns the (B, k) words
+    into its draws in one call.
+
+    The noise is staged in ``chunk``, a (c, r_max, T) array, and copied c
+    trials at a time into ``out``, a C-contiguous (r_max, T, B) array whose
+    shape sets the trial count B and the horizon T = t_max + 1.
     """
-    streams = _TrialStreams(master_seed, start, noise_kind, out, n_dither, dither_half)
-    src = source.draw_batch(streams, out.shape[1] - 1)
-    streams.finish()
-    return src, streams.dither
+    r_max, T, count = out.shape
+    n_words, odd = divmod(source.halves(T - 1), 2)
+    words = np.empty((count, n_words + odd), dtype=np.uint64)
+    dither = np.empty((count, n_dither), dtype=np.uint64)
+    gen = trial_generator(master_seed, start)
+    bitgen = gen.bit_generator
+    # The state setter reads counter, key and buffer item by item; Python
+    # ints make that cheap, where uint64 arrays make a numpy scalar per item.
+    fresh = bitgen.state
+    fresh["buffer"] = fresh["buffer"].tolist()
+    state = fresh["state"]
+    state["counter"] = state["counter"].tolist()
+    key = state["key"] = state["key"].tolist()
+    for lo in range(0, count, len(chunk)):
+        n = min(len(chunk), count - lo)
+        for i in range(lo, lo + n):
+            key[1] = start + i
+            bitgen.state = fresh
+            words[i, :n_words] = bitgen.random_raw(n_words)
+            if odd:
+                words[i, n_words] = gen.integers(0, 2**32, dtype=np.uint32)
+            draw_noise(gen, noise_kind, (r_max, T), chunk[i - lo])
+            if n_dither:
+                dither[i] = bitgen.random_raw(n_dither)
+        out[..., lo : lo + n] = np.moveaxis(chunk[:n], 0, -1)
+    src = source.draw_batch(words, T - 1)
+    return src, _uniform(dither, -dither_half, dither_half) if n_dither else None
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -244,30 +239,12 @@ def resolve_threads(threads: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Source processes
 # ---------------------------------------------------------------------------
-
-def _draw_bits(gens, n: int) -> np.ndarray:
-    """(B, n) uniform bits, int8, equal to ``g.integers(0, 2, size=n)`` per trial.
-
-    ``integers(0, 2)`` is Lemire's method on [0, 2), which never rejects:
-    bit k is the top bit of the stream's 32-bit output k, and each 64-bit
-    Philox word supplies two of them, low half first.  So each trial reads
-    ``n // 2`` raw words in one call and the bits are cut out for the whole
-    batch at once.  An odd last bit is drawn by ``integers``, which leaves
-    the word's high half buffered for the next 32-bit draw, as the plain
-    call does.  Each generator's 32-bit buffer must be empty on entry, as it
-    is on a fresh or reset trial stream.
-    """
-    n_words, odd = divmod(n, 2)
-    raw = np.empty((len(gens), n_words), dtype=np.uint64)
-    bits = np.empty((len(gens), n), dtype=np.int8)
-    for i, g in enumerate(gens):
-        raw[i] = g.bit_generator.random_raw(n_words)
-        if odd:
-            bits[i, -1] = g.integers(0, 2, size=1)[0]
-    bits[:, 0 : 2 * n_words : 2] = raw >> np.uint64(31) & np.uint64(1)
-    bits[:, 1 : 2 * n_words : 2] = raw >> np.uint64(63)
-    return bits
-
+#
+# A source reads ``halves(t_max)`` 32-bit halves from the head of each
+# trial's stream: two per uniform draw and one per packet bit.
+# ``draw_batch(words, t_max)`` maps the (B, ceil(halves / 2)) uint64 raw
+# words of B trials to their SourceBatch; a last odd half is the low half
+# of its word.
 
 @dataclass(frozen=True)
 class SourceBatch:
@@ -287,11 +264,14 @@ class KnownSampleSource:
     def boundary(self) -> BoundaryCondition:
         return SingleSampleBoundary()
 
-    def draw_batch(self, gens, t_max: int) -> SourceBatch:
+    def halves(self, t_max: int) -> int:
+        return 2 if self.value is None else 0
+
+    def draw_batch(self, words, t_max: int) -> SourceBatch:
         if self.value is None:
-            s = np.array([g.uniform(-pam.SQRT3, pam.SQRT3) for g in gens])
+            s = _uniform(words[:, 0], -pam.SQRT3, pam.SQRT3)
         else:
-            s = np.full(len(gens), float(self.value))
+            s = np.full(len(words), float(self.value))
         shat0 = np.repeat(s[:, None], t_max + 1, axis=1)
         return SourceBatch(s=s, shat0=shat0)
 
@@ -319,12 +299,12 @@ def _refinement_split_plan(rate_nats: float):
     return _split_rounds_for_factor(math.exp(-2.0 * rate_nats))
 
 
-def _draw_quantized(gens, plans, t_max: int) -> SourceBatch:
+def _draw_quantized(words, plans, t_max: int) -> SourceBatch:
     """Nested-quantizer refinement of a uniform source, one plan per time step."""
-    s = np.array([g.uniform(-pam.SQRT3, pam.SQRT3) for g in gens])
+    s = _uniform(words[:, 0], -pam.SQRT3, pam.SQRT3)
     lo = np.full(s.shape, -pam.SQRT3)
     width = np.full(s.shape, 2.0 * pam.SQRT3)
-    shat0 = np.empty((len(gens), t_max + 1))
+    shat0 = np.empty((len(words), t_max + 1))
     for t in range(t_max + 1):
         for rho in plans[t]:
             cut = lo + rho * width
@@ -350,9 +330,12 @@ class RefinementSource:
     def boundary(self) -> BoundaryCondition:
         return ExponentialRefinementBoundary(self.rate_nats)
 
-    def draw_batch(self, gens, t_max: int) -> SourceBatch:
+    def halves(self, t_max: int) -> int:
+        return 2
+
+    def draw_batch(self, words, t_max: int) -> SourceBatch:
         plan = _refinement_split_plan(self.rate_nats)
-        return _draw_quantized(gens, [plan] * (t_max + 1), t_max)
+        return _draw_quantized(words, [plan] * (t_max + 1), t_max)
 
 
 @dataclass(frozen=True)
@@ -372,7 +355,10 @@ class CustomRefinementSource:
     def boundary(self) -> BoundaryCondition:
         return SequenceBoundary(self.mse_profile)
 
-    def draw_batch(self, gens, t_max: int) -> SourceBatch:
+    def halves(self, t_max: int) -> int:
+        return 2
+
+    def draw_batch(self, words, t_max: int) -> SourceBatch:
         if len(self.mse_profile) < t_max + 1:
             raise ValueError(
                 f"profile of length {len(self.mse_profile)} too short for t_max={t_max}"
@@ -382,7 +368,7 @@ class CustomRefinementSource:
         for m in self.mse_profile[: t_max + 1]:
             plans.append(_split_rounds_for_factor(m / prev))
             prev = m
-        return _draw_quantized(gens, plans, t_max)
+        return _draw_quantized(words, plans, t_max)
 
 
 # Bits of a packet-stream source beyond its deepest staircase prefix.
@@ -409,9 +395,12 @@ class PacketStreamSource:
     def depth(self, t_max: int) -> int:
         return self.packet_bits * (t_max // self.period + 1) + _GUARD_BITS
 
-    def draw_batch(self, gens, t_max: int) -> SourceBatch:
+    def halves(self, t_max: int) -> int:
+        return self.depth(t_max)
+
+    def draw_batch(self, words, t_max: int) -> SourceBatch:
         depth = self.depth(t_max)
-        bits = _draw_bits(gens, depth)
+        bits = _bits(words, depth)
         w = pam.SQRT3 * np.exp2(-(np.arange(depth) + 1.0))
         contrib = (1.0 - 2.0 * bits) * w
         csum = np.cumsum(contrib, axis=1)
@@ -436,8 +425,11 @@ class SinglePacketSource:
     def boundary(self) -> BoundaryCondition:
         return SingleSampleBoundary()
 
-    def draw_batch(self, gens, t_max: int) -> SourceBatch:
-        bits = _draw_bits(gens, self.packet_bits)
+    def halves(self, t_max: int) -> int:
+        return self.packet_bits
+
+    def draw_batch(self, words, t_max: int) -> SourceBatch:
+        bits = _bits(words, self.packet_bits)
         w = pam.SQRT3 * np.exp2(-(np.arange(self.packet_bits) + 1.0))
         s = ((1.0 - 2.0 * bits) * w).sum(axis=1)
         shat0 = np.repeat(s[:, None], t_max + 1, axis=1)
@@ -735,18 +727,21 @@ def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
                 n_dither: int = 0, dither_half: float = 0.0):
     """Draw and sweep ``count`` trials in blocks cut by ``_pairwise``.
 
-    Each block is drawn into one reused noise buffer; ``leaf(trials, src, z,
-    dither)``, given its slice of the batch, returns its ``_sweep`` observer.
+    Each block is drawn into one noise buffer, sized to the largest block,
+    through one staging chunk; ``leaf(trials, src, z, dither)``, given its
+    slice of the batch, returns its ``_sweep`` observer.
     """
     r_max, T = gains.r_max, gains.t_max + 1
     size = max(_BLOCK_BUDGET // (8 * r_max * T), _PAIRWISE_LEAF)
-    noise = np.empty(r_max * T * min(size, count))
+    largest = _pairwise(lambda first, n: n, max, size, 0, count)
+    noise = np.empty(r_max * T * largest)
+    chunk = np.empty((min(_NOISE_CHUNK, largest), r_max, T))
     plan = _wavefront(gains)
 
     def block(first, n):
         z = noise[: r_max * T * n].reshape(r_max, T, n)
         src, dither = _draw_inputs(source, noise_kind, master_seed, start_trial + first, z,
-                                   n_dither, dither_half)
+                                   chunk, n_dither, dither_half)
         observer = leaf(slice(first, first + n), src, z, dither)
         _sweep(plan, src.shat0, z, observer, start_trial + first, hops)
         return observer
@@ -791,14 +786,17 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     """
     captures = np.empty((len(cells), count))
     dither = np.empty((count, n_dither)) if n_dither else None
-    bits = []
+    bits = None
     by_e: dict[int, list[tuple[int, int]]] = {}
     for idx, (r, t) in enumerate(cells):
         by_e.setdefault(r + t, []).append((idx, r))
 
     def leaf(trials, src, z, block_dither):
+        nonlocal bits
         if src.bits is not None:
-            bits.append(src.bits.T)
+            if bits is None:
+                bits = np.empty((src.bits.shape[1], count), dtype=src.bits.dtype)
+            bits[:, trials] = src.bits.T
         if dither is not None:
             dither[trials] = block_dither
 
@@ -810,7 +808,7 @@ def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
 
     _run_blocks(gains, source, noise_kind, master_seed, start_trial, count, leaf,
                 n_dither=n_dither, dither_half=dither_half)
-    return np.concatenate(bits, axis=1).T if bits else None, captures, dither
+    return None if bits is None else bits.T, captures, dither
 
 
 def _compensated_sum(parts) -> np.ndarray:

@@ -292,6 +292,14 @@ class TestErrorStats:
                 period=1,
             )
 
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_period_below_one_rejected(self, period):
+        stats = pam.ErrorStats()
+        truth = np.zeros((2, 4), dtype=np.int8)
+        with pytest.raises(ValueError, match="period"):
+            pam.tally_errors(stats, truth.copy(), truth, r=0, t=3, packet_bits=2, period=period)
+        assert stats.cells == {}
+
 
 def reference_tally(stats, decoded, truth, r, t, packet_bits, period):
     """Packet-by-packet tally, the scalar reference for ``pam.tally_errors``."""
@@ -349,7 +357,7 @@ class TestTallyAgainstReference:
         n_trials=st.integers(1, 40),
         psi=st.integers(1, 3),
         n_packets=st.integers(1, 4),
-        period=st.integers(0, 3),
+        period=st.integers(1, 3),
         t=st.integers(-1, 12),
         seed=st.integers(0, 2**32 - 1),
     )

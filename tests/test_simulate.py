@@ -1,5 +1,6 @@
 import dataclasses
 import concurrent.futures
+import functools
 import gc
 import hashlib
 import math
@@ -76,8 +77,23 @@ class TestNoise:
 def _draw(source, kind, seed, first, count, r_max, t_max, n_dither=0, half=0.0):
     """``sim._draw_inputs`` into a new (r_max, t_max + 1, count) array: (source, noise, dither)."""
     z = np.empty((r_max, t_max + 1, count))
-    src, dither = sim._draw_inputs(source, kind, seed, first, z, n_dither, half)
+    chunk = np.empty((min(sim._NOISE_CHUNK, count), r_max, t_max + 1))
+    src, dither = sim._draw_inputs(source, kind, seed, first, z, chunk, n_dither, half)
     return src, z, dither
+
+
+@dataclasses.dataclass(frozen=True)
+class _RawWords:
+    """A source of 0 that reads ``n_halves`` halves and returns its raw words as its bits."""
+
+    n_halves: int
+
+    def halves(self, t_max):
+        return self.n_halves
+
+    def draw_batch(self, words, t_max):
+        count = len(words)
+        return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((count, t_max + 1)), bits=words)
 
 
 class TestBatchStreams:
@@ -109,7 +125,7 @@ class TestBatchStreams:
             assert np.array_equal(z[..., b], want)
 
     def test_source_that_draws_nothing_still_gets_noise(self):
-        # KnownSampleSource(value) never iterates its generators
+        # KnownSampleSource(value) reads no halves of its stream
         _, z, _ = _draw(sim.KnownSampleSource(0.5), "uniform", 3, 0, 4, 1, 2)
         for b in range(4):
             want = sim.draw_noise(sim.trial_generator(3, b), "uniform", (1, 3))
@@ -118,16 +134,14 @@ class TestBatchStreams:
     @pytest.mark.parametrize("seed", [0, 2**63 - 1])
     def test_plain_int_resets_match_fresh_generators(self, seed):
         # two full noise chunks and one trial of a third
-        count, first, shape, n_dither, half = 2 * sim._NOISE_CHUNK + 1, 17, (2, 3), 2, 0.5
-        streams = sim._TrialStreams(seed, first, "gaussian", np.empty(shape + (count,)),
-                                    n_dither, half)
-        words = np.array([g.bit_generator.random_raw(3) for g in streams])
-        streams.finish()
+        count, first, n_dither, half = 2 * sim._NOISE_CHUNK + 1, 17, 2, 0.5
+        src, z, dither = _draw(_RawWords(6), "gaussian", seed, first, count, 2, 2, n_dither, half)
+        assert src.bits.dtype == np.uint64 and src.bits.shape == (count, 3)
         for i in range(count):
             gen = sim.trial_generator(seed, first + i)
-            assert np.array_equal(words[i], gen.bit_generator.random_raw(3))
-            assert np.array_equal(streams.noise[..., i], sim.draw_noise(gen, "gaussian", shape))
-            assert np.array_equal(streams.dither[i], gen.uniform(-half, half, size=n_dither))
+            assert np.array_equal(src.bits[i], gen.bit_generator.random_raw(3))
+            assert np.array_equal(z[..., i], sim.draw_noise(gen, "gaussian", (2, 3)))
+            assert np.array_equal(dither[i], gen.uniform(-half, half, size=n_dither))
 
     @pytest.mark.parametrize("psi", [1, 3])
     def test_odd_packet_bits_reset_the_buffered_half(self, psi):
@@ -139,12 +153,16 @@ class TestBatchStreams:
             assert np.array_equal(src.bits[b], gen.integers(0, 2, size=psi))
             assert np.array_equal(z[..., b], sim.draw_noise(gen, "gaussian", (2, 3)))
 
-    def test_streams_iterate_once(self):
-        streams = sim._TrialStreams(1, 0, "zero", np.empty((1, 1, 2)))
-        assert len(streams) == 2
-        list(streams)
-        with pytest.raises(RuntimeError):
-            iter(streams)
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_odd_half_is_the_low_half_of_its_word(self, n):
+        # an odd last half fills the low 32 bits of the last word, as
+        # ``integers(0, 2**32, dtype=np.uint32)`` returns it
+        src, _, _ = _draw(_RawWords(n), "zero", 4, 9, 3, 1, 0)
+        for b in range(3):
+            gen = sim.trial_generator(4, 9 + b)
+            want = gen.bit_generator.random_raw(n // 2 + 1)
+            assert np.array_equal(src.bits[b, :-1], want[:-1])
+            assert src.bits[b, -1] == want[-1] & np.uint64(2**32 - 1)
 
 
 def _rows_digest(stats):
@@ -171,25 +189,50 @@ class TestRawWordBits:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("trial", [0, 1, 2**32 + 5])
     def test_matches_integers_and_leaves_the_stream_in_step(self, n, seed, trial):
-        got_gen = sim.trial_generator(seed, trial)
-        want_gen = sim.trial_generator(seed, trial)
-        bits = sim._draw_bits([got_gen], n)
-        assert bits.dtype == np.int8 and bits.shape == (1, n)
-        assert np.array_equal(bits[0], want_gen.integers(0, 2, size=n))
-        got, want = got_gen.bit_generator.state, want_gen.bit_generator.state
-        if want["has_uint32"] == 0:  # the buffered half is stale then
-            got.pop("uinteger"), want.pop("uinteger")
-        assert repr(got) == repr(want)  # the state holds small uint64 arrays
-        # an odd n leaves a buffered half, which the next 32-bit draw reads
-        assert got_gen.standard_normal() == want_gen.standard_normal()
-        assert got_gen.uniform() == want_gen.uniform()
-        assert np.array_equal(got_gen.integers(0, 2, size=3), want_gen.integers(0, 2, size=3))
+        # Rademacher noise reads 32-bit halves, so after an odd n its first
+        # value is the half the last bit left buffered
+        source = sim.SinglePacketSource(n)
+        src, z, dither = _draw(source, "rademacher", seed, trial, 1, 2, 2, 2, 0.5)
+        assert src.bits.dtype == np.int8 and src.bits.shape == (1, n)
+        gen = sim.trial_generator(seed, trial)
+        assert np.array_equal(src.bits[0], gen.integers(0, 2, size=n))
+        assert np.array_equal(z[..., 0], sim.draw_noise(gen, "rademacher", (2, 3)))
+        assert np.array_equal(dither[0], gen.uniform(-0.5, 0.5, size=2))
 
     def test_batch_rows_are_the_trials(self):
-        gens = [sim.trial_generator(9, i) for i in range(5)]
-        bits = sim._draw_bits(gens, 7)
+        src, _, _ = _draw(sim.PacketStreamSource(3, 2), "zero", 9, 0, 5, 1, 3)
+        assert src.bits.shape == (5, 3 * 2 + 24)
         for i in range(5):
-            assert np.array_equal(bits[i], sim.trial_generator(9, i).integers(0, 2, size=7))
+            want = sim.trial_generator(9, i).integers(0, 2, size=30)
+            assert np.array_equal(src.bits[i], want)
+
+
+class TestNumpyDrawsFromRawWords:
+    """The numpy behaviour the raw-word sources rest on.
+
+    A numpy release that changed any of it would move every Monte Carlo
+    byte; these tests fail first and name the draw.
+    """
+
+    @pytest.mark.parametrize("lo, hi", [(-pam.SQRT3, pam.SQRT3), (-0.25, 0.25), (0.0, 1.0)])
+    def test_uniform_is_the_raw_word_formula(self, lo, hi):
+        words = sim.trial_generator(11, 3).bit_generator.random_raw(100_000)
+        gen = sim.trial_generator(11, 3)
+        want = sim._uniform(words, lo, hi)
+        assert np.array_equal(gen.uniform(lo, hi, size=99_990), want[:99_990])
+        for w in want[99_990:]:
+            assert gen.uniform(lo, hi) == w
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_full_range_uint32_reads_the_half_integers_0_2_reads(self, seed):
+        # both read one 32-bit half: the low half of a fresh word, or the
+        # buffered high half; either leaves the same generator state
+        a, b = sim.trial_generator(seed, 1), sim.trial_generator(seed, 1)
+        for _ in range(3):
+            half = a.integers(0, 2**32, dtype=np.uint32)
+            assert half >> 31 == b.integers(0, 2)
+            assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert np.array_equal(a.integers(0, 2, size=5), b.integers(0, 2, size=5))
 
 
 class TestRegressionPins:
@@ -298,11 +341,12 @@ class TestRegressionPinsInLeafBlocks(TestRegressionPins):
     @pytest.mark.parametrize("noise", sim.NOISE_KINDS)
     def test_single_batch_matches_time_major(self, noise, monkeypatch):
         gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 6, 20))
-        source, draw, blocks = sim.PacketStreamSource(2, 2), sim._draw_inputs, []
+        source, draw, blocks, buffers = sim.PacketStreamSource(2, 2), sim._draw_inputs, [], []
 
-        def counting_draw(source, noise_kind, master_seed, start, out, *args):
+        def counting_draw(source, noise_kind, master_seed, start, out, chunk, *args):
             blocks.append(out.shape[-1])
-            return draw(source, noise_kind, master_seed, start, out, *args)
+            buffers.append((out.base, chunk))
+            return draw(source, noise_kind, master_seed, start, out, chunk, *args)
 
         def aggregate():
             return sim.run_monte_carlo(gains, source, noise, 300, 17, batch_size=300, threads=1)
@@ -310,6 +354,10 @@ class TestRegressionPinsInLeafBlocks(TestRegressionPins):
         monkeypatch.setattr(sim, "_draw_inputs", counting_draw)
         agg = aggregate()
         assert blocks == [72, 72, 72, 84]  # 300 = (72 + 72) + (72 + 84)
+        # one noise buffer and one staging chunk, each sized to the largest block
+        buffer, chunk = buffers[0]
+        assert all(b[0] is buffer and b[1] is chunk for b in buffers)
+        assert buffer.size == 6 * 21 * 84 and chunk.shape == (84, 6, 21)
         monkeypatch.setattr(sim, "_simulate_batch", _time_major_simulate_batch)
         assert _aggregate_digest(agg) == _aggregate_digest(aggregate())
 
@@ -602,6 +650,17 @@ class TestPairwiseTree:
 class TestBlockIndependence:
     """Decoding counts do not depend on how a batch is cut into blocks."""
 
+    def test_truth_bits_are_bit_major_across_blocks(self, monkeypatch):
+        gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 3, 9))
+        source = sim.PacketStreamSource(2, 2)
+        _set_block(monkeypatch, gains, 128)  # 300 trials in blocks of 72, 72, 72 and 84
+        bits, _, _ = sim._capture_batch(gains, source, "gaussian", 4, 0, 300, [(1, 2)])
+        # the layout of ``pam.decode_bits`` output, which ``pam.tally_errors``
+        # reads as contiguous bit rows
+        assert bits.T.flags.c_contiguous
+        src, _, _ = _draw(source, "gaussian", 4, 0, 300, 3, 9)
+        assert np.array_equal(bits, src.bits)
+
     @pytest.mark.parametrize("block", [1, 7, 1_000])
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("kind", ["stream", "packet", "packet_dithered"])
@@ -892,27 +951,22 @@ def test_batches_leave_no_reference_cycles():
         gc.enable()
 
 
+def _words(seed, count, n_words):
+    """(count, n_words) uniform raw words: ``draw_batch`` is a function of its words alone."""
+    return np.random.default_rng(seed).integers(0, 2**64, size=(count, n_words), dtype=np.uint64)
+
+
 class TestSources:
     def test_known_sample_unit_variance(self):
-        gens = [sim.trial_generator(3, i) for i in range(20_000)]
-        batch = sim.KnownSampleSource().draw_batch(gens, 2)
+        batch = sim.KnownSampleSource().draw_batch(_words(3, 20_000, 1), 2)
         assert abs(batch.s.mean()) < 0.02
         assert batch.s.var() == pytest.approx(1.0, abs=0.02)
         assert (batch.shat0 == batch.s[:, None]).all()
 
     def test_packet_stream_staircase_example(self):
         # all-zero packet of 4 bits over T=4: Shat_0(0..3) = sqrt3 * 15/16
-        class ZeroGen:
-            class bit_generator:
-                @staticmethod
-                def random_raw(size):
-                    return np.zeros(size, dtype=np.uint64)
-
-            def integers(self, lo, hi, size):
-                return np.zeros(size, dtype=np.int64)
-
         src = sim.PacketStreamSource(packet_bits=4, period=4)
-        batch = src.draw_batch([ZeroGen()], 7)
+        batch = src.draw_batch(np.zeros((1, 16), dtype=np.uint64), 7)
         expected = math.sqrt(3.0) * 15.0 / 16.0
         assert np.allclose(batch.shat0[0, :4], expected, rtol=1e-15)
         # after the second packet the estimate deepens to 8 bits
@@ -920,8 +974,7 @@ class TestSources:
 
     def test_packet_stream_prefix_consistency(self):
         src = sim.PacketStreamSource(packet_bits=2, period=3)
-        gens = [sim.trial_generator(8, i) for i in range(16)]
-        batch = src.draw_batch(gens, 9)
+        batch = src.draw_batch(_words(8, 16, 16), 9)
         for t in (0, 2, 3, 8, 9):
             depth = 2 * (t // 3 + 1)
             for b in range(16):
@@ -930,8 +983,7 @@ class TestSources:
 
     def test_single_packet_source_constant(self):
         src = sim.SinglePacketSource(packet_bits=3)
-        gens = [sim.trial_generator(4, i) for i in range(64)]
-        batch = src.draw_batch(gens, 5)
+        batch = src.draw_batch(_words(4, 64, 2), 5)
         assert (batch.shat0 == batch.s[:, None]).all()
         for b in range(64):
             assert batch.s[b] == pytest.approx(pam.encode(batch.bits[b]), rel=1e-14)
@@ -947,8 +999,7 @@ class TestSources:
 
     def test_refinement_estimates_track_cell_means(self):
         src = sim.RefinementSource(rate_nats=0.6)
-        gens = [sim.trial_generator(5, i) for i in range(40_000)]
-        batch = src.draw_batch(gens, 6)
+        batch = src.draw_batch(_words(5, 40_000, 1), 6)
         emp = np.mean((batch.s[:, None] - batch.shat0) ** 2, axis=0)
         want = np.exp(-2 * 0.6 * (np.arange(7) + 1))
         se = np.sqrt(np.var((batch.s[:, None] - batch.shat0) ** 2, axis=0) / 40_000)
@@ -956,8 +1007,7 @@ class TestSources:
 
     def test_refinement_is_markov_coarsening(self):
         src = sim.RefinementSource(rate_nats=0.8)
-        gens = [sim.trial_generator(6, i) for i in range(2_000)]
-        batch = src.draw_batch(gens, 5)
+        batch = src.draw_batch(_words(6, 2_000, 1), 5)
         # same estimate at step t implies same estimate at every earlier step
         order = np.lexsort((batch.shat0[:, 3],))
         sh = batch.shat0[order]
@@ -969,8 +1019,7 @@ class TestSources:
     def test_custom_refinement_profile_hits_targets(self):
         profile = (0.4, 0.4, 0.07, 0.02, 0.02, 0.004)
         src = sim.CustomRefinementSource(profile)
-        gens = [sim.trial_generator(9, i) for i in range(40_000)]
-        batch = src.draw_batch(gens, 5)
+        batch = src.draw_batch(_words(9, 40_000, 1), 5)
         sq = (batch.s[:, None] - batch.shat0) ** 2
         emp = sq.mean(axis=0)
         se = np.sqrt(sq.var(axis=0) / 40_000)
@@ -994,7 +1043,7 @@ class TestSources:
             sim.CustomRefinementSource((0.5, 1.5))  # outside [0, 1]
         short = sim.CustomRefinementSource((0.5, 0.25))
         with pytest.raises(ValueError):
-            short.draw_batch([sim.trial_generator(0, 0)], t_max=5)
+            short.draw_batch(_words(0, 1, 1), t_max=5)
 
 
 class TestStreamingMonteCarlo:
@@ -1301,12 +1350,19 @@ class TestWorkerProcesses:
         assert multiprocessing.active_children() == []
 
 
+@functools.cache
+def _first_words(seed, count):
+    """The first raw word of each trial 0..count-1's stream, mapped to its trial."""
+    return {int(sim.trial_generator(seed, i).bit_generator.random_raw()): i for i in range(count)}
+
+
 @dataclasses.dataclass(frozen=True)
 class _RefusesFromTrial:
     """A known source of 0.5, with two zero packet bits, that raises on any
     trial at or after ``first``.
 
-    It reads the trial index from the key its stream was reset to.
+    It tells each trial by the first word of its stream (seed 5, trials
+    below 3,000), which it reads as its source draw.
     """
 
     first: int
@@ -1314,10 +1370,13 @@ class _RefusesFromTrial:
     def boundary(self):
         return SingleSampleBoundary()
 
-    def draw_batch(self, gens, t_max):
-        for g in gens:
-            trial = int(g.bit_generator.state["state"]["key"][1])
-            if trial >= self.first:
-                raise ValueError(f"trial {trial} refused")
-        bits = np.zeros((len(gens), 2), dtype=np.int8)
-        return dataclasses.replace(sim.KnownSampleSource(0.5).draw_batch(gens, t_max), bits=bits)
+    def halves(self, t_max):
+        return 2
+
+    def draw_batch(self, words, t_max):
+        trials = [_first_words(5, 3_000)[int(w)] for w in words[:, 0]]
+        refused = [trial for trial in trials if trial >= self.first]
+        if refused:
+            raise ValueError(f"trial {min(refused)} refused")
+        bits = np.zeros((len(words), 2), dtype=np.int8)
+        return dataclasses.replace(sim.KnownSampleSource(0.5).draw_batch(words, t_max), bits=bits)

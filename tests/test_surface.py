@@ -22,6 +22,8 @@ REMOVED_NAMES = [
     ("mse", "ExponentialRefinementBoundary.kind"),
     ("mse", "PacketStreamBoundary.kind"),
     ("mse", "SequenceBoundary.kind"),
+    ("simulate", "_TrialStreams"),
+    ("simulate", "_draw_bits"),
 ]
 
 # (module, callable path, parameter) of each removed keyword option
@@ -37,13 +39,15 @@ REMOVED_KEYWORDS = [
     ("cli", "cmd_simulate", "threads"),
     ("cli", "cmd_packet", "threads"),
     ("cli", "cmd_stream", "threads"),
+    *(("simulate", f"{source}.draw_batch", "gens")
+      for source in ("KnownSampleSource", "SinglePacketSource", "RefinementSource",
+                     "CustomRefinementSource", "PacketStreamSource")),
 ]
 
 # (module, callable path, parameter) that is required: its None mode is gone
 REQUIRED = [
     ("exponents", "worst_bit_error_bound", "tau_max"),
     ("simulate", "_draw_inputs", "out"),
-    ("simulate", "_TrialStreams", "out"),
 ]
 
 
