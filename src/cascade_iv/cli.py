@@ -534,6 +534,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+            if args.command == "verify" and value is not None:
+                raise ValueError(f"verify runs fixed checks and reads no {flag}")
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         overrides = {}
         if args.seed is not None:

@@ -93,6 +93,7 @@ class ExperimentConfig:
     def from_text(cls, text: str) -> "ExperimentConfig":
         seen_section = False
         raw: dict[str, str] = {}
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -105,7 +106,13 @@ class ExperimentConfig:
             if "=" not in stripped:
                 raise ValueError(f"line {lineno}: expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ValueError(
+                    f"line {lineno}: config key {key!r} already set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            raw[key] = value.strip()
         if not seen_section:
             raise ValueError(f"missing {_SECTION} section header")
 

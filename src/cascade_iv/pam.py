@@ -64,11 +64,8 @@ def decode_bits(estimate, n: int) -> np.ndarray:
     Successive sign extraction: bit i is 0 iff the residual is > 0, the
     residual then drops by the signed contribution sqrt(3) (-1)^b 2^-(i+1).
     Ties (residual exactly 0) give bit 1, choosing the smaller point.
-    Output shape is input shape + (n,).
-
-    The bits are filled bit-major, one contiguous ``estimate``-shaped row
-    per bit, and returned as the view with the bit axis last, so for a 1-D
-    input ``decoded.T`` is C-contiguous.  The contribution is formed as
+    Output shape is (n,) + input shape: bit-major, one contiguous
+    ``estimate``-shaped row per bit.  The contribution is formed as
     ``b * (-2w) + w`` with w = sqrt(3) 2^-(i+1), which is exactly +w or -w,
     in two passes over preallocated buffers.
     """
@@ -87,7 +84,7 @@ def decode_bits(estimate, n: int) -> np.ndarray:
         np.multiply(b, -2.0 * w, out=step)
         step += w
         residual -= step
-    return np.moveaxis(out, 0, -1)
+    return out
 
 
 def dithered_decode(estimate, alpha, n: int, dither) -> np.ndarray:
@@ -95,7 +92,8 @@ def dithered_decode(estimate, alpha, n: int, dither) -> np.ndarray:
 
     ``dither`` is the psi-bit dither U, uniform on [-D_psi/2, D_psi/2).
     ``alpha`` is the coefficient multiplying the constellation point inside
-    the linear estimate and must lie in (0, 1).
+    the linear estimate and must lie in (0, 1).  The bits are laid out as
+    ``decode_bits`` lays them out.
     """
     alpha_arr = np.asarray(alpha, dtype=float)
     if not ((alpha_arr > 0.0) & (alpha_arr < 1.0)).all():
@@ -164,9 +162,8 @@ def tally_errors(
 ) -> None:
     """Account one batch of decodes at node r, time t into ``stats``.
 
-    ``decoded`` and ``truth`` are (trials, n_bits) prefix arrays in any
-    memory order; bit-major ones, as ``decode_bits`` returns, are compared
-    without a transposing copy.  Bit n was generated at time
+    ``decoded`` and ``truth`` are (n_bits, trials) prefix arrays, the
+    layout ``decode_bits`` returns.  Bit n was generated at time
     floor(n/psi) * period, so the bits of packet tau are tallied at delay
     t - tau*period.  Per packet the single-bit, whole-packet and
     whole-prefix error events are counted.  A ``period`` below 1 raises
@@ -176,7 +173,7 @@ def tally_errors(
     truth = np.asarray(truth)
     if decoded.shape != truth.shape:
         raise ValueError(f"decoded {decoded.shape} and truth {truth.shape} misaligned")
-    n_trials, n_bits = decoded.shape
+    n_bits, n_trials = decoded.shape
     if n_bits % packet_bits:
         raise ValueError("prefix length must be a whole number of packets")
     if period < 1:
@@ -187,10 +184,8 @@ def tally_errors(
     if n_gen == 0:
         return
     width = n_gen * packet_bits
-    # bit-major mismatches: every count below reduces contiguous trial rows.
-    # For bit-major inputs, such as ``decode_bits`` output, the transposed
-    # views are already C-contiguous and no copy is made.
-    mism = np.not_equal(decoded[:, :width].T, truth[:, :width].T, order="C")
+    # bit-major mismatches: every count below reduces contiguous trial rows
+    mism = np.not_equal(decoded[:width], truth[:width])
     per_bit = [int(np.count_nonzero(row)) for row in mism]
     packet_any = np.logical_or.reduce(mism.reshape(n_gen, packet_bits, n_trials), axis=1)
     prefix_any = np.zeros(n_trials, dtype=bool)

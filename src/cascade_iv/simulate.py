@@ -18,10 +18,12 @@ reads, and maps the raw words of all its trials to its draws in one call:
 its uniforms and packet bits equal ``Generator.uniform`` and
 ``Generator.integers(0, 2)`` draws bit for bit.  A batch builds one
 generator and resets its state to trial i's key rather than building a
-generator per trial, and stores the noise trial-contiguous, (r_max, T, B),
-for the recursion.  Monte Carlo aggregation uses fixed-size batches merged
-in batch order with compensated summation, making aggregates bit-identical
-for any parallelism degree.
+generator per trial.  From the raw words to the error tally every array
+keeps the trial axis last: the (k, B) words, the source's (T, B) node-0
+estimates and (depth, B) bits, the (r_max, T, B) noise, the (n_cells, B)
+captures and the (n, B) decoded bits.  Monte Carlo aggregation uses
+fixed-size batches merged in batch order with compensated summation,
+making aggregates bit-identical for any parallelism degree.
 
 Parallelism: batches share no state, so with ``threads`` (or
 ``CASCADE_IV_THREADS``) above 1 they are spread over that many workers, at
@@ -159,14 +161,14 @@ def _uniform(words: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _bits(words: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) int8 bits from (B, k) raw words, equal to ``integers(0, 2, size=n)`` per row.
+    """(n, B) int8 bits from (k, B) raw words; column b is trial b's ``integers(0, 2, size=n)``.
 
     ``integers(0, 2)`` is Lemire's method on [0, 2), which never rejects:
     bit j is the top bit of the stream's 32-bit output j, and each 64-bit
     Philox word supplies two of them, low half first.
     """
-    halves = words[:, :, None] >> np.array([31, 63], dtype=np.uint64) & np.uint64(1)
-    return halves.reshape(len(words), -1)[:, :n].astype(np.int8)
+    halves = words[:, None] >> np.array([[31], [63]], dtype=np.uint64) & np.uint64(1)
+    return halves.reshape(-1, words.shape[1])[:n].astype(np.int8)
 
 
 # Trials whose r-major noise is drawn before one transposed copy into the
@@ -176,7 +178,7 @@ _NOISE_CHUNK = 128
 
 def _draw_inputs(source, noise_kind, master_seed, start, out, chunk,
                  n_dither=0, dither_half=0.0):
-    """Source draws and (B, n_dither) dither of the trials from ``start`` on.
+    """Source draws and (n_dither, B) dither of the trials from ``start`` on.
 
     Trial i reads ``Philox(key=(master_seed, i))`` from counter 0: the
     source's ``halves(t_max)`` 32-bit halves as raw words, then its hop
@@ -184,7 +186,7 @@ def _draw_inputs(source, noise_kind, master_seed, start, out, chunk,
     Resetting the state of one generator gives the same numbers as a fresh
     ``trial_generator`` per trial.  An odd last half is read by
     ``integers``, which leaves the word's high half buffered for the
-    noise, as ``integers(0, 2)`` does.  The source turns the (B, k) words
+    noise, as ``integers(0, 2)`` does.  The source turns the (k, B) words
     into its draws in one call.
 
     The noise is staged in ``chunk``, a (c, r_max, T) array, and copied c
@@ -193,8 +195,8 @@ def _draw_inputs(source, noise_kind, master_seed, start, out, chunk,
     """
     r_max, T, count = out.shape
     n_words, odd = divmod(source.halves(T - 1), 2)
-    words = np.empty((count, n_words + odd), dtype=np.uint64)
-    dither = np.empty((count, n_dither), dtype=np.uint64)
+    words = np.empty((n_words + odd, count), dtype=np.uint64)
+    dither = np.empty((n_dither, count), dtype=np.uint64)
     gen = trial_generator(master_seed, start)
     bitgen = gen.bit_generator
     # The state setter reads counter, key and buffer item by item; Python
@@ -209,12 +211,12 @@ def _draw_inputs(source, noise_kind, master_seed, start, out, chunk,
         for i in range(lo, lo + n):
             key[1] = start + i
             bitgen.state = fresh
-            words[i, :n_words] = bitgen.random_raw(n_words)
+            words[:n_words, i] = bitgen.random_raw(n_words)
             if odd:
-                words[i, n_words] = gen.integers(0, 2**32, dtype=np.uint32)
+                words[n_words, i] = gen.integers(0, 2**32, dtype=np.uint32)
             draw_noise(gen, noise_kind, (r_max, T), chunk[i - lo])
             if n_dither:
-                dither[i] = bitgen.random_raw(n_dither)
+                dither[:, i] = bitgen.random_raw(n_dither)
         out[..., lo : lo + n] = np.moveaxis(chunk[:n], 0, -1)
     src = source.draw_batch(words, T - 1)
     return src, _uniform(dither, -dither_half, dither_half) if n_dither else None
@@ -242,7 +244,7 @@ def resolve_threads(threads: int | None = None) -> int:
 #
 # A source reads ``halves(t_max)`` 32-bit halves from the head of each
 # trial's stream: two per uniform draw and one per packet bit.
-# ``draw_batch(words, t_max)`` maps the (B, ceil(halves / 2)) uint64 raw
+# ``draw_batch(words, t_max)`` maps the (ceil(halves / 2), B) uint64 raw
 # words of B trials to their SourceBatch; a last odd half is the low half
 # of its word.
 
@@ -251,8 +253,8 @@ class SourceBatch:
     """Per-batch source draws: target values, node-0 estimates, optional bits."""
 
     s: np.ndarray          # (B,)
-    shat0: np.ndarray      # (B, t_max+1)
-    bits: np.ndarray | None = None  # (B, depth) for packet streams
+    shat0: np.ndarray      # (t_max+1, B), possibly a read-only broadcast of s
+    bits: np.ndarray | None = None  # (depth, B) for packet sources
 
 
 @dataclass(frozen=True)
@@ -269,11 +271,10 @@ class KnownSampleSource:
 
     def draw_batch(self, words, t_max: int) -> SourceBatch:
         if self.value is None:
-            s = _uniform(words[:, 0], -pam.SQRT3, pam.SQRT3)
+            s = _uniform(words[0], -pam.SQRT3, pam.SQRT3)
         else:
-            s = np.full(len(words), float(self.value))
-        shat0 = np.repeat(s[:, None], t_max + 1, axis=1)
-        return SourceBatch(s=s, shat0=shat0)
+            s = np.full(words.shape[1], float(self.value))
+        return SourceBatch(s=s, shat0=np.broadcast_to(s, (t_max + 1, len(s))))
 
 
 def _split_rounds_for_factor(factor: float):
@@ -301,17 +302,17 @@ def _refinement_split_plan(rate_nats: float):
 
 def _draw_quantized(words, plans, t_max: int) -> SourceBatch:
     """Nested-quantizer refinement of a uniform source, one plan per time step."""
-    s = _uniform(words[:, 0], -pam.SQRT3, pam.SQRT3)
+    s = _uniform(words[0], -pam.SQRT3, pam.SQRT3)
     lo = np.full(s.shape, -pam.SQRT3)
     width = np.full(s.shape, 2.0 * pam.SQRT3)
-    shat0 = np.empty((len(words), t_max + 1))
+    shat0 = np.empty((t_max + 1, len(s)))
     for t in range(t_max + 1):
         for rho in plans[t]:
             cut = lo + rho * width
             right = s >= cut
             lo = np.where(right, cut, lo)
             width = np.where(right, (1.0 - rho) * width, rho * width)
-        shat0[:, t] = lo + 0.5 * width
+        shat0[t] = lo + 0.5 * width
     return SourceBatch(s=s, shat0=shat0)
 
 
@@ -402,12 +403,10 @@ class PacketStreamSource:
         depth = self.depth(t_max)
         bits = _bits(words, depth)
         w = pam.SQRT3 * np.exp2(-(np.arange(depth) + 1.0))
-        contrib = (1.0 - 2.0 * bits) * w
-        csum = np.cumsum(contrib, axis=1)
-        s = csum[:, -1].copy()
+        csum = np.cumsum((1.0 - 2.0 * bits) * w[:, None], axis=0)
+        s = csum[-1].copy()
         t = np.arange(t_max + 1)
-        n_t = self.packet_bits * (t // self.period + 1)
-        shat0 = csum[:, n_t - 1]
+        shat0 = csum[self.packet_bits * (t // self.period + 1) - 1]
         return SourceBatch(s=s, shat0=shat0, bits=bits)
 
 
@@ -431,9 +430,11 @@ class SinglePacketSource:
     def draw_batch(self, words, t_max: int) -> SourceBatch:
         bits = _bits(words, self.packet_bits)
         w = pam.SQRT3 * np.exp2(-(np.arange(self.packet_bits) + 1.0))
-        s = ((1.0 - 2.0 * bits) * w).sum(axis=1)
-        shat0 = np.repeat(s[:, None], t_max + 1, axis=1)
-        return SourceBatch(s=s, shat0=shat0, bits=bits)
+        # Each trial's psi terms are summed as one contiguous row, the order
+        # the pinned bytes were recorded in: numpy sums a row of 8 or more
+        # values in 8 lanes, which a sum down the trial-last columns does not.
+        s = ((1.0 - 2.0 * np.ascontiguousarray(bits.T)) * w).sum(axis=1)
+        return SourceBatch(s=s, shat0=np.broadcast_to(s, (t_max + 1, len(s))), bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +553,7 @@ def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal,
            first_trial: int, hops: bool = False) -> None:
     """Run the lattice recursion for a batch, in place on one (r_max+1, B) state.
 
-    ``plan`` is the gain table's ``_wavefront``, ``shat0`` the (B, T)
+    ``plan`` is the gain table's ``_wavefront``, ``shat0`` the (T, B)
     node-0 estimate and ``z`` the (r_max, T, B) hop noise.  Cell (n, t)
     reads only (n-1, t) and (n, t-1), so the cells of one anti-diagonal
     e = n + t depend only on the diagonal before it: a wavefront step
@@ -560,7 +561,7 @@ def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal,
     slab, each node reading its hop noise z[n-1, e-n] through a strided
     view.  Row n of the state holds Shat_n(e - n - 1)
     before the step and Shat_n(e - n) after it; node 0 is set to
-    ``shat0[:, e]`` after the update, which reads its previous value.
+    ``shat0[e]`` after the update, which reads its previous value.
 
     After step e, ``on_diagonal(e, lo, hi, est, x, y)`` sees the state,
     whose rows lo..hi-1 are the diagonal's cells.  With ``hops`` it also
@@ -571,7 +572,6 @@ def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal,
     state untouched.
     """
     r_max, T, count = z.shape
-    shat0 = np.ascontiguousarray(shat0.T)
     est = np.zeros((r_max + 1, count))
     x = np.empty((r_max, count))
     if hops:
@@ -770,45 +770,6 @@ def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     return _run_blocks(gains, source, noise_kind, master_seed, start_trial, count,
                        lambda trials, src, z, dither: _Moments(gains, src.s, z),
                        _Moments.join, hops=True).sums
-
-
-def _capture_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
-                   start_trial: int, count: int, cells, n_dither: int = 0,
-                   dither_half: float = 0.0):
-    """Run ``count`` trials block by block, keeping only the estimates at ``cells``.
-
-    Returns the (B, depth) source bits, or None for a source without bits,
-    the (n_cells, B) captured estimates and the (B, n_dither) dither, or
-    None without dither.  The bits are stored bit-major and returned as the
-    transposed view, the layout of ``pam.decode_bits`` output, so
-    ``pam.tally_errors`` reads both as contiguous bit rows.  Every trial
-    reads its own stream, so the results do not depend on the block size.
-    """
-    captures = np.empty((len(cells), count))
-    dither = np.empty((count, n_dither)) if n_dither else None
-    bits = None
-    by_e: dict[int, list[tuple[int, int]]] = {}
-    for idx, (r, t) in enumerate(cells):
-        by_e.setdefault(r + t, []).append((idx, r))
-
-    def leaf(trials, src, z, block_dither):
-        nonlocal bits
-        if src.bits is not None:
-            if bits is None:
-                bits = np.empty((src.bits.shape[1], count), dtype=src.bits.dtype)
-            bits[:, trials] = src.bits.T
-        if dither is not None:
-            dither[trials] = block_dither
-
-        def capture(e, lo, hi, est, x, y):
-            for idx, r in by_e.get(e, ()):
-                captures[idx, trials] = est[r]
-
-        return capture
-
-    _run_blocks(gains, source, noise_kind, master_seed, start_trial, count, leaf,
-                n_dither=n_dither, dither_half=dither_half)
-    return None if bits is None else bits.T, captures, dither
 
 
 def _compensated_sum(parts) -> np.ndarray:
@@ -1077,7 +1038,10 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
                   decode: DecodeSpec, start_trial: int, count: int):
     """Capture and decode ``count`` trials into (primary, slicer) error stats.
 
-    See ``run_decoding_monte_carlo``; the slicer stats are None unless the
+    The trials run block by block, keeping only the estimates at ``cells``,
+    the source bits and the dither; every trial reads its own stream, so
+    the counts do not depend on the block size.  See
+    ``run_decoding_monte_carlo``; the slicer stats are None unless the
     decoding is dithered.
     """
     dithered = decode.kind == "packet_dithered"
@@ -1085,18 +1049,38 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
     period = decode.period if decode.kind == "stream" else gains.t_max + 1
     n_dither = len(cells) if dithered else 0
     dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
-    bits, caps, dither = _capture_batch(
-        gains, source, noise_kind, master_seed, start_trial, count, cells, n_dither, dither_half
-    )
+    captures = np.empty((len(cells), count))
+    dither = np.empty((n_dither, count))
+    bits = None
+    by_e: dict[int, list[tuple[int, int]]] = {}
+    for idx, (r, t) in enumerate(cells):
+        by_e.setdefault(r + t, []).append((idx, r))
+
+    def leaf(trials, src, z, block_dither):
+        nonlocal bits
+        if bits is None:
+            bits = np.empty((len(src.bits), count), dtype=src.bits.dtype)
+        bits[:, trials] = src.bits
+        if n_dither:
+            dither[:, trials] = block_dither
+
+        def capture(e, lo, hi, est, x, y):
+            for idx, r in by_e.get(e, ()):
+                captures[idx, trials] = est[r]
+
+        return capture
+
+    _run_blocks(gains, source, noise_kind, master_seed, start_trial, count, leaf,
+                n_dither=n_dither, dither_half=dither_half)
     primary = pam.ErrorStats()
     secondary = pam.ErrorStats() if dithered else None
     for idx, (r, t) in enumerate(cells):
         n = psi * (t // period + 1)
-        truth = bits[:, :n]
-        decoded = pam.decode_bits(caps[idx], n)
+        truth = bits[:n]
+        decoded = pam.decode_bits(captures[idx], n)
         if secondary is not None:  # the plain slicer, then the dithered one
             pam.tally_errors(secondary, decoded, truth, r, t, psi, period)
-            decoded = pam.dithered_decode(caps[idx], decode.alphas[idx], n, dither[:, idx])
+            decoded = pam.dithered_decode(captures[idx], decode.alphas[idx], n, dither[idx])
         pam.tally_errors(primary, decoded, truth, r, t, psi, period)
     return primary, secondary
 

@@ -6,6 +6,7 @@ aggregates are bit-reproducible for any thread count, so the 3-standard-error
 verdicts are stable across reruns.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -410,8 +411,7 @@ class TestCriterion11:
             for threads in (1, 4, 16):
                 out = tmp_path / f"{command}_{threads}"
                 cfg_path = tmp_path / f"{command}_{threads}.cfg"
-                cfg_text = base_cfg.to_text() + f"out_dir = {out}\n"
-                cfg_path.write_text("[experiment]\n" + cfg_text.split("\n", 1)[1])
+                cfg_path.write_text(dataclasses.replace(base_cfg, out_dir=str(out)).to_text())
                 env = dict(os.environ, CASCADE_IV_THREADS=str(threads))
                 res = subprocess.run(
                     [sys.executable, "-m", "cascade_iv.cli", command, "--config", str(cfg_path)],

@@ -66,6 +66,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_text("[experiment]\nwarp = 9\n")
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        text = "[experiment]\nmaster_seed = 3\nsnr = 2\nmaster_seed = 4\n"
+        with pytest.raises(ValueError, match=r"^line 4: config key 'master_seed' already set on line 2$"):
+            ExperimentConfig.from_text(text)
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text(text)
+        assert cli.main(["mse", "--config", str(cfg), "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == "error: line 4: config key 'master_seed' already set on line 2\n"
+        assert printed.out == "" and not out.exists()
+
     def test_packet_stream_requires_structure(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scheme="packet_stream")
@@ -519,6 +530,13 @@ class TestSimulateBytePins:
             "report.json": "d38a69bb967ad08e1e032c39747542b3985d89ebbb33231078187f52c511eaed",
             "simulate.csv": "6ef201135d10e57efaf0bb4e0b46cf0ee4c065a5bc84e646a1a2d1b1e90a9349",
         }),
+        # 11 packet bits per source value: numpy sums each trial's 11 terms
+        # in 8 lanes, an order a sum down the trial axis would not keep
+        "single_packet-psi11": ({"scheme": "single_packet", "packet_bits": 11, "r_max": 4,
+                                 "t_max": 12, "num_trials": 30_000, "master_seed": 3}, {
+            "report.json": "9acc6498809cb34914382cc6e4f58a6f3938b7cd82a906180651f2ff2c90a6d4",
+            "simulate.csv": "8621680c1019270be80959d190eee70b2a38a16d6108a221223166136642fe38",
+        }),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -793,6 +811,15 @@ class TestEndToEnd:
         printed = capsys.readouterr()
         assert printed.err == (f"error: {command} ignores the hop convention; "
                                "convention = delayed is read only by the exponents command\n")
+        assert printed.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_verify_seed_and_trials_are_usage_errors(self, flag, tmp_path, capsys):
+        # verify runs fixed checks with their own seeds and trial counts
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--out", str(out), flag, "3"]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"error: verify runs fixed checks and reads no {flag}\n"
         assert printed.out == "" and not out.exists()
 
     def test_packet_takes_one_velocity(self, tmp_path, capsys):

@@ -57,7 +57,7 @@ class TestDecode:
         w = SQRT3 * np.exp2(-(np.arange(n) + 1.0))
         points = ((1 - 2 * bits) * w).sum(axis=1)
         decoded = pam.decode_bits(points, n)
-        assert np.array_equal(decoded, bits)
+        assert np.array_equal(decoded, bits.T)
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_within_half_min_distance(self, n):
@@ -109,18 +109,17 @@ class TestDecode:
 
     def test_batch_shape(self):
         out = pam.decode_bits(np.zeros((4, 5)), 3)
-        assert out.shape == (4, 5, 3)
+        assert out.shape == (3, 4, 5)
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
     def test_shape_and_values_for_any_input_rank(self, shape):
-        # the bits are stored bit-major; the result is the input shape + (n,)
+        # the bits are stored bit-major: the result is (n,) + the input shape
         est = np.random.default_rng(5).uniform(-2.0, 2.0, size=shape)
         out = pam.decode_bits(est, 6)
-        assert out.shape == shape + (6,) and out.dtype == np.int8
+        assert out.shape == (6,) + shape and out.dtype == np.int8
         for idx in np.ndindex(shape):
-            assert np.array_equal(out[idx], pam.decode_bits(float(est[idx]), 6))
-        if len(shape) == 1:
-            assert out.T.flags.c_contiguous
+            assert np.array_equal(out[(slice(None),) + idx], pam.decode_bits(float(est[idx]), 6))
+        assert out.flags.c_contiguous
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -130,10 +129,10 @@ class TestDecode:
 def slicer_reference(estimate, n):
     """The slicer loop ``decode_bits`` replaced: int8 bits, contributions via float temporaries."""
     residual = np.asarray(estimate, dtype=float).copy()
-    out = np.empty(residual.shape + (n,), dtype=np.int8)
+    out = np.empty((n,) + residual.shape, dtype=np.int8)
     for i in range(n):
         b = (residual <= 0.0).astype(np.int8)
-        out[..., i] = b
+        out[i] = b
         residual -= SQRT3 * (1.0 - 2.0 * b) * 2.0 ** (-(i + 1))
     return out
 
@@ -219,7 +218,7 @@ class TestDitheredDecode:
 class TestErrorStats:
     def test_perfect_decode_all_zero(self):
         stats = pam.ErrorStats()
-        truth = np.array([[0, 1, 1, 0]] * 8, dtype=np.int8)
+        truth = np.array([[0] * 8, [1] * 8, [1] * 8, [0] * 8], dtype=np.int8)
         pam.tally_errors(stats, truth.copy(), truth, r=2, t=5, packet_bits=2, period=3)
         for (_, _), cell in stats.cells.items():
             assert cell.bit_errors == 0
@@ -229,9 +228,9 @@ class TestErrorStats:
 
     def test_single_flip_propagates_to_prefixes(self):
         stats = pam.ErrorStats()
-        truth = np.zeros((1, 6), dtype=np.int8)
+        truth = np.zeros((6, 1), dtype=np.int8)
         decoded = truth.copy()
-        decoded[0, 2] = 1  # bit 2 lives in packet 1 (psi = 2)
+        decoded[2, 0] = 1  # bit 2 lives in packet 1 (psi = 2)
         pam.tally_errors(stats, decoded, truth, r=1, t=6, packet_bits=2, period=3)
         # packet 0 at delay 6: clean; packet 1 at delay 3: bit + packet + prefix
         assert stats.cells[(1, 6)].bit_errors == 0
@@ -247,22 +246,22 @@ class TestErrorStats:
     def test_streaming_schedule_delta_indexing(self):
         # psi=2, T=3, 3 packets: bit n is generated at floor(n/2)*3
         stats = pam.ErrorStats()
-        truth = np.zeros((4, 6), dtype=np.int8)
+        truth = np.zeros((6, 4), dtype=np.int8)
         pam.tally_errors(stats, truth.copy(), truth, r=3, t=7, packet_bits=2, period=3)
         assert set(stats.cells.keys()) == {(3, 7), (3, 4), (3, 1)}
         assert all(c.n_trials == 4 for c in stats.cells.values())
 
     def test_future_packets_not_tallied(self):
         stats = pam.ErrorStats()
-        truth = np.zeros((2, 8), dtype=np.int8)
+        truth = np.zeros((8, 2), dtype=np.int8)
         pam.tally_errors(stats, truth.copy(), truth, r=1, t=2, packet_bits=2, period=3)
         assert set(stats.cells.keys()) == {(1, 2)}
 
     def test_prefix_at_least_worst_bit(self):
         rng = np.random.default_rng(3)
         stats = pam.ErrorStats()
-        truth = rng.integers(0, 2, size=(500, 4)).astype(np.int8)
-        noisy = truth ^ (rng.random((500, 4)) < 0.2).astype(np.int8)
+        truth = rng.integers(0, 2, size=(4, 500)).astype(np.int8)
+        noisy = truth ^ (rng.random((4, 500)) < 0.2).astype(np.int8)
         pam.tally_errors(stats, noisy, truth, r=1, t=4, packet_bits=2, period=2)
         for cell in stats.cells.values():
             worst_count = max(err for err, _ in cell.per_bit.values())
@@ -271,9 +270,9 @@ class TestErrorStats:
 
     def test_merge_and_rows(self):
         a, b = pam.ErrorStats(), pam.ErrorStats()
-        truth = np.zeros((3, 2), dtype=np.int8)
+        truth = np.zeros((2, 3), dtype=np.int8)
         flipped = truth.copy()
-        flipped[:, 1] = 1
+        flipped[1] = 1
         pam.tally_errors(a, flipped, truth, r=1, t=0, packet_bits=2, period=2)
         pam.tally_errors(b, truth.copy(), truth, r=1, t=0, packet_bits=2, period=2)
         a.merge(b)
@@ -284,8 +283,8 @@ class TestErrorStats:
         with pytest.raises(ValueError):
             pam.tally_errors(
                 pam.ErrorStats(),
-                np.zeros((2, 4), dtype=np.int8),
-                np.zeros((2, 6), dtype=np.int8),
+                np.zeros((4, 2), dtype=np.int8),
+                np.zeros((6, 2), dtype=np.int8),
                 r=0,
                 t=0,
                 packet_bits=2,
@@ -295,7 +294,7 @@ class TestErrorStats:
     @pytest.mark.parametrize("period", [0, -1])
     def test_period_below_one_rejected(self, period):
         stats = pam.ErrorStats()
-        truth = np.zeros((2, 4), dtype=np.int8)
+        truth = np.zeros((4, 2), dtype=np.int8)
         with pytest.raises(ValueError, match="period"):
             pam.tally_errors(stats, truth.copy(), truth, r=0, t=3, packet_bits=2, period=period)
         assert stats.cells == {}
@@ -305,7 +304,7 @@ def reference_tally(stats, decoded, truth, r, t, packet_bits, period):
     """Packet-by-packet tally, the scalar reference for ``pam.tally_errors``."""
     decoded = np.asarray(decoded)
     truth = np.asarray(truth)
-    n_trials, n_bits = decoded.shape
+    n_bits, n_trials = decoded.shape
     mism = decoded != truth
     prefix_any = np.zeros(n_trials, dtype=bool)
     for tau in range(n_bits // packet_bits):
@@ -313,13 +312,13 @@ def reference_tally(stats, decoded, truth, r, t, packet_bits, period):
         if gen_time > t:
             break
         delta = t - gen_time
-        sl = mism[:, tau * packet_bits : (tau + 1) * packet_bits]
-        prefix_any |= sl.any(axis=1)
+        sl = mism[tau * packet_bits : (tau + 1) * packet_bits]
+        prefix_any |= sl.any(axis=0)
         cell = stats.cell(r, delta)
         cell.n_trials += n_trials
-        per_bit_err = sl.sum(axis=0)
+        per_bit_err = sl.sum(axis=1)
         cell.bit_errors += int(per_bit_err.sum())
-        cell.packet_errors += int(sl.any(axis=1).sum())
+        cell.packet_errors += int(sl.any(axis=0).sum())
         cell.prefix_errors += int(prefix_any.sum())
         for j in range(packet_bits):
             cur = cell.per_bit.setdefault((tau, j), [0, 0])
@@ -335,7 +334,7 @@ class TestTallyAgainstReference:
         n_packets = 5
         for t in (0, 1, period, 2 * period + 1, 4 * period, 10 * period):
             for p_flip in (0.0, 0.05, 0.5):
-                truth = rng.integers(0, 2, size=(300, n_packets * psi)).astype(np.int8)
+                truth = rng.integers(0, 2, size=(n_packets * psi, 300)).astype(np.int8)
                 decoded = truth ^ (rng.random(truth.shape) < p_flip).astype(np.int8)
                 fast, slow = pam.ErrorStats(), pam.ErrorStats()
                 # tally twice into the same stats to cover accumulation
@@ -363,7 +362,7 @@ class TestTallyAgainstReference:
     )
     def test_memory_order_does_not_matter(self, n_trials, psi, n_packets, period, t, seed):
         rng = np.random.default_rng(seed)
-        truth = rng.integers(0, 2, size=(n_trials, n_packets * psi)).astype(np.int8)
+        truth = rng.integers(0, 2, size=(n_packets * psi, n_trials)).astype(np.int8)
         decoded = truth ^ (rng.random(truth.shape) < 0.3).astype(np.int8)
         reference = pam.ErrorStats()
         reference_tally(reference, decoded, truth, 1, t, psi, period)
@@ -374,7 +373,7 @@ class TestTallyAgainstReference:
             assert list(stats.rows()) == list(reference.rows())
 
     def test_later_packets_not_generated_yet(self):
-        truth = np.zeros((50, 8), dtype=np.int8)
+        truth = np.zeros((8, 50), dtype=np.int8)
         decoded = np.ones_like(truth)
         fast, slow = pam.ErrorStats(), pam.ErrorStats()
         pam.tally_errors(fast, decoded, truth, 2, 3, 2, 2)  # packets 0 and 1 of 4

@@ -92,8 +92,8 @@ class _RawWords:
         return self.n_halves
 
     def draw_batch(self, words, t_max):
-        count = len(words)
-        return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((count, t_max + 1)), bits=words)
+        count = words.shape[1]
+        return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((t_max + 1, count)), bits=words)
 
 
 class TestBatchStreams:
@@ -113,7 +113,7 @@ class TestBatchStreams:
             # source, then r-major noise, then dither, as the README states
             assert src.s[b] == gen.uniform(-pam.SQRT3, pam.SQRT3)
             assert np.array_equal(z[..., b], sim.draw_noise(gen, kind, (r_max, t_max + 1)))
-            assert np.array_equal(dither[b], gen.uniform(-half, half, size=n_dither))
+            assert np.array_equal(dither[:, b], gen.uniform(-half, half, size=n_dither))
 
     def test_noise_layout_is_trial_contiguous_across_chunks(self):
         count = sim._NOISE_CHUNK + 7  # one full chunk and a partial one
@@ -136,12 +136,12 @@ class TestBatchStreams:
         # two full noise chunks and one trial of a third
         count, first, n_dither, half = 2 * sim._NOISE_CHUNK + 1, 17, 2, 0.5
         src, z, dither = _draw(_RawWords(6), "gaussian", seed, first, count, 2, 2, n_dither, half)
-        assert src.bits.dtype == np.uint64 and src.bits.shape == (count, 3)
+        assert src.bits.dtype == np.uint64 and src.bits.shape == (3, count)
         for i in range(count):
             gen = sim.trial_generator(seed, first + i)
-            assert np.array_equal(src.bits[i], gen.bit_generator.random_raw(3))
+            assert np.array_equal(src.bits[:, i], gen.bit_generator.random_raw(3))
             assert np.array_equal(z[..., i], sim.draw_noise(gen, "gaussian", (2, 3)))
-            assert np.array_equal(dither[i], gen.uniform(-half, half, size=n_dither))
+            assert np.array_equal(dither[:, i], gen.uniform(-half, half, size=n_dither))
 
     @pytest.mark.parametrize("psi", [1, 3])
     def test_odd_packet_bits_reset_the_buffered_half(self, psi):
@@ -150,7 +150,7 @@ class TestBatchStreams:
         src, z, _ = _draw(sim.SinglePacketSource(psi), "gaussian", 8, 3, 6, 2, 2)
         for b in range(6):
             gen = sim.trial_generator(8, 3 + b)
-            assert np.array_equal(src.bits[b], gen.integers(0, 2, size=psi))
+            assert np.array_equal(src.bits[:, b], gen.integers(0, 2, size=psi))
             assert np.array_equal(z[..., b], sim.draw_noise(gen, "gaussian", (2, 3)))
 
     @pytest.mark.parametrize("n", [1, 5])
@@ -161,8 +161,8 @@ class TestBatchStreams:
         for b in range(3):
             gen = sim.trial_generator(4, 9 + b)
             want = gen.bit_generator.random_raw(n // 2 + 1)
-            assert np.array_equal(src.bits[b, :-1], want[:-1])
-            assert src.bits[b, -1] == want[-1] & np.uint64(2**32 - 1)
+            assert np.array_equal(src.bits[:-1, b], want[:-1])
+            assert src.bits[-1, b] == want[-1] & np.uint64(2**32 - 1)
 
 
 def _rows_digest(stats):
@@ -193,18 +193,18 @@ class TestRawWordBits:
         # value is the half the last bit left buffered
         source = sim.SinglePacketSource(n)
         src, z, dither = _draw(source, "rademacher", seed, trial, 1, 2, 2, 2, 0.5)
-        assert src.bits.dtype == np.int8 and src.bits.shape == (1, n)
+        assert src.bits.dtype == np.int8 and src.bits.shape == (n, 1)
         gen = sim.trial_generator(seed, trial)
-        assert np.array_equal(src.bits[0], gen.integers(0, 2, size=n))
+        assert np.array_equal(src.bits[:, 0], gen.integers(0, 2, size=n))
         assert np.array_equal(z[..., 0], sim.draw_noise(gen, "rademacher", (2, 3)))
-        assert np.array_equal(dither[0], gen.uniform(-0.5, 0.5, size=2))
+        assert np.array_equal(dither[:, 0], gen.uniform(-0.5, 0.5, size=2))
 
-    def test_batch_rows_are_the_trials(self):
+    def test_batch_columns_are_the_trials(self):
         src, _, _ = _draw(sim.PacketStreamSource(3, 2), "zero", 9, 0, 5, 1, 3)
-        assert src.bits.shape == (5, 3 * 2 + 24)
+        assert src.bits.shape == (3 * 2 + 24, 5) and src.bits.flags.c_contiguous
         for i in range(5):
             want = sim.trial_generator(9, i).integers(0, 2, size=30)
-            assert np.array_equal(src.bits[i], want)
+            assert np.array_equal(src.bits[:, i], want)
 
 
 class TestNumpyDrawsFromRawWords:
@@ -375,7 +375,6 @@ def _time_major_sweep(gains, shat0, z, on_step, first_trial, hops=None):
     silent = gains.silent.tolist()
     beta = gains.beta.tolist()
     gamma = gains.gamma.tolist()
-    shat0 = np.ascontiguousarray(shat0.T)
     est = np.zeros((r_max + 1, count))
     x = np.empty(count)
     y = np.empty(count)
@@ -509,6 +508,45 @@ def _time_major_captures(gains, source, noise_kind, master_seed, start, count, c
     return captures
 
 
+@dataclasses.dataclass(frozen=True)
+class _WithBits:
+    """``source`` with one zero packet bit per trial, so that a decoding run
+    captures its estimates; it reads the same stream as ``source``."""
+
+    source: object
+
+    def halves(self, t_max):
+        return self.source.halves(t_max)
+
+    def draw_batch(self, words, t_max):
+        src = self.source.draw_batch(words, t_max)
+        return dataclasses.replace(src, bits=np.zeros((1, len(src.s)), dtype=np.int8))
+
+
+def _decode_inputs(gains, source, noise_kind, master_seed, start, count, cells, decode):
+    """What ``sim._decode_batch`` hands the slicer and the tally, cell by cell.
+
+    Returns the (n_cells, count) estimates that reach ``pam.decode_bits`` and
+    the list of truth arrays that reach ``pam.tally_errors``.
+    """
+    captures, truths = [], []
+    decode_bits, tally_errors = pam.decode_bits, pam.tally_errors
+
+    def spy_decode(estimate, n):
+        captures.append(estimate.copy())
+        return decode_bits(estimate, n)
+
+    def spy_tally(stats, decoded, truth, *args):
+        truths.append(truth)
+        return tally_errors(stats, decoded, truth, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pam, "decode_bits", spy_decode)
+        m.setattr(pam, "tally_errors", spy_tally)
+        sim._decode_batch(gains, source, noise_kind, master_seed, cells, decode, start, count)
+    return np.array(captures), truths
+
+
 def _set_block(monkeypatch, gains, trials):
     """Give a block of ``gains``' lattice a budget of ``trials`` trials (128 at the least)."""
     monkeypatch.setattr(sim, "_BLOCK_BUDGET", trials * 8 * gains.r_max * (gains.t_max + 1))
@@ -549,7 +587,8 @@ class TestWavefrontMatchesTimeMajor:
 
         cells = [(r, t) for r in range(gains.r_max + 1) for t in range(gains.t_max + 1)]
         _set_block(monkeypatch, gains, 64)  # several blocks, the last one short
-        _, caps, _ = sim._capture_batch(gains, source, noise, self.SEED, 3, trials, cells)
+        caps, _ = _decode_inputs(gains, _WithBits(source), noise, self.SEED, 3, trials, cells,
+                                 sim.DecodeSpec("packet", 1))
         ref = _time_major_captures(gains, source, noise, self.SEED, 3, trials, cells)
         assert _same_bits(caps, ref)
 
@@ -630,7 +669,7 @@ class TestPairwiseTree:
         def zero_draw(source, noise_kind, master_seed, start, out, *args):
             out.fill(0.0)
             _, T, count = out.shape
-            return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((count, T))), None
+            return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((T, count))), None
 
         monkeypatch.setattr(sim, "_draw_inputs", zero_draw)
         for trials in (1, 64, 127, 128, 129, 136, 200, 256, 1_000, 1_024, 2_047, 4_096):
@@ -654,12 +693,15 @@ class TestBlockIndependence:
         gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(2, 2), 3, 9))
         source = sim.PacketStreamSource(2, 2)
         _set_block(monkeypatch, gains, 128)  # 300 trials in blocks of 72, 72, 72 and 84
-        bits, _, _ = sim._capture_batch(gains, source, "gaussian", 4, 0, 300, [(1, 2)])
-        # the layout of ``pam.decode_bits`` output, which ``pam.tally_errors``
-        # reads as contiguous bit rows
-        assert bits.T.flags.c_contiguous
+        _, truths = _decode_inputs(gains, source, "gaussian", 4, 0, 300, [(1, 2), (2, 9)],
+                                   sim.DecodeSpec("stream", 2, 2))
         src, _, _ = _draw(source, "gaussian", 4, 0, 300, 3, 9)
-        assert np.array_equal(bits, src.bits)
+        # each truth is the first rows of one (depth, B) array of the whole
+        # batch's bits: contiguous bit rows, the layout of ``pam.decode_bits``
+        # output, which ``pam.tally_errors`` compares row by row
+        for truth, n in zip(truths, (4, 10)):
+            assert truth.flags.c_contiguous and truth.shape == (n, 300)
+            assert np.array_equal(truth.base, src.bits)
 
     @pytest.mark.parametrize("block", [1, 7, 1_000])
     @pytest.mark.parametrize("threads", [1, 3])
@@ -952,8 +994,12 @@ def test_batches_leave_no_reference_cycles():
 
 
 def _words(seed, count, n_words):
-    """(count, n_words) uniform raw words: ``draw_batch`` is a function of its words alone."""
-    return np.random.default_rng(seed).integers(0, 2**64, size=(count, n_words), dtype=np.uint64)
+    """(n_words, count) uniform raw words: ``draw_batch`` is a function of its words alone.
+
+    Trial b's words are those drawn as row b of a (count, n_words) array.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**64, size=(count, n_words), dtype=np.uint64).T.copy()
 
 
 class TestSources:
@@ -961,16 +1007,16 @@ class TestSources:
         batch = sim.KnownSampleSource().draw_batch(_words(3, 20_000, 1), 2)
         assert abs(batch.s.mean()) < 0.02
         assert batch.s.var() == pytest.approx(1.0, abs=0.02)
-        assert (batch.shat0 == batch.s[:, None]).all()
+        assert (batch.shat0 == batch.s).all()
 
     def test_packet_stream_staircase_example(self):
         # all-zero packet of 4 bits over T=4: Shat_0(0..3) = sqrt3 * 15/16
         src = sim.PacketStreamSource(packet_bits=4, period=4)
-        batch = src.draw_batch(np.zeros((1, 16), dtype=np.uint64), 7)
+        batch = src.draw_batch(np.zeros((16, 1), dtype=np.uint64), 7)
         expected = math.sqrt(3.0) * 15.0 / 16.0
-        assert np.allclose(batch.shat0[0, :4], expected, rtol=1e-15)
+        assert np.allclose(batch.shat0[:4, 0], expected, rtol=1e-15)
         # after the second packet the estimate deepens to 8 bits
-        assert batch.shat0[0, 4] == pytest.approx(math.sqrt(3.0) * 255.0 / 256.0, rel=1e-15)
+        assert batch.shat0[4, 0] == pytest.approx(math.sqrt(3.0) * 255.0 / 256.0, rel=1e-15)
 
     def test_packet_stream_prefix_consistency(self):
         src = sim.PacketStreamSource(packet_bits=2, period=3)
@@ -978,15 +1024,26 @@ class TestSources:
         for t in (0, 2, 3, 8, 9):
             depth = 2 * (t // 3 + 1)
             for b in range(16):
-                want = pam.encode(batch.bits[b], depth)
-                assert batch.shat0[b, t] == pytest.approx(want, rel=1e-12)
+                want = pam.encode(batch.bits[:, b], depth)
+                assert batch.shat0[t, b] == pytest.approx(want, rel=1e-12)
 
     def test_single_packet_source_constant(self):
         src = sim.SinglePacketSource(packet_bits=3)
         batch = src.draw_batch(_words(4, 64, 2), 5)
-        assert (batch.shat0 == batch.s[:, None]).all()
+        assert (batch.shat0 == batch.s).all()
         for b in range(64):
-            assert batch.s[b] == pytest.approx(pam.encode(batch.bits[b]), rel=1e-14)
+            assert batch.s[b] == pytest.approx(pam.encode(batch.bits[:, b]), rel=1e-14)
+
+    @pytest.mark.parametrize("count", [1, 128, 1_985])
+    def test_single_packet_sums_each_trial_as_one_contiguous_row(self, count):
+        # numpy sums a contiguous row of 8 or more values in 8 lanes, so at
+        # psi = 11 a sum down the columns of the (psi, trials) terms rounds
+        # differently; the single-packet bytes rest on the row order
+        batch = sim.SinglePacketSource(11).draw_batch(_words(11, count, 6), 3)
+        w = pam.SQRT3 * np.exp2(-(np.arange(11) + 1.0))
+        rows = np.ascontiguousarray((1.0 - 2.0 * batch.bits.T) * w)
+        assert rows.shape == (count, 11)
+        assert _same_bits(batch.s, rows.sum(axis=1))
 
     def test_refinement_split_plan_realizes_exact_mse(self):
         # analytic check: the partition MSE factorizes over split rounds
@@ -1000,17 +1057,17 @@ class TestSources:
     def test_refinement_estimates_track_cell_means(self):
         src = sim.RefinementSource(rate_nats=0.6)
         batch = src.draw_batch(_words(5, 40_000, 1), 6)
-        emp = np.mean((batch.s[:, None] - batch.shat0) ** 2, axis=0)
+        emp = np.mean((batch.s - batch.shat0) ** 2, axis=1)
         want = np.exp(-2 * 0.6 * (np.arange(7) + 1))
-        se = np.sqrt(np.var((batch.s[:, None] - batch.shat0) ** 2, axis=0) / 40_000)
+        se = np.sqrt(np.var((batch.s - batch.shat0) ** 2, axis=1) / 40_000)
         assert (np.abs(emp - want) <= 4 * se).all()
 
     def test_refinement_is_markov_coarsening(self):
         src = sim.RefinementSource(rate_nats=0.8)
         batch = src.draw_batch(_words(6, 2_000, 1), 5)
         # same estimate at step t implies same estimate at every earlier step
-        order = np.lexsort((batch.shat0[:, 3],))
-        sh = batch.shat0[order]
+        order = np.lexsort((batch.shat0[3],))
+        sh = batch.shat0.T[order]
         same_late = np.diff(sh[:, 3]) == 0
         for col in (0, 1, 2):
             diffs = np.diff(sh[:, col])
@@ -1020,9 +1077,9 @@ class TestSources:
         profile = (0.4, 0.4, 0.07, 0.02, 0.02, 0.004)
         src = sim.CustomRefinementSource(profile)
         batch = src.draw_batch(_words(9, 40_000, 1), 5)
-        sq = (batch.s[:, None] - batch.shat0) ** 2
-        emp = sq.mean(axis=0)
-        se = np.sqrt(sq.var(axis=0) / 40_000)
+        sq = (batch.s - batch.shat0) ** 2
+        emp = sq.mean(axis=1)
+        se = np.sqrt(sq.var(axis=1) / 40_000)
         assert (np.abs(emp - np.array(profile)) <= 4 * se).all()
 
     def test_custom_refinement_consistent_with_lattice(self):
@@ -1374,9 +1431,9 @@ class _RefusesFromTrial:
         return 2
 
     def draw_batch(self, words, t_max):
-        trials = [_first_words(5, 3_000)[int(w)] for w in words[:, 0]]
+        trials = [_first_words(5, 3_000)[int(w)] for w in words[0]]
         refused = [trial for trial in trials if trial >= self.first]
         if refused:
             raise ValueError(f"trial {min(refused)} refused")
-        bits = np.zeros((len(words), 2), dtype=np.int8)
+        bits = np.zeros((2, words.shape[1]), dtype=np.int8)
         return dataclasses.replace(sim.KnownSampleSource(0.5).draw_batch(words, t_max), bits=bits)

@@ -24,6 +24,7 @@ REMOVED_NAMES = [
     ("mse", "SequenceBoundary.kind"),
     ("simulate", "_TrialStreams"),
     ("simulate", "_draw_bits"),
+    ("simulate", "_capture_batch"),
 ]
 
 # (module, callable path, parameter) of each removed keyword option
