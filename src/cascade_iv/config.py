@@ -92,8 +92,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         seen_section = False
-        raw: dict[str, str] = {}
-        first_line: dict[str, int] = {}
+        raw: dict[str, tuple[int, str]] = {}  # key: (line number, value)
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -107,18 +106,17 @@ class ExperimentConfig:
                 raise ValueError(f"line {lineno}: expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key in first_line:
+            if key in raw:
                 raise ValueError(
-                    f"line {lineno}: config key {key!r} already set on line {first_line[key]}"
+                    f"line {lineno}: config key {key!r} already set on line {raw[key][0]}"
                 )
-            first_line[key] = lineno
-            raw[key] = value.strip()
+            raw[key] = (lineno, value.strip())
         if not seen_section:
             raise ValueError(f"missing {_SECTION} section header")
 
         kwargs = {}
         known = {f.name: f for f in fields(cls)}
-        for key, value in raw.items():
+        for key, (_, value) in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             kwargs[key] = _parse_field(key, value)
