@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import exponents as xp
 from . import mse as mse_mod
 from . import simulate as sim
 from ._table import G17_FIELD, g17_text, open_table, write_lattice_csv, write_table
-from .config import ExperimentConfig
+from .config import CONVENTIONS, SCHEMES, ExperimentConfig
 from .params import (
     HopConvention,
     Velocity,
@@ -48,10 +48,6 @@ _FIG3_RATES = (0.1, 0.5, 1.0, 1.3)
 _FIG2_SNRS = (0.1, 1.0, 10.0, 100.0)
 
 
-def _convention(cfg: ExperimentConfig) -> HopConvention:
-    return HopConvention.DELAYED if cfg.convention == "delayed" else HopConvention.INSTANTANEOUS
-
-
 def _rate_of(cfg: ExperimentConfig, channel) -> float | None:
     if cfg.rate_nats is not None:
         return cfg.rate_nats
@@ -62,13 +58,8 @@ def _rate_of(cfg: ExperimentConfig, channel) -> float | None:
 
 def _source_for(cfg: ExperimentConfig):
     """The scheme's source process; its ``boundary()`` is the lattice boundary row."""
-    if cfg.scheme == "single_sample":
-        return sim.KnownSampleSource()
-    if cfg.scheme == "single_packet":
-        return sim.SinglePacketSource(cfg.packet_bits)
-    if cfg.scheme == "refined_source":
-        return sim.RefinementSource(cfg.rate_nats)
-    return sim.PacketStreamSource(cfg.packet_bits, cfg.period)
+    cls, keys = SCHEMES[cfg.scheme]
+    return cls(*(getattr(cfg, key) for key in keys))
 
 
 def _default_velocities(channel, convention: HopConvention, n: int = 100) -> np.ndarray:
@@ -84,7 +75,7 @@ def _default_velocities(channel, convention: HopConvention, n: int = 100) -> np.
 
 def cmd_exponents(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     channel = make_channel_params(cfg.snr)
-    conv = _convention(cfg)
+    conv = HopConvention(cfg.convention)
     vgrid = np.asarray(cfg.velocities) if cfg.velocities else _default_velocities(channel, conv)
     rate = _rate_of(cfg, channel)
     rates = (rate,) if rate is not None else _FIG3_RATES
@@ -122,16 +113,18 @@ def cmd_iv(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 
 def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     channel = make_channel_params(cfg.snr)
-    grid = mse_mod.solve_grid(channel, _source_for(cfg).boundary(), cfg.r_max, cfg.t_max)
+    boundary = _source_for(cfg).boundary()
+    grid = mse_mod.solve_grid(channel, boundary, cfg.r_max, cfg.t_max)
     path = os.path.join(out_dir, "mse.csv")
     paths = [path]
-    if cfg.scheme in ("single_sample", "single_packet", "refined_source"):
-        if cfg.scheme == "refined_source":
-            log_cf = np.logaddexp(*mse_mod.log_closed_form_streaming_grid(
-                channel, cfg.rate_nats, cfg.r_max, cfg.t_max
-            ))
-        else:
-            log_cf = mse_mod.log_closed_form_single_grid(channel, cfg.r_max, cfg.t_max)
+    log_cf = None
+    if isinstance(boundary, mse_mod.ExponentialRefinementBoundary):
+        log_cf = np.logaddexp(*mse_mod.log_closed_form_streaming_grid(
+            channel, boundary.rate_nats, cfg.r_max, cfg.t_max
+        ))
+    elif isinstance(boundary, mse_mod.SingleSampleBoundary):
+        log_cf = mse_mod.log_closed_form_single_grid(channel, cfg.r_max, cfg.t_max)
+    if log_cf is not None:
         dp = grid.values[1:, 1:]
         log_cf = log_cf[1:]
         # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.  One
@@ -214,7 +207,7 @@ def simulate_verdicts(cfg: ExperimentConfig, agg: sim.MonteCarloAggregate, grid)
     code with probability at most ``VERDICT_ALPHA``.
     """
     theory = grid.values[:, 1:]
-    upper_only = cfg.scheme == "single_packet"  # var(S^psi) < 1, MSE <= lattice
+    upper_only = SCHEMES[cfg.scheme][0] is sim.SinglePacketSource  # var(S^psi) < 1
     return [
         # node 0 follows the boundary process exactly
         _family_verdict("mse_vs_theory", agg.mse_mean[1:] - theory[1:], agg.mse_stderr[1:],
@@ -281,7 +274,8 @@ def _censored(rates, n) -> np.ndarray:
     return np.where(rates < threshold, np.char.add("<", g17_text(threshold)), g17_text(rates))
 
 
-def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+def _packet_velocity(cfg: ExperimentConfig) -> float:
+    """The one velocity ``packet`` decodes at; input it cannot run raises ValueError."""
     if cfg.packet_bits is None:
         raise ValueError("packet command requires packet_bits")
     if cfg.r_max < 2:
@@ -294,8 +288,12 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             f"packet command takes one velocity, got {len(cfg.velocities)}; "
             "run it once per velocity"
         )
+    return cfg.velocities[0] if cfg.velocities else 1.0
+
+
+def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+    v = _packet_velocity(cfg)
     channel = make_channel_params(cfg.snr)
-    v = cfg.velocities[0] if cfg.velocities else 1.0
     r_list = list(range(2, cfg.r_max + 1))
     cells = [(r, math.floor(r / v)) for r in r_list]
     t_max = max(t for _, t in cells)
@@ -303,14 +301,8 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, t_max)
     gains = sim.precompute_gains(grid)
     stats, _ = sim.run_decoding_monte_carlo(
-        gains,
-        source,
-        cfg.noise,
-        cfg.num_trials,
-        cfg.master_seed,
-        cells,
-        sim.DecodeSpec(kind="packet", packet_bits=cfg.packet_bits),
-    )
+        gains, source, cfg.noise, cfg.num_trials, cfg.master_seed, cells,
+        sim.DecodeSpec(kind="packet", packet_bits=cfg.packet_bits))
     rows = []
     for r, t in cells:
         cell = stats.cells[(r, t)]
@@ -339,7 +331,8 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     return [path]
 
 
-def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+def _stream_velocities(cfg: ExperimentConfig) -> list[float]:
+    """The velocities ``stream`` decodes at; input it cannot run raises ValueError."""
     if cfg.packet_bits is None or cfg.period is None:
         raise ValueError("stream command requires packet_bits and period")
     if cfg.r_max < 4:
@@ -347,18 +340,22 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             f"stream command needs r_max >= 4 (relays are decoded at r = 4, 8, ...), "
             f"got r_max = {cfg.r_max}"
         )
+    if cfg.velocities:
+        return list(cfg.velocities)
     channel = make_channel_params(cfg.snr)
     stream = make_stream_params(cfg.packet_bits, cfg.period, channel)
-    if cfg.velocities:
-        velocities = list(cfg.velocities)
-    else:
-        if not stream.below_capacity:
-            raise ValueError(
-                "rate at or above capacity: no velocity suggestion available; "
-                "pass explicit velocities to force a run"
-            )
-        velocities = [0.5 * xp.iv_lower_bound_stream(channel, stream.rate_nats)]
+    if not stream.below_capacity:
+        raise ValueError(
+            "rate at or above capacity: no velocity suggestion available; "
+            "pass explicit velocities to force a run"
+        )
+    return [0.5 * xp.iv_lower_bound_stream(channel, stream.rate_nats)]
 
+
+def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+    velocities = _stream_velocities(cfg)
+    channel = make_channel_params(cfg.snr)
+    stream = make_stream_params(cfg.packet_bits, cfg.period, channel)
     source = sim.PacketStreamSource(cfg.packet_bits, cfg.period)
     paths = []
     for vi, v in enumerate(velocities):
@@ -368,21 +365,10 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         t_max = tau_cap * cfg.period + max(deltas.values())
         grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, t_max)
         gains = sim.precompute_gains(grid)
-        cells = []
-        for r in r_list:
-            for tau in range(tau_cap + 1):
-                t = tau * cfg.period + deltas[r]
-                if t <= t_max:
-                    cells.append((r, t))
+        cells = [(r, tau * cfg.period + deltas[r]) for r in r_list for tau in range(tau_cap + 1)]
         stats, _ = sim.run_decoding_monte_carlo(
-            gains,
-            source,
-            cfg.noise,
-            cfg.num_trials,
-            cfg.master_seed,
-            cells,
-            sim.DecodeSpec(kind="stream", packet_bits=cfg.packet_bits, period=cfg.period),
-        )
+            gains, source, cfg.noise, cfg.num_trials, cfg.master_seed, cells,
+            sim.DecodeSpec(kind="stream", packet_bits=cfg.packet_bits, period=cfg.period))
         suffix = f"_v{vi}" if len(velocities) > 1 else ""
         err_path = os.path.join(out_dir, f"stream_errors{suffix}.csv")
         write_table(err_path, "r,delta,n_trials,bit_err,prefix_err,packet_err,worst_bit_pe",
@@ -513,6 +499,29 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 # entry point
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Command:
+    """What a command reads beyond ``--config`` and ``--out``."""
+
+    no_seed: str | None = None  # why it reads no --seed and --trials; None if it reads both
+    convention: bool = False  # whether it reads the hop convention
+    defaults: dict = field(default_factory=dict)  # its config overrides without --config
+    check: object = None  # raises ValueError on a config it cannot run, before any output
+
+
+_COMMANDS = {
+    "exponents": _Command("runs no Monte Carlo", convention=True),
+    "iv": _Command("runs no Monte Carlo"),
+    "mse": _Command("runs no Monte Carlo"),
+    "simulate": _Command(),
+    "packet": _Command(defaults={"scheme": "single_packet", "packet_bits": 2},
+                       check=_packet_velocity),
+    "stream": _Command(defaults={"scheme": "packet_stream", "packet_bits": 2, "period": 2},
+                       check=_stream_velocities),
+    "verify": _Command("runs fixed checks"),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it takes 1-3 ms."""
@@ -521,62 +530,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Relay-cascade information-velocity toolkit: theory and Monte Carlo",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("exponents", "iv", "mse", "simulate", "packet", "stream", "verify"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file (key = value format)")
         p.add_argument("--seed", type=int, help="override master seed")
         p.add_argument("--out", help="override output directory")
         p.add_argument("--trials", type=int, help="override trial count")
-        p.add_argument("--convention", choices=("inst", "delayed"), help="hop convention")
+        p.add_argument("--convention", choices=CONVENTIONS, help="hop convention")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
-            if args.command == "verify" and value is not None:
-                raise ValueError(f"verify runs fixed checks and reads no {flag}")
+            if command.no_seed and value is not None:
+                raise ValueError(f"{args.command} {command.no_seed} and reads no {flag}")
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.trials is not None:
-            overrides["num_trials"] = args.trials
-        if args.convention is not None:
-            overrides["convention"] = args.convention
-        if args.command == "packet" and not args.config:
-            overrides.update(scheme="single_packet", packet_bits=2)
-        if args.command == "stream" and not args.config:
-            overrides.update(scheme="packet_stream", packet_bits=2, period=2)
+        overrides = {} if args.config else dict(command.defaults)
+        for key, value in (("master_seed", args.seed), ("out_dir", args.out),
+                           ("num_trials", args.trials), ("convention", args.convention)):
+            if value is not None:
+                overrides[key] = value
         if overrides:
             cfg = replace(cfg, **overrides)
-        if cfg.convention == "delayed" and args.command != "exponents":
+        if HopConvention(cfg.convention) is HopConvention.DELAYED and not command.convention:
             raise ValueError(
                 f"{args.command} ignores the hop convention; "
                 "convention = delayed is read only by the exponents command"
             )
-        if args.command in ("simulate", "packet", "stream"):
+        if command.no_seed is None:
             sim.resolve_threads()  # a bad CASCADE_IV_THREADS fails before any output
-        out_dir = cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-
-        if args.command == "exponents":
-            paths = cmd_exponents(cfg, out_dir)
-        elif args.command == "iv":
-            paths = cmd_iv(cfg, out_dir)
-        elif args.command == "mse":
-            paths = cmd_mse(cfg, out_dir)
-        elif args.command == "simulate":
-            paths = cmd_simulate(cfg, out_dir)
-        elif args.command == "packet":
-            paths = cmd_packet(cfg, out_dir)
-        elif args.command == "stream":
-            paths = cmd_stream(cfg, out_dir)
-        else:
-            paths = cmd_verify(cfg, out_dir)
+        if command.check:
+            command.check(cfg)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        # through the module, so that a wrapper set on cmd_<name> is the one run
+        paths = globals()[f"cmd_{args.command}"](cfg, cfg.out_dir)
     except VerificationFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1

@@ -10,11 +10,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .params import HopConvention
+from .simulate import KnownSampleSource, PacketStreamSource, RefinementSource, SinglePacketSource
+
 __all__ = ["SCHEMES", "NOISES", "CONVENTIONS", "ExperimentConfig"]
 
-SCHEMES = ("single_sample", "single_packet", "refined_source", "packet_stream")
+# Each scheme's source class and the config keys that are its arguments, in
+# order; a scheme requires exactly those keys.
+SCHEMES = {
+    "single_sample": (KnownSampleSource, ()),
+    "single_packet": (SinglePacketSource, ("packet_bits",)),
+    "refined_source": (RefinementSource, ("rate_nats",)),
+    "packet_stream": (PacketStreamSource, ("packet_bits", "period")),
+}
 NOISES = ("gaussian", "uniform", "rademacher")
-CONVENTIONS = ("inst", "delayed")
+CONVENTIONS = tuple(c.value for c in HopConvention)
 
 _SECTION = "[experiment]"
 
@@ -49,19 +59,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         if self.noise not in NOISES:
             raise ValueError(f"noise must be one of {NOISES}, got {self.noise!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
         if not (math.isfinite(self.snr) and self.snr > 0):
             raise ValueError("snr must be positive and finite")
-        if self.scheme == "packet_stream" and (self.packet_bits is None or self.period is None):
-            raise ValueError("packet_stream requires packet_bits and period")
-        if self.scheme == "single_packet" and self.packet_bits is None:
-            raise ValueError("single_packet requires packet_bits")
-        if self.scheme == "refined_source" and self.rate_nats is None:
-            raise ValueError("refined_source requires rate_nats")
+        keys = SCHEMES[self.scheme][1]
+        if any(getattr(self, key) is None for key in keys):
+            raise ValueError(f"{self.scheme} requires {' and '.join(keys)}")
         if self.packet_bits is not None and self.packet_bits < 1:
             raise ValueError("packet_bits must be >= 1")
         if self.period is not None and self.period < 1:

@@ -1034,6 +1034,13 @@ class DecodeSpec:
                 raise ValueError("alphas are required for dithered decoding")
 
 
+def _slicing(decode: DecodeSpec, t_max: int) -> tuple[int, int]:
+    """(psi, period) of ``decode`` on a lattice to ``t_max``: cell (r, t) slices
+    psi * (t // period + 1) bits."""
+    psi = decode.decode_bits_n if decode.kind == "packet_dithered" else decode.packet_bits
+    return psi, decode.period if decode.kind == "stream" else t_max + 1
+
+
 def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, cells,
                   decode: DecodeSpec, start_trial: int, count: int):
     """Capture and decode ``count`` trials into (primary, slicer) error stats.
@@ -1045,8 +1052,7 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
     decoding is dithered.
     """
     dithered = decode.kind == "packet_dithered"
-    psi = decode.decode_bits_n if dithered else decode.packet_bits
-    period = decode.period if decode.kind == "stream" else gains.t_max + 1
+    psi, period = _slicing(decode, gains.t_max)
     n_dither = len(cells) if dithered else 0
     dither_half = 0.5 * pam.min_distance(decode.packet_bits) if dithered else 0.0
     captures = np.empty((len(cells), count))
@@ -1105,11 +1111,21 @@ def run_decoding_monte_carlo(
     batch is swept in blocks of a fixed noise budget, so the counts do not
     depend on ``batch_size``, the thread count or the block size.  Memory
     holds one block of noise per worker, plus each batch's captures and bits.
+    A source that draws fewer bits than the deepest cell decodes raises
+    ValueError before any trial runs.
     """
     cells = list(capture_cells)
     for r, t in cells:
         if not (0 <= r <= gains.r_max and 0 <= t <= gains.t_max):
             raise ValueError(f"capture cell {(r, t)} outside lattice")
+    psi, period = _slicing(decode, gains.t_max)
+    need = max((psi * (t // period + 1) for _, t in cells), default=0)
+    # the source's bits, from one trial of all-zero words: no noise is drawn
+    zeros = np.zeros((-(-source.halves(gains.t_max) // 2), 1), dtype=np.uint64)
+    bits = source.draw_batch(zeros, gains.t_max).bits
+    if bits is None or len(bits) < need:
+        raise ValueError(f"{source!r} draws {0 if bits is None else len(bits)} bits per trial, "
+                         f"but the deepest capture cell decodes {need}")
     if decode.alphas is not None and np.shape(decode.alphas) != (len(cells),):
         raise ValueError(f"alphas must hold one entry per capture cell ({len(cells)}), "
                          f"got shape {np.shape(decode.alphas)}")

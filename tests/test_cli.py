@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,11 +12,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from cascade_iv import _table, cli
+from cascade_iv import _table, cli, config
 from cascade_iv import mse as mse_mod
 from cascade_iv import simulate as sim
 from cascade_iv.config import ExperimentConfig
-from cascade_iv.params import make_channel_params
+from cascade_iv.params import HopConvention, make_channel_params
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -113,6 +114,53 @@ class TestConfig:
             ExperimentConfig(scheme="smoke_signals")
         with pytest.raises(ValueError):
             ExperimentConfig(noise="pink")
+
+
+class TestTables:
+    """The command table and the scheme table are the only place their names are read."""
+
+    MINIMAL = {
+        "single_sample": ({}, sim.KnownSampleSource()),
+        "single_packet": ({"packet_bits": 3}, sim.SinglePacketSource(3)),
+        "refined_source": ({"rate_nats": 0.5}, sim.RefinementSource(0.5)),
+        "packet_stream": ({"packet_bits": 2, "period": 3}, sim.PacketStreamSource(2, 3)),
+    }
+    MISSING = [
+        ("single_packet", {}, "single_packet requires packet_bits"),
+        ("refined_source", {}, "refined_source requires rate_nats"),
+        ("packet_stream", {}, "packet_stream requires packet_bits and period"),
+        ("packet_stream", {"packet_bits": 2}, "packet_stream requires packet_bits and period"),
+        ("packet_stream", {"period": 2}, "packet_stream requires packet_bits and period"),
+    ]
+
+    @staticmethod
+    def subparsers():
+        (action,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    @pytest.mark.parametrize("scheme", list(MINIMAL))
+    def test_scheme_builds_its_source(self, scheme):
+        keys, source = self.MINIMAL[scheme]
+        built = cli._source_for(ExperimentConfig(scheme=scheme, **keys))
+        assert type(built) is type(source) and built == source
+        assert list(config.SCHEMES) == list(self.MINIMAL)
+
+    @pytest.mark.parametrize("scheme, keys, message", MISSING)
+    def test_missing_key_message(self, scheme, keys, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(scheme=scheme, **keys)
+
+    def test_subparsers_are_the_command_table(self):
+        assert list(self.subparsers()) == list(cli._COMMANDS) == [
+            "exponents", "iv", "mse", "simulate", "packet", "stream", "verify"]
+
+    def test_convention_choices_are_the_hop_conventions(self):
+        values = tuple(c.value for c in HopConvention)
+        assert config.CONVENTIONS == values == ("inst", "delayed")
+        for parser in self.subparsers().values():
+            (action,) = [a for a in parser._actions if a.dest == "convention"]
+            assert tuple(action.choices) == values
 
 
 class TestExponentsCommand:
@@ -707,6 +755,7 @@ class TestEndToEnd:
         res = run_cli(["stream", "--config", str(cfg)], tmp_path)
         assert res.returncode == 2, res.stdout + res.stderr
         assert "velocit" in res.stderr
+        assert not (tmp_path / "abovecap").exists()
         # ... but run when the user forces one, reporting a vacuous envelope
         ExperimentConfig(
             scheme="packet_stream", packet_bits=4, period=2, r_max=4,
@@ -734,7 +783,21 @@ class TestEndToEnd:
         res = run_cli([command, "--config", str(cfg)], tmp_path)
         assert res.returncode == 2, res.stdout + res.stderr
         assert f"{command} command needs r_max >= {minimum}" in res.stderr
-        assert res.stdout == "" and not any(out.iterdir())
+        assert res.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("packet", "packet_bits"), ("stream", "packet_bits and period"),
+    ])
+    def test_decode_command_without_its_keys_is_a_usage_error(self, tmp_path, capsys, command,
+                                                             keys):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "out"
+        ExperimentConfig(scheme="refined_source", rate_nats=0.5, r_max=8,
+                         out_dir=str(out)).save(cfg)
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"error: {command} command requires {keys}\n"
+        assert printed.out == "" and not out.exists()
 
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
         outputs = {}
@@ -814,12 +877,15 @@ class TestEndToEnd:
         assert printed.out == "" and not out.exists()
 
     @pytest.mark.parametrize("flag", ["--seed", "--trials"])
-    def test_verify_seed_and_trials_are_usage_errors(self, flag, tmp_path, capsys):
-        # verify runs fixed checks with their own seeds and trial counts
+    @pytest.mark.parametrize("command", ["exponents", "iv", "mse", "verify"])
+    def test_verify_seed_and_trials_are_usage_errors(self, command, flag, tmp_path, capsys):
+        # verify runs fixed checks with their own seeds and trial counts; the
+        # analytic commands draw nothing at all
+        why = "runs fixed checks" if command == "verify" else "runs no Monte Carlo"
         out = tmp_path / "out"
-        assert cli.main(["verify", "--out", str(out), flag, "3"]) == 2
+        assert cli.main([command, "--out", str(out), flag, "3"]) == 2
         printed = capsys.readouterr()
-        assert printed.err == f"error: verify runs fixed checks and reads no {flag}\n"
+        assert printed.err == f"error: {command} {why} and reads no {flag}\n"
         assert printed.out == "" and not out.exists()
 
     def test_packet_takes_one_velocity(self, tmp_path, capsys):
@@ -834,7 +900,7 @@ class TestEndToEnd:
         assert printed.err == (
             "error: packet command takes one velocity, got 3; run it once per velocity\n"
         )
-        assert printed.out == "" and not any(out.iterdir())
+        assert printed.out == "" and not out.exists()
 
     def test_convention_flag_changes_exponent_grid(self, tmp_path):
         res = run_cli(["exponents", "--out", str(tmp_path / "a"), "--convention", "delayed"], tmp_path)

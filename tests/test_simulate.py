@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import multiprocessing
+import re
 import tracemalloc
 
 import numpy as np
@@ -1237,6 +1238,38 @@ class TestDecodingMonteCarlo:
             )
 
 
+class TestUndecodableSource:
+    """A source with fewer bits than the deepest capture cell decodes is
+    refused by name before any trial, and before any noise is drawn."""
+
+    @pytest.mark.parametrize("source, spec, cell, message", [
+        (sim.KnownSampleSource(), sim.DecodeSpec("packet", 2), (2, 1),
+         "KnownSampleSource(value=None) draws 0 bits per trial, "
+         "but the deepest capture cell decodes 2"),
+        (sim.RefinementSource(0.5), sim.DecodeSpec("stream", 2, 2), (2, 3),
+         "RefinementSource(rate_nats=0.5) draws 0 bits per trial, "
+         "but the deepest capture cell decodes 4"),
+        (sim.SinglePacketSource(2), sim.DecodeSpec("stream", 2, 2), (2, 5),
+         "SinglePacketSource(packet_bits=2) draws 2 bits per trial, "
+         "but the deepest capture cell decodes 6"),
+    ])
+    def test_refused_before_any_noise(self, source, spec, cell, message, monkeypatch):
+        gains = sim.precompute_gains(solve_grid(CH10, source.boundary(), 3, 6))
+        drawn = []
+        monkeypatch.setattr(sim, "draw_noise", lambda *a, **k: drawn.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.run_decoding_monte_carlo(gains, source, "gaussian", 100, 0, [(2, 0), cell], spec,
+                                         threads=1)
+        assert drawn == []
+
+    def test_enough_bits_still_decode(self):
+        # the packet decode reads the one packet at every cell, however late
+        gains = sim.precompute_gains(solve_grid(CH10, SingleSampleBoundary(), 3, 6))
+        stats, _ = sim.run_decoding_monte_carlo(gains, sim.SinglePacketSource(2), "gaussian", 100,
+                                                0, [(2, 5)], sim.DecodeSpec("packet", 2), threads=1)
+        assert stats.cells[(2, 5)].n_trials == 100
+
+
 class TestBadDecodeSpec:
     """A ``DecodeSpec`` checks its own fields on construction and names the bad one."""
 
@@ -1419,7 +1452,8 @@ class _RefusesFromTrial:
     trial at or after ``first``.
 
     It tells each trial by the first word of its stream (seed 5, trials
-    below 3,000), which it reads as its source draw.
+    below 3,000), which it reads as its source draw; any other word, such
+    as the all-zero probe of its bit depth, is no trial.
     """
 
     first: int
@@ -1431,7 +1465,7 @@ class _RefusesFromTrial:
         return 2
 
     def draw_batch(self, words, t_max):
-        trials = [_first_words(5, 3_000)[int(w)] for w in words[0]]
+        trials = [_first_words(5, 3_000).get(int(w), -1) for w in words[0]]
         refused = [trial for trial in trials if trial >= self.first]
         if refused:
             raise ValueError(f"trial {min(refused)} refused")

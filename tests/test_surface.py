@@ -25,6 +25,7 @@ REMOVED_NAMES = [
     ("simulate", "_TrialStreams"),
     ("simulate", "_draw_bits"),
     ("simulate", "_capture_batch"),
+    ("cli", "_convention"),
 ]
 
 # (module, callable path, parameter) of each removed keyword option
