@@ -19,11 +19,13 @@ equality at the end of each period.
 plain numpy: cells with equal r + t depend only on the previous diagonal, so
 the whole lattice takes r_max + t_max vector steps.  Each cell is computed as
 ``(1 - snr_bar) * left + snr_bar * up``, the arithmetic of a first-order IIR
-filter run along each row.  A step is three ufunc calls on a contiguous copy
-of the last diagonal and one write through a fixed anti-diagonal view of the
-lattice.  Cells that underflow to +0.0 keep the lattice's initial zero: a
-step starts where the last diagonal's run of +0.0 ended, and a scalar scan
-from there finds where its own run ends.
+filter run along each row.  The steps run in bands of up to 32 diagonals on
+the contiguous rows of a small scratch: a band copies in from the lattice
+only the cells its steps read but do not compute (the strips), takes three
+ufunc calls per diagonal, and goes back in one copy that runs along lattice
+rows.  Cells that underflow to +0.0 keep the lattice's initial zero: a band
+starts where its carry diagonal's run of +0.0 ends, and one scan of its last
+diagonal finds where the next band starts.
 
 Closed forms are evaluated in the log domain because the binomial factors
 overflow float64 long before r = t = 200.  Log-binomials at integer
@@ -63,6 +65,9 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 50_000_000
+
+# Anti-diagonals per band of ``solve_grid``'s sweep.
+_BAND = 32
 
 # Linear values below this are meaningless in float64; compare logs instead.
 UNDERFLOW_LINEAR = 1e-300
@@ -126,7 +131,7 @@ class SequenceBoundary:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("boundary sequence must be a non-empty 1-D profile")
-        if (vals < 0).any() or (vals > 1).any():
+        if not ((vals >= 0) & (vals <= 1)).all():  # NaN fails both
             raise ValueError("boundary values must lie in [0, 1]")
         if (np.diff(vals) > 1e-15).any():
             raise ValueError("boundary profile must be non-increasing in t")
@@ -174,22 +179,36 @@ def solve_grid(
     """Solve the lattice by dynamic programming in O(r_max * t_max).
 
     Anti-diagonal wavefront: every cell of diagonal d = r + t + 1 needs only
-    its left and upper neighbours, both on diagonal d - 1.  The previous
-    diagonal is kept in a contiguous buffer indexed by r, so each step is
-    two contiguous multiplies, one add and one write into ``values``
-    through a fixed anti-diagonal view of it (row d of the view is diagonal
-    d, stepping n_cols - 1 cells per r).  The boundary cell of each step is
-    read from a Python list of the profile.  The convex-combination
+    its left and upper neighbours, both on diagonal d - 1.  ``diagonals`` is
+    a strided view of ``values`` whose row d is diagonal d, stepping
+    n_cols - 1 cells per r.  The sweep runs in bands of K = min(32,
+    n_cols - 1) diagonals d0 .. d1 - 1.  A band works on the rectangle
+    ``diagonals[d0 - 1 : d1, a : b + 1]`` (rows a..b of the carry diagonal
+    d0 - 1 and of the band's own), mirrored in a small C-contiguous
+    scratch, so each step is two contiguous multiplies and one add from one
+    scratch row into the next.  Only what the steps do not compute is
+    copied in: the carry diagonal, the low strip (row a, and the cells past
+    t_max once the band reaches the last column) and the high strip
+    (t <= -1).  One copy then puts the band's K diagonals back; it runs
+    along lattice rows, K adjacent cells at a time.  The convex-combination
     structure keeps every entry inside [0, 1]; the result is C-contiguous
     and read-only.
+
+    A position of the rectangle off the lattice (t < -1 or t > t_max)
+    aliases, in memory, the cell n_cols - 1 diagonals away.  The K <=
+    n_cols - 1 diagonals written back lie closer together than that, so no
+    cell is written twice and no aliased cell is one the band computes: a
+    copied-in position goes back unchanged.
 
     Deep cells underflow to +0.0, and underflow raises nothing whatever
     ``np.seterr`` says: a cell whose two neighbours are both +0.0 is
     exactly +0.0, so the run of +0.0 at the low-r end of a diagonal carries
-    over to the next one.  ``values`` starts at zero, each step computes
-    only from the end of the last run, and a scalar scan from there finds
-    where the new run ends (62 % of a 2000 x 2000 single-sample lattice is
-    +0.0).
+    over to the next one while the boundary row is zero.  ``values`` starts
+    at zero.  A band computes from row z, where the run on its carry
+    diagonal ends (row 1 if a boundary cell it reads is nonzero), since a
+    cell computed inside the run is +0.0 again; one scan of its last
+    diagonal finds the next z (62 % of a 2000 x 2000 single-sample lattice
+    is +0.0).
     """
     if r_max < 1 or t_max < 0:
         raise ValueError("need r_max >= 1 and t_max >= 0")
@@ -197,39 +216,56 @@ def solve_grid(
     if n_cells > DEFAULT_CELL_CAP:
         raise GridSizeError(f"grid of {n_cells} cells exceeds cap {DEFAULT_CELL_CAP}")
 
-    pbar = channel.snr_bar
-    qbar = 1.0 - pbar
+    # 0-d arrays spare each ufunc call converting a Python float; the
+    # products are the same
+    pbar = np.array(channel.snr_bar)
+    qbar = np.array(1.0 - channel.snr_bar)
     n_cols = t_max + 2
+    n_diags = r_max + n_cols
     values = np.zeros((r_max + 1, n_cols))
     # diagonals[d, r] is values[r, d - r]; its last element is the lattice's
     # last cell, so the view stays inside ``values``.
     step = values.itemsize
-    diagonals = as_strided(values, shape=(r_max + n_cols, r_max + 1),
+    diagonals = as_strided(values, shape=(n_diags, r_max + 1),
                            strides=(step, (n_cols - 1) * step))
+    k_max = min(_BAND, n_cols - 1)
+    scratch = np.empty((k_max + 1, min(r_max + 1, n_cols + k_max)))
+    up = np.empty(scratch.shape[1])
     with np.errstate(under="ignore"):
         values[:, 0] = 1.0  # M_r(-1) = 1
         values[0, 1:] = boundary.profile(t_max)
-        edge = values[0, 1:].tolist()
-        # diag[r] holds cell (r, d - r) of the last diagonal d, in column
-        # coordinates; rows not yet reached keep M_r(-1) = 1.  Its cells
-        # lo..z-1 are zero.
-        diag = np.ones(r_max + 1)
-        up = np.empty(r_max)
         z = 1
-        for d in range(2, r_max + n_cols):
-            if d <= n_cols:
-                diag[0] = edge[d - 2]
-                if edge[d - 2]:
-                    z = 1  # a nonzero boundary cell ends the run
-            lo, hi = max(z, d - n_cols + 1), min(r_max, d - 1)
-            n = hi - lo + 1
-            np.multiply(diag[lo - 1 : hi], pbar, out=up[:n])
-            cells = diag[lo : hi + 1]
-            np.multiply(cells, qbar, out=cells)
-            np.add(cells, up[:n], out=cells)
-            diagonals[d, lo : hi + 1] = cells
-            z = lo
-            while z <= hi and not diag.item(z):
+        for d0 in range(2, n_diags, k_max):
+            d1 = min(d0 + k_max, n_diags)
+            # a nonzero boundary cell ends the run; the boundary row ends at
+            # diagonal n_cols - 1, and tall lattices have many bands past it
+            if d0 <= n_cols and values[0, d0 - 1 : d1 - 1].any():
+                z = 1
+            a = max(z, d0 - n_cols + 1) - 1
+            b = min(r_max, d1 - 1)
+            w = b - a + 1
+            band = diagonals[d0 - 1 : d1, a : b + 1]
+            rows = scratch[: d1 - d0 + 1, :w]  # rows[i, j] mirrors band[i, j]
+            # copy in what the steps read but do not compute: the carry
+            # diagonal, the low strip and the high strip (t <= -1)
+            low = max(1, d1 - n_cols - a)  # row a, and the cells past t_max
+            rows[0, : d0 - a] = band[0, : d0 - a]
+            rows[1:, :low] = band[1:, :low]
+            rows[1:, d0 - a :] = band[1:, d0 - a :]
+            # step i computes columns lo..hi-1 of rows[i] from rows[i - 1]
+            lo_off, hi_off = d0 - n_cols - a, d0 - 1 - a
+            prev = rows[0]
+            for i, cur in enumerate(rows[1:], 1):
+                lo = max(1, i + lo_off)
+                hi = min(w, i + hi_off)
+                cells, pup = cur[lo:hi], up[lo:hi]
+                np.multiply(prev[lo - 1 : hi - 1], pbar, pup)
+                np.multiply(prev[lo:hi], qbar, cells)
+                np.add(cells, pup, cells)
+                prev = cur
+            band[1:] = rows[1:]
+            z = a + lo
+            while z < a + hi and not prev.item(z - a):
                 z += 1
     values.setflags(write=False)
     return MseGrid(channel=channel, boundary=boundary, r_max=r_max, t_max=t_max, values=values)
