@@ -5,12 +5,14 @@ each workload and end-to-end metric the parent's and the change's runs,
 medians, quartiles and pair wins, and the traced per-layer figures that show
 where the difference arose.  Its names must be ones ``BENCHMARK.json``
 defines, so that a renamed workload or metric cannot leave a record that no
-run can be compared with.
+run can be compared with.  Its summary figures must follow from its runs,
+and its claim must pass the rule a gain is claimed by.
 """
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +52,45 @@ def test_record_is_complete(path):
                 assert len(stats["runs"]) == pairs, (name, metric, side)
                 assert stats["q1"] <= stats["median"] <= stats["q3"], (name, metric, side)
             assert entry["wins"] + entry["losses"] + entry["ties"] == pairs, (name, metric)
+
+
+def _entries(record):
+    for name, workload in record["workloads"].items():
+        for metric, entry in workload["end_to_end"].items():
+            yield (name, metric), entry
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_quartiles_follow_from_its_runs(path):
+    # runs and figures are both rounded to 4 decimals, each by up to 5e-5
+    for key, entry in _entries(json.loads(path.read_text())):
+        for side in ("parent", "change"):
+            stats = entry[side]
+            want = np.percentile(stats["runs"], [25, 50, 75])
+            got = [stats["q1"], stats["median"], stats["q3"]]
+            assert got == pytest.approx(want, rel=0, abs=1e-4 + 1e-12), (key, side)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_pair_wins_follow_from_its_runs(path):
+    for key, entry in _entries(json.loads(path.read_text())):
+        sign = 1 if entry["better"] == "higher" else -1
+        gaps = [sign * (c - p) for p, c in zip(entry["parent"]["runs"], entry["change"]["runs"])]
+        tally = (sum(g > 0 for g in gaps), sum(g < 0 for g in gaps), sum(g == 0 for g in gaps))
+        assert (entry["wins"], entry["losses"], entry["ties"]) == tally, key
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_claim_passes_the_gain_rule(path):
+    # nine tenths of the pairs won, and a median gap wider than the
+    # parent's quartile distance
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    entry = record["workloads"][claim["workload"]]["end_to_end"][claim["metric"]]
+    parent, change = entry["parent"], entry["change"]
+    assert 10 * entry["wins"] >= 9 * record["pairs"]
+    sign = 1 if entry["better"] == "higher" else -1
+    assert sign * (change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
 
 
 def test_a_record_exists():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascade_iv import _table, cli
+from cascade_iv import _table, cli, mse
 from cascade_iv._table import write_lattice_csv
 from cascade_iv.config import ExperimentConfig
 from cascade_iv.mse import (
@@ -172,6 +172,18 @@ class TestWavefront:
         assert peak <= values.nbytes + 2**20, peak - values.nbytes
         assert values.flags.c_contiguous and not values.flags.writeable
 
+    def test_tall_lattice_keeps_no_diagonal_buffers(self):
+        # a diagonal of this lattice has 100,001 cells; the sweep's buffers
+        # are sized by its band and its 8 columns instead
+        solve_grid(CH10, SingleSampleBoundary(), 3, 4)  # warm up lazy set-up
+        tracemalloc.start()
+        try:
+            values = solve_grid(CH10, SingleSampleBoundary(), 100_000, 6).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2**16, peak - values.nbytes
+
     @pytest.mark.parametrize("boundary", [
         SingleSampleBoundary(), ExponentialRefinementBoundary(20.0), PacketStreamBoundary(3, 2),
         SequenceBoundary((0.5,) * 10 + (0.0,) * 330 + (5e-16,) * 61),  # a run ended by the boundary
@@ -231,7 +243,7 @@ class TestZeroRuns:
                 ExponentialRefinementBoundary(20.0), PacketStreamBoundary(3, 2),
                 SequenceBoundary(tuple(profile)))
 
-    @given(r_max=st.integers(1, 40), t_max=st.integers(0, 600),
+    @given(r_max=st.integers(1, 100), t_max=st.integers(0, 600),
            snr=st.sampled_from([0.3, 10.0, 1e3, 1e6]))
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_to_full_wavefront(self, r_max, t_max, snr):
@@ -240,6 +252,19 @@ class TestZeroRuns:
             got = solve_grid(ch, boundary, r_max, t_max).values
             want = wavefront_reference(ch, boundary, r_max, t_max)
             assert got.tobytes() == want.tobytes(), (boundary, r_max, t_max, snr)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 32])
+    def test_bit_identical_at_every_band_width(self, monkeypatch, width):
+        # narrow bands put band edges, strips and run ends at every kind of
+        # cell; at 32, 40x30 and 33x31 take bands of n_cols - 1 diagonals
+        monkeypatch.setattr(mse, "_BAND", width)
+        for snr in (0.3, 10.0, 1e6):
+            ch = make_channel_params(snr)
+            for r_max, t_max in ((40, 30), (31, 32), (33, 31), (100, 3), (3, 100)):
+                for boundary in self.boundaries(t_max):
+                    got = solve_grid(ch, boundary, r_max, t_max).values
+                    want = wavefront_reference(ch, boundary, r_max, t_max)
+                    assert got.tobytes() == want.tobytes(), (boundary, r_max, t_max, snr)
 
     def test_runs_are_reached(self):
         # the hypothesis shapes hold underflowed runs, at the low-r end and mid-row
@@ -456,6 +481,12 @@ class TestBoundaries:
             SequenceBoundary((1.2, 0.5))  # outside [0, 1]
         grid = solve_grid(CH10, b, 3, 2)
         assert (grid.values >= 0).all() and (grid.values <= 1).all()
+
+    @pytest.mark.parametrize("values", [(math.nan, 0.5, 0.1), (0.5, math.nan, 0.1)])
+    def test_sequence_boundary_rejects_nan(self, values):
+        # NaN fails every comparison, so it must be refused as out of range
+        with pytest.raises(ValueError, match=r"boundary values must lie in \[0, 1\]"):
+            SequenceBoundary(values)
 
     def test_refinement_profile(self):
         b = ExponentialRefinementBoundary(0.25)

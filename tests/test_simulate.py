@@ -1099,6 +1099,8 @@ class TestSources:
             sim.CustomRefinementSource((0.5, 0.6))  # not monotone
         with pytest.raises(ValueError):
             sim.CustomRefinementSource((0.5, 1.5))  # outside [0, 1]
+        with pytest.raises(ValueError, match=r"boundary values must lie in \[0, 1\]"):
+            sim.CustomRefinementSource((0.5, float("nan")))
         short = sim.CustomRefinementSource((0.5, 0.25))
         with pytest.raises(ValueError):
             short.draw_batch(_words(0, 1, 1), t_max=5)
