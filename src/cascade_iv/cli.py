@@ -274,8 +274,15 @@ def _censored(rates, n) -> np.ndarray:
     return np.where(rates < threshold, np.char.add("<", g17_text(threshold)), g17_text(rates))
 
 
-def _packet_velocity(cfg: ExperimentConfig) -> float:
-    """The one velocity ``packet`` decodes at; input it cannot run raises ValueError."""
+def _scheme_lattice(cfg: ExperimentConfig) -> None:
+    """Build the scheme's source and size its lattice, as ``mse`` and ``simulate``
+    will; input they cannot run raises ValueError."""
+    _source_for(cfg)
+    mse_mod.check_grid_size(cfg.r_max, cfg.t_max)
+
+
+def _packet_cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
+    """The (r, t) cells ``packet`` decodes; input it cannot run raises ValueError."""
     if cfg.packet_bits is None:
         raise ValueError("packet command requires packet_bits")
     if cfg.r_max < 2:
@@ -288,14 +295,15 @@ def _packet_velocity(cfg: ExperimentConfig) -> float:
             f"packet command takes one velocity, got {len(cfg.velocities)}; "
             "run it once per velocity"
         )
-    return cfg.velocities[0] if cfg.velocities else 1.0
+    v = cfg.velocities[0] if cfg.velocities else 1.0
+    cells = [(r, math.floor(r / v)) for r in range(2, cfg.r_max + 1)]
+    mse_mod.check_grid_size(cfg.r_max, max(t for _, t in cells))
+    return cells
 
 
 def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
-    v = _packet_velocity(cfg)
+    cells = _packet_cells(cfg)
     channel = make_channel_params(cfg.snr)
-    r_list = list(range(2, cfg.r_max + 1))
-    cells = [(r, math.floor(r / v)) for r in r_list]
     t_max = max(t for _, t in cells)
     source = sim.SinglePacketSource(cfg.packet_bits)
     grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, t_max)
@@ -331,6 +339,17 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     return [path]
 
 
+# ``stream`` decodes packets tau = 0 .. _TAU_CAP at each relay.
+_TAU_CAP = 8
+
+
+def _stream_lattice(cfg: ExperimentConfig, v: float) -> tuple[dict, int]:
+    """The delay floor(r / v) of each decoded relay r = 4, 8, ... and the
+    t_max of the lattice ``stream`` solves at velocity ``v``."""
+    deltas = {r: math.floor(r / v) for r in range(4, cfg.r_max + 1, 4)}
+    return deltas, _TAU_CAP * cfg.period + max(deltas.values())
+
+
 def _stream_velocities(cfg: ExperimentConfig) -> list[float]:
     """The velocities ``stream`` decodes at; input it cannot run raises ValueError."""
     if cfg.packet_bits is None or cfg.period is None:
@@ -341,15 +360,19 @@ def _stream_velocities(cfg: ExperimentConfig) -> list[float]:
             f"got r_max = {cfg.r_max}"
         )
     if cfg.velocities:
-        return list(cfg.velocities)
-    channel = make_channel_params(cfg.snr)
-    stream = make_stream_params(cfg.packet_bits, cfg.period, channel)
-    if not stream.below_capacity:
-        raise ValueError(
-            "rate at or above capacity: no velocity suggestion available; "
-            "pass explicit velocities to force a run"
-        )
-    return [0.5 * xp.iv_lower_bound_stream(channel, stream.rate_nats)]
+        velocities = list(cfg.velocities)
+    else:
+        channel = make_channel_params(cfg.snr)
+        stream = make_stream_params(cfg.packet_bits, cfg.period, channel)
+        if not stream.below_capacity:
+            raise ValueError(
+                "rate at or above capacity: no velocity suggestion available; "
+                "pass explicit velocities to force a run"
+            )
+        velocities = [0.5 * xp.iv_lower_bound_stream(channel, stream.rate_nats)]
+    for v in velocities:
+        mse_mod.check_grid_size(cfg.r_max, _stream_lattice(cfg, v)[1])
+    return velocities
 
 
 def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
@@ -359,13 +382,12 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     source = sim.PacketStreamSource(cfg.packet_bits, cfg.period)
     paths = []
     for vi, v in enumerate(velocities):
-        r_list = [r for r in range(4, cfg.r_max + 1, 4)]
-        tau_cap = 8
-        deltas = {r: math.floor(r / v) for r in r_list}
-        t_max = tau_cap * cfg.period + max(deltas.values())
+        deltas, t_max = _stream_lattice(cfg, v)
+        r_list = list(deltas)
         grid = mse_mod.solve_grid(channel, source.boundary(), cfg.r_max, t_max)
         gains = sim.precompute_gains(grid)
-        cells = [(r, tau * cfg.period + deltas[r]) for r in r_list for tau in range(tau_cap + 1)]
+        cells = [(r, tau * cfg.period + deltas[r]) for r in r_list
+                 for tau in range(_TAU_CAP + 1)]
         stats, _ = sim.run_decoding_monte_carlo(
             gains, source, cfg.noise, cfg.num_trials, cfg.master_seed, cells,
             sim.DecodeSpec(kind="stream", packet_bits=cfg.packet_bits, period=cfg.period))
@@ -385,7 +407,7 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
                 worst = _censored(cell.worst_bit_rate(), n_obs)
             worst_cells.append(worst)
             exact.append(
-                xp.worst_bit_error_bound(grid, cfg.packet_bits, cfg.period, r, delta, tau_cap))
+                xp.worst_bit_error_bound(grid, cfg.packet_bits, cfg.period, r, delta, _TAU_CAP))
         bpath = os.path.join(out_dir, f"stream_bounds{suffix}.csv")
         n_rows = len(r_list)
         write_table(
@@ -512,10 +534,10 @@ class _Command:
 _COMMANDS = {
     "exponents": _Command("runs no Monte Carlo", convention=True),
     "iv": _Command("runs no Monte Carlo"),
-    "mse": _Command("runs no Monte Carlo"),
-    "simulate": _Command(),
+    "mse": _Command("runs no Monte Carlo", check=_scheme_lattice),
+    "simulate": _Command(check=_scheme_lattice),
     "packet": _Command(defaults={"scheme": "single_packet", "packet_bits": 2},
-                       check=_packet_velocity),
+                       check=_packet_cells),
     "stream": _Command(defaults={"scheme": "packet_stream", "packet_bits": 2, "period": 2},
                        check=_stream_velocities),
     "verify": _Command("runs fixed checks"),

@@ -66,6 +66,9 @@ class ExperimentConfig:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
         if not (math.isfinite(self.snr) and self.snr > 0):
             raise ValueError("snr must be positive and finite")
+        if self.rate_nats is not None and not (math.isfinite(self.rate_nats)
+                                               and self.rate_nats > 0):
+            raise ValueError("rate_nats must be positive and finite")
         keys = SCHEMES[self.scheme][1]
         if any(getattr(self, key) is None for key in keys):
             raise ValueError(f"{self.scheme} requires {' and '.join(keys)}")

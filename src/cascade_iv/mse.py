@@ -19,7 +19,7 @@ equality at the end of each period.
 plain numpy: cells with equal r + t depend only on the previous diagonal, so
 the whole lattice takes r_max + t_max vector steps.  Each cell is computed as
 ``(1 - snr_bar) * left + snr_bar * up``, the arithmetic of a first-order IIR
-filter run along each row.  The steps run in bands of up to 32 diagonals on
+filter run along each row.  The steps run in bands of up to 60 diagonals on
 the contiguous rows of a small scratch: a band copies in from the lattice
 only the cells its steps read but do not compute (the strips), takes three
 ufunc calls per diagonal, and goes back in one copy that runs along lattice
@@ -56,6 +56,7 @@ __all__ = [
     "SequenceBoundary",
     "BoundaryCondition",
     "MseGrid",
+    "check_grid_size",
     "solve_grid",
     "log_closed_form_single",
     "log_closed_form_streaming",
@@ -67,7 +68,7 @@ __all__ = [
 DEFAULT_CELL_CAP = 50_000_000
 
 # Anti-diagonals per band of ``solve_grid``'s sweep.
-_BAND = 32
+_BAND = 60
 
 # Linear values below this are meaningless in float64; compare logs instead.
 UNDERFLOW_LINEAR = 1e-300
@@ -170,6 +171,13 @@ class MseGrid:
         return float(self.values[r, t + 1])
 
 
+def check_grid_size(r_max: int, t_max: int) -> None:
+    """Raise ``GridSizeError`` if the lattice to (r_max, t_max) exceeds ``DEFAULT_CELL_CAP``."""
+    n_cells = (r_max + 1) * (t_max + 2)
+    if n_cells > DEFAULT_CELL_CAP:
+        raise GridSizeError(f"grid of {n_cells} cells exceeds cap {DEFAULT_CELL_CAP}")
+
+
 def solve_grid(
     channel: ChannelParams,
     boundary: BoundaryCondition,
@@ -181,18 +189,20 @@ def solve_grid(
     Anti-diagonal wavefront: every cell of diagonal d = r + t + 1 needs only
     its left and upper neighbours, both on diagonal d - 1.  ``diagonals`` is
     a strided view of ``values`` whose row d is diagonal d, stepping
-    n_cols - 1 cells per r.  The sweep runs in bands of K = min(32,
-    n_cols - 1) diagonals d0 .. d1 - 1.  A band works on the rectangle
+    n_cols - 1 cells per r.  The sweep runs in bands of K = min(60,
+    n_cols - 1) diagonals d0 .. d1 - 1; at 2000 x 2000 the band's scratch
+    and product row take 992 KB.  A band works on the rectangle
     ``diagonals[d0 - 1 : d1, a : b + 1]`` (rows a..b of the carry diagonal
     d0 - 1 and of the band's own), mirrored in a small C-contiguous
     scratch, so each step is two contiguous multiplies and one add from one
-    scratch row into the next.  Only what the steps do not compute is
-    copied in: the carry diagonal, the low strip (row a, and the cells past
-    t_max once the band reaches the last column) and the high strip
-    (t <= -1).  One copy then puts the band's K diagonals back; it runs
-    along lattice rows, K adjacent cells at a time.  The convex-combination
-    structure keeps every entry inside [0, 1]; the result is C-contiguous
-    and read-only.
+    scratch row into the next; its bounds are clamped with comparisons, so
+    those three ufunc calls and four slices are all it costs.  Only what
+    the steps do not compute is copied in: the carry diagonal, the low
+    strip (row a, and the cells past t_max once the band reaches the last
+    column) and the high strip (t <= -1).  One copy then puts the band's K
+    diagonals back; it runs along lattice rows, K adjacent cells at a time.
+    The convex-combination structure keeps every entry inside [0, 1]; the
+    result is C-contiguous and read-only.
 
     A position of the rectangle off the lattice (t < -1 or t > t_max)
     aliases, in memory, the cell n_cols - 1 diagonals away.  The K <=
@@ -212,9 +222,7 @@ def solve_grid(
     """
     if r_max < 1 or t_max < 0:
         raise ValueError("need r_max >= 1 and t_max >= 0")
-    n_cells = (r_max + 1) * (t_max + 2)
-    if n_cells > DEFAULT_CELL_CAP:
-        raise GridSizeError(f"grid of {n_cells} cells exceeds cap {DEFAULT_CELL_CAP}")
+    check_grid_size(r_max, t_max)
 
     # 0-d arrays spare each ufunc call converting a Python float; the
     # products are the same
@@ -228,12 +236,15 @@ def solve_grid(
     step = values.itemsize
     diagonals = as_strided(values, shape=(n_diags, r_max + 1),
                            strides=(step, (n_cols - 1) * step))
-    k_max = min(_BAND, n_cols - 1)
-    scratch = np.empty((k_max + 1, min(r_max + 1, n_cols + k_max)))
-    up = np.empty(scratch.shape[1])
     with np.errstate(under="ignore"):
         values[:, 0] = 1.0  # M_r(-1) = 1
+        # before the scratch exists, so that the profile's temporaries are
+        # freed first
         values[0, 1:] = boundary.profile(t_max)
+        k_max = min(_BAND, n_cols - 1)
+        scratch = np.empty((k_max + 1, min(r_max + 1, n_cols + k_max)))
+        up = np.empty(scratch.shape[1])
+        mul, add = np.multiply, np.add
         z = 1
         for d0 in range(2, n_diags, k_max):
             d1 = min(d0 + k_max, n_diags)
@@ -256,12 +267,17 @@ def solve_grid(
             lo_off, hi_off = d0 - n_cols - a, d0 - 1 - a
             prev = rows[0]
             for i, cur in enumerate(rows[1:], 1):
-                lo = max(1, i + lo_off)
-                hi = min(w, i + hi_off)
-                cells, pup = cur[lo:hi], up[lo:hi]
-                np.multiply(prev[lo - 1 : hi - 1], pbar, pup)
-                np.multiply(prev[lo:hi], qbar, cells)
-                np.add(cells, pup, cells)
+                lo = i + lo_off
+                if lo < 1:
+                    lo = 1
+                hi = i + hi_off
+                if hi > w:
+                    hi = w
+                cells = cur[lo:hi]
+                pup = up[lo:hi]
+                mul(prev[lo - 1 : hi - 1], pbar, pup)
+                mul(prev[lo:hi], qbar, cells)
+                add(cells, pup, cells)
                 prev = cur
             band[1:] = rows[1:]
             z = a + lo

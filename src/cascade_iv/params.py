@@ -15,10 +15,12 @@ are converted at the boundary via ln 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 LN2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "LN2",
@@ -66,7 +68,13 @@ def make_channel_params(snr: float) -> ChannelParams:
 
 
 def eta_factor(channel: ChannelParams, rate_nats: float) -> float:
-    """eta = (1 - snr_bar) * exp(2 R); eta < 1 iff the rate is below capacity."""
+    """eta = (1 - snr_bar) * exp(2 R); eta < 1 iff the rate is below capacity.
+
+    A rate whose exp(2 R) overflows float64 is above the capacity of every
+    channel (C < 354.9 nats at any finite SNR): eta is then ``math.inf``.
+    """
+    if 2.0 * rate_nats > _LOG_FLOAT_MAX:
+        return math.inf
     return (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
 
 

@@ -328,6 +328,15 @@ class RefinementSource:
 
     rate_nats: float
 
+    def __post_init__(self) -> None:
+        self.boundary()  # reuse its validation
+        # the split plan inverts the per-step factor, which must be a normal double
+        if math.exp(-2.0 * self.rate_nats) < sys.float_info.min:
+            raise ValueError(
+                f"rate_nats = {self.rate_nats!r} is too high for a refinement source: "
+                "its per-step MSE factor exp(-2R) is below the smallest normal double"
+            )
+
     def boundary(self) -> BoundaryCondition:
         return ExponentialRefinementBoundary(self.rate_nats)
 
