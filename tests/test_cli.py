@@ -90,6 +90,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(scheme="refined_source")
 
+    @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="^rate_nats must be positive and finite$"):
+            ExperimentConfig(scheme="refined_source", rate_nats=float(rate))
+
     def test_velocities_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(velocities=(0.5, -1.0))
@@ -909,3 +914,72 @@ class TestEndToEnd:
         vs = [float(ln.split(",")[0]) for ln in lines]
         assert max(vs) < 1.0
         assert lines[0].endswith(",delayed")
+
+
+class TestRefusedBeforeAnyOutput:
+    """Input a command cannot run is one ``error:`` line, exit 2 and no output directory."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, command, text):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text("[experiment]\n" + text)
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code == 2, printed.err
+        assert printed.out == "" and not out.exists()
+        assert printed.err.startswith("error: ") and printed.err.count("\n") == 1, printed.err
+        return printed.err
+
+    @pytest.mark.parametrize("command, text, cells", [
+        ("mse", "r_max = 10000\nt_max = 10000\n", 100_030_002),
+        ("simulate", "r_max = 10000\nt_max = 10000\n", 100_030_002),
+        ("packet", "scheme = single_packet\npacket_bits = 2\nr_max = 24\nvelocities = 1e-6\n",
+         600_000_050),
+        ("stream", "scheme = packet_stream\npacket_bits = 2\nperiod = 2\nr_max = 24\n"
+                   "velocities = 1e-6\n", 600_000_450),
+        # the first velocity's lattice is small: nothing of it is written either
+        ("stream", "scheme = packet_stream\npacket_bits = 2\nperiod = 2\nr_max = 24\n"
+                   "velocities = 1 1e-6\nnum_trials = 100\n", 600_000_450),
+    ], ids=["mse", "simulate", "packet", "stream", "stream-second-velocity"])
+    def test_oversized_lattice(self, tmp_path, capsys, command, text, cells):
+        err = self.refused(tmp_path, capsys, command, text)
+        assert err == f"error: grid of {cells} cells exceeds cap 50000000\n"
+
+    @pytest.mark.parametrize("command", ["mse", "simulate", "exponents"])
+    @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+    def test_rate_not_positive_and_finite(self, tmp_path, capsys, command, rate):
+        err = self.refused(tmp_path, capsys, command,
+                           f"scheme = refined_source\nrate_nats = {rate}\n")
+        assert err == "error: rate_nats must be positive and finite\n"
+
+    @pytest.mark.parametrize("command, rate", [
+        ("simulate", "355"), ("simulate", "400"), ("mse", "355"),
+    ])
+    def test_refinement_rate_without_a_normal_step_factor(self, tmp_path, capsys, command, rate):
+        # exp(-2R) is subnormal at 355 nats and 0 at 400
+        err = self.refused(tmp_path, capsys, command,
+                           f"scheme = refined_source\nrate_nats = {rate}\nnum_trials = 100\n")
+        assert "too high for a refinement source" in err
+
+    def test_stream_rate_beyond_exp_range_has_no_velocity_suggestion(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "stream",
+                           "scheme = packet_stream\npacket_bits = 1100\nperiod = 2\nr_max = 4\n")
+        assert err.startswith("error: rate at or above capacity")
+
+
+class TestRatesBeyondExpRange:
+    """exp(2R) overflows float64 past R = 354.9 nats; the exponent curves still run."""
+
+    @pytest.mark.parametrize("text", [
+        "scheme = refined_source\nrate_nats = 400\n",
+        "scheme = packet_stream\npacket_bits = 1100\nperiod = 2\n",
+    ], ids=["refined_source", "packet_stream"])
+    def test_exponents(self, tmp_path, capsys, text):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text("[experiment]\n" + text)
+        code = cli.main(["exponents", "--config", str(cfg), "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code == 0, printed.err
+        rows = [ln.split(",") for ln in (out / "exponents.csv").read_text().splitlines()[1:]]
+        es = [float(r[1]) for r in rows if r[2].startswith("ES")]
+        assert len(es) == 100 and all(math.isfinite(x) and x >= 0 for x in es)

@@ -104,6 +104,12 @@ class TestSolveGrid:
             # 10001 x 10002 cells exceed DEFAULT_CELL_CAP; nothing is allocated
             solve_grid(CH10, SingleSampleBoundary(), 10_000, 10_000)
 
+    def test_cell_cap_counts_the_t_equals_minus_one_column(self):
+        # (r_max + 1) * (t_max + 2) cells: 5000 x 10000 is the cap exactly
+        mse.check_grid_size(4_999, 9_998)
+        with pytest.raises(GridSizeError, match=r"^grid of 50005000 cells exceeds cap 50000000$"):
+            mse.check_grid_size(4_999, 9_999)
+
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             solve_grid(CH10, SingleSampleBoundary(), 0, 5)
@@ -172,13 +178,29 @@ class TestWavefront:
         assert peak <= values.nbytes + 2**20, peak - values.nbytes
         assert values.flags.c_contiguous and not values.flags.writeable
 
+    @pytest.mark.parametrize("boundary", [
+        ExponentialRefinementBoundary(0.5), PacketStreamBoundary(2, 2),
+        SequenceBoundary((0.5,) * 2001),
+    ])
+    def test_every_boundary_allocates_only_its_lattice(self, boundary):
+        # a boundary's profile builds temporaries of its own; they are freed
+        # before the band scratch is allocated
+        solve_grid(CH10, boundary, 3, 4)  # warm up lazy set-up
+        tracemalloc.start()
+        try:
+            values = solve_grid(CH10, boundary, 2000, 2000).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2**20, peak - values.nbytes
+
     def test_tall_lattice_keeps_no_diagonal_buffers(self):
-        # a diagonal of this lattice has 100,001 cells; the sweep's buffers
+        # a diagonal of this lattice has 20,001 cells; the sweep's buffers
         # are sized by its band and its 8 columns instead
         solve_grid(CH10, SingleSampleBoundary(), 3, 4)  # warm up lazy set-up
         tracemalloc.start()
         try:
-            values = solve_grid(CH10, SingleSampleBoundary(), 100_000, 6).values
+            values = solve_grid(CH10, SingleSampleBoundary(), 20_000, 6).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,14 +275,17 @@ class TestZeroRuns:
             want = wavefront_reference(ch, boundary, r_max, t_max)
             assert got.tobytes() == want.tobytes(), (boundary, r_max, t_max, snr)
 
-    @pytest.mark.parametrize("width", [1, 2, 7, 32])
+    @pytest.mark.parametrize("width", [1, 2, 7, 32, 60])
     def test_bit_identical_at_every_band_width(self, monkeypatch, width):
         # narrow bands put band edges, strips and run ends at every kind of
-        # cell; at 32, 40x30 and 33x31 take bands of n_cols - 1 diagonals
+        # cell; at 32, 40x30 and 33x31 take bands of n_cols - 1 diagonals.
+        # At 60, 70x80's 150 diagonals end in a band of 30, 61x59 takes two
+        # bands of n_cols - 1 and 1x58 a single band of n_cols - 1 = 59.
         monkeypatch.setattr(mse, "_BAND", width)
         for snr in (0.3, 10.0, 1e6):
             ch = make_channel_params(snr)
-            for r_max, t_max in ((40, 30), (31, 32), (33, 31), (100, 3), (3, 100)):
+            for r_max, t_max in ((40, 30), (31, 32), (33, 31), (100, 3), (3, 100),
+                                 (70, 80), (61, 59), (1, 58)):
                 for boundary in self.boundaries(t_max):
                     got = solve_grid(ch, boundary, r_max, t_max).values
                     want = wavefront_reference(ch, boundary, r_max, t_max)

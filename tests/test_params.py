@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,20 @@ class TestStreamParams:
         sp = make_stream_params(4, 4, ch)
         assert sp.eta == pytest.approx(4.0 / 11.0, rel=1e-14)
         assert sp.below_capacity
+
+    def test_eta_is_inf_once_exp_2r_overflows(self):
+        # ln of the largest double is 709.78...; exp of it is finite, exp of
+        # the next double up overflows
+        ch = make_channel_params(10.0)
+        edge = math.log(sys.float_info.max) / 2.0
+        assert math.isfinite(eta_factor(ch, edge))
+        assert eta_factor(ch, math.nextafter(edge, math.inf)) == math.inf
+        assert eta_factor(ch, 400.0) == math.inf
+
+    def test_stream_rate_beyond_exp_range_is_above_capacity(self):
+        # 1100 bits every 2 steps is 381 nats per step
+        sp = make_stream_params(1100, 2, make_channel_params(10.0))
+        assert sp.eta == math.inf and not sp.below_capacity
 
     def test_zero_rate_eta(self):
         ch = make_channel_params(10.0)

@@ -1094,6 +1094,17 @@ class TestSources:
         )
         assert np.abs(z).max() <= 4.0
 
+    def test_refinement_rate_needs_a_normal_step_factor(self):
+        # exp(-2R) falls below the smallest normal double past R = 354.198...
+        for rate in (354.2, 355.0, 400.0):
+            with pytest.raises(ValueError, match="too high for a refinement source"):
+                sim.RefinementSource(rate)
+        batch = sim.RefinementSource(354.19).draw_batch(_words(3, 100, 1), 2)
+        assert np.isfinite(batch.shat0).all()
+        for rate in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rate_nats must be positive"):
+                sim.RefinementSource(rate)
+
     def test_custom_refinement_validation(self):
         with pytest.raises(ValueError):
             sim.CustomRefinementSource((0.5, 0.6))  # not monotone

@@ -26,6 +26,7 @@ REMOVED_NAMES = [
     ("simulate", "_draw_bits"),
     ("simulate", "_capture_batch"),
     ("cli", "_convention"),
+    ("cli", "_packet_velocity"),
 ]
 
 # (module, callable path, parameter) of each removed keyword option
