@@ -32,7 +32,7 @@ import numpy as np
 from . import exponents as xp
 from . import mse as mse_mod
 from . import simulate as sim
-from ._table import G17_FIELD, g17_text, open_table, write_lattice_csv, write_table
+from ._table import g17_text, open_table, write_lattice_csv, write_table
 from .config import CONVENTIONS, SCHEMES, ExperimentConfig
 from .params import (
     HopConvention,
@@ -143,27 +143,20 @@ def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         summary = os.path.join(out_dir, "mse_summary.csv")
         write_table(summary, "max_rel_discrepancy", [max_rel])
         paths.append(summary)
-        header, r0 = "r,t,mse_dp,mse_closed,rel_discrepancy", 1
-
-        def more_columns(r, t, text):
-            return [cf[r - 1, t], rel[r - 1, t]]
-    else:  # packet_stream: staircase boundary, no closed form
+        header, r0, extra = "r,t,mse_dp,mse_closed,rel_discrepancy", 1, [cf, rel]
+    else:  # packet_stream: no closed form; the boundary row M_0(t) beside each row
         header, r0 = "r,t,mse_dp,boundary_staircase", 0
-        row0 = np.empty(cfg.t_max + 1, dtype=G17_FIELD)  # filled before any row r > 0 is read
-
-        def more_columns(r, t, text):
-            first = r == 0
-            row0[t[first]] = text[first]
-            return [row0[t]]
+        extra = [np.broadcast_to(g17_text(grid.values[0, 1:]), (cfg.r_max + 1, cfg.t_max + 1))]
 
     grid_path = os.path.join(out_dir, "mse_grid.csv")
     with open_table(path, header) as append:
-        # mse.csv holds the lattice cells r >= r0, t >= 0 (mse_dp); it is
-        # written block by block beside mse_grid.csv, from the same text.
+        # mse.csv holds the lattice cells r >= r0, t >= 0 (mse_dp) and the
+        # cells [r - r0, t] of each extra column; it is written block by
+        # block beside mse_grid.csv, from the same text.
         def on_block(r, t, text):
             keep = (r >= r0) & (t >= 0)
             r, t, text = r[keep], t[keep], text[keep]
-            append([r, t, text, *more_columns(r, t, text)])
+            append([r, t, text, *(column[r - r0, t] for column in extra)])
 
         mse_mod.write_grid_csv(grid, grid_path, on_block)
     paths.append(grid_path)
@@ -315,7 +308,7 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     for r, t in cells:
         cell = stats.cells[(r, t)]
         m = grid.at(r, t)
-        q = 3.0 / (2.0 ** (2 * cfg.packet_bits + 1) * m)
+        q = xp.gaussian_packet_exponent(m, cfg.packet_bits)
         has_diag = q > math.log(2.0) + 1e-12
         rows.append((
             r,
@@ -486,7 +479,6 @@ def _verify_checks() -> list[dict]:
     # small deterministic Monte Carlo
     mini = mse_mod.solve_grid(channel, mse_mod.SingleSampleBoundary(), 3, 8)
     gains = sim.precompute_gains(mini)
-    agg1 = sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7, threads=1)
     # four batches, so that four workers reach the forked-process path
     one, four = (sim.run_monte_carlo(gains, sim.KnownSampleSource(), "gaussian", 20000, 7,
                                      batch_size=5_000, threads=threads) for threads in (1, 4))
@@ -497,11 +489,11 @@ def _verify_checks() -> list[dict]:
                       "lemma8_diff_mean")),
     )
     theory = mini.values[1:, 1:]
-    dev = np.abs(agg1.mse_mean[1:] - theory) <= 3.0 * agg1.mse_stderr[1:]
+    dev = np.abs(one.mse_mean[1:] - theory) <= 3.0 * one.mse_stderr[1:]
     record("mc_mse_within_3se", dev.all(), f"{int((~dev).sum())} cells out")
-    pw = np.abs(agg1.power_mean - 10.0) <= 3.0 * agg1.power_stderr
+    pw = np.abs(one.power_mean - 10.0) <= 3.0 * one.power_stderr
     record("mc_power_within_3se", pw.all(), f"{int((~pw).sum())} cells out")
-    record("per_step_identity", agg1.identity_max <= 1e-12, f"{agg1.identity_max:.2e}")
+    record("per_step_identity", one.identity_max <= 1e-12, f"{one.identity_max:.2e}")
 
     return checks
 

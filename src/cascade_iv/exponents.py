@@ -52,6 +52,7 @@ __all__ = [
     "e2",
     "stream_region_boundary",
     "packet_error_bound_chebyshev",
+    "gaussian_packet_exponent",
     "packet_error_bound_gaussian",
     "prefix_error_bound",
     "stream_envelope_exponent",
@@ -163,20 +164,37 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _scaled(x: float, k: int) -> float:
+    """x * 2^k, exactly as ``2.0 ** k * x`` where that returns, and inf where it overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
+
+
 def packet_error_bound_chebyshev(mse: float, packet_bits: int) -> float:
     """Chebyshev packet-error bound (1/3) 2^(2 psi) mse for any unit-variance noise."""
     if mse < 0.0 or packet_bits < 1:
         raise ValueError("need mse >= 0 and packet_bits >= 1")
-    return _clamp01((2.0 ** (2 * packet_bits)) * mse / 3.0)
+    return _clamp01(_scaled(mse, 2 * packet_bits) / 3.0)
 
 
-def packet_error_bound_gaussian(mse: float, packet_bits: int) -> float:
-    """Chernoff-Hoeffding packet-error bound 2 exp(-3 / (2^(2 psi + 1) mse)) for (sub-)Gaussian noise."""
+def gaussian_packet_exponent(mse: float, packet_bits: int) -> float:
+    """Exponent q = 3 / (2^(2 psi + 1) mse) of the sub-Gaussian packet bound 2 exp(-q).
+
+    +inf at mse = 0, and 0 where 2^(2 psi + 1) mse overflows (the bound is then 1).
+    """
     if mse < 0.0 or packet_bits < 1:
         raise ValueError("need mse >= 0 and packet_bits >= 1")
     if mse == 0.0:
-        return 0.0
-    return _clamp01(2.0 * math.exp(-3.0 / (2.0 ** (2 * packet_bits + 1) * mse)))
+        return math.inf
+    return 3.0 / _scaled(mse, 2 * packet_bits + 1)
+
+
+def packet_error_bound_gaussian(mse: float, packet_bits: int) -> float:
+    """Chernoff-Hoeffding packet-error bound 2 exp(-q) for (sub-)Gaussian noise,
+    with q = ``gaussian_packet_exponent(mse, packet_bits)``."""
+    return _clamp01(2.0 * math.exp(-gaussian_packet_exponent(mse, packet_bits)))
 
 
 def prefix_error_bound(mse: float, n_bits: int) -> float:
@@ -186,7 +204,7 @@ def prefix_error_bound(mse: float, n_bits: int) -> float:
     """
     if mse < 0.0 or n_bits < 0:
         raise ValueError("need mse >= 0 and n_bits >= 0")
-    return _clamp01((2.0 / math.sqrt(3.0)) * (2.0**n_bits) * math.sqrt(mse))
+    return _clamp01(_scaled((2.0 / math.sqrt(3.0)) * math.sqrt(mse), n_bits))
 
 
 def stream_envelope_exponent(channel: ChannelParams, rate_nats: float, v: float) -> float:
@@ -274,6 +292,14 @@ class ExponentCurve:
         return f"{self.kind}(R={self.rate_nats!r})"
 
 
+# evaluator(channel, rate_nats, v) of each curve kind
+_CURVES = {
+    "E1": lambda channel, rate_nats, v: e1(channel, v),
+    "ES": es,
+    "STREAM_ENVELOPE": stream_envelope_exponent,
+}
+
+
 def sample_exponent_curve(
     kind: str,
     channel: ChannelParams,
@@ -286,6 +312,9 @@ def sample_exponent_curve(
     Delayed-convention grids are translated point by point to instantaneous
     velocities before evaluation.
     """
+    if kind not in _CURVES:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    evaluate = _CURVES[kind]
     velocities = np.asarray(velocities, dtype=float)
     if kind != "E1" and rate_nats is None:
         raise ValueError(f"{kind} requires rate_nats")
@@ -293,14 +322,7 @@ def sample_exponent_curve(
     for i, w in enumerate(velocities):
         vel = Velocity(float(w), convention)
         v_inst = translate_velocity(vel, HopConvention.INSTANTANEOUS).value
-        if kind == "E1":
-            vals[i] = e1(channel, v_inst)
-        elif kind == "ES":
-            vals[i] = es(channel, rate_nats, v_inst)
-        elif kind == "STREAM_ENVELOPE":
-            vals[i] = stream_envelope_exponent(channel, rate_nats, v_inst)
-        else:
-            raise ValueError(f"unknown curve kind {kind!r}")
+        vals[i] = evaluate(channel, rate_nats, v_inst)
     return ExponentCurve(
         kind=kind,
         channel=channel,

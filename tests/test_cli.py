@@ -394,7 +394,16 @@ class TestMseBytePins:
 class TestMseWriter:
     """``cmd_mse`` formats each lattice value once and holds no text of the whole lattice."""
 
-    def test_formats_each_lattice_value_once(self, tmp_path, monkeypatch):
+    # the 201x202 lattice once, then either mse_closed and rel_discrepancy over
+    # its 200x201 cells r >= 1, t >= 0 and the one summary value, or the
+    # staircase's 201 boundary values M_0(t), t >= 0
+    @pytest.mark.parametrize("scheme, keys, beside", [
+        ("single_sample", {}, 2 * 200 * 201 + 1),
+        ("single_packet", {"packet_bits": 3}, 2 * 200 * 201 + 1),
+        ("refined_source", {"rate_nats": 0.5}, 2 * 200 * 201 + 1),
+        ("packet_stream", {"packet_bits": 2, "period": 3}, 201),
+    ], ids=["single_sample", "single_packet", "refined_source", "packet_stream"])
+    def test_formats_each_lattice_value_once(self, tmp_path, monkeypatch, scheme, keys, beside):
         sizes = []
         real = _table._format_floats
 
@@ -403,11 +412,24 @@ class TestMseWriter:
             return real(values, out, tables)
 
         monkeypatch.setattr(_table, "_format_floats", counting)
-        cfg = ExperimentConfig(scheme="refined_source", rate_nats=0.5, r_max=200, t_max=200)
+        cfg = ExperimentConfig(scheme=scheme, r_max=200, t_max=200, **keys)
         cli.cmd_mse(cfg, str(tmp_path))
-        # the 201x202 lattice once, mse_closed and rel_discrepancy over its
-        # 200x201 cells r >= 1, t >= 0, and the one summary value
-        assert sum(sizes) == 201 * 202 + 2 * 200 * 201 + 1
+        assert sum(sizes) == 201 * 202 + beside
+
+    def test_staircase_column_across_blocks(self, tmp_path):
+        """Row 0 of a 3x5002 lattice spans two formatting blocks; every
+        ``boundary_staircase`` cell is the text of M_0(t) in mse_grid.csv.
+        M_0(5000) = 2^-1002 is the last step, none of them underflows."""
+        cfg = ExperimentConfig(scheme="packet_stream", packet_bits=1, period=10, r_max=2,
+                               t_max=5000)
+        assert _table._BLOCK_ROWS < cfg.t_max + 2 < 2 * _table._BLOCK_ROWS
+        cli.cmd_mse(cfg, str(tmp_path))
+        grid = [ln.split(",") for ln in (tmp_path / "mse_grid.csv").read_text().splitlines()[1:]]
+        row0 = {t: text for r, t, text in grid if r == "0" and t != "-1"}
+        rows = [ln.split(",") for ln in (tmp_path / "mse.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3 * 5001 and len(row0) == 5001
+        assert all(stair == row0[t] for _, t, _, stair in rows)
+        assert len(set(row0.values())) == 5000 // 10 + 1  # one value per period
 
     def test_memory_stays_near_the_arrays(self, tmp_path, monkeypatch):
         """The traced peak is the lattice and the closed-form arrays plus a few MiB.
@@ -965,6 +987,52 @@ class TestRefusedBeforeAnyOutput:
         err = self.refused(tmp_path, capsys, "stream",
                            "scheme = packet_stream\npacket_bits = 1100\nperiod = 2\nr_max = 4\n")
         assert err.startswith("error: rate at or above capacity")
+
+
+class TestLargePacketsAndUnderflowedCells:
+    """2^(2 psi) past float64's range and a decoded cell that underflows to 0
+    give clamped bounds and an ``inf`` loglog_diag, not a traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys, command, text):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text("[experiment]\n" + text)
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code == 0, printed.err
+        return out
+
+    @staticmethod
+    def rows(path):
+        return [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+
+    def test_stream_packets_of_1100_bits(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "stream",
+                       "scheme = packet_stream\npacket_bits = 1100\nperiod = 2\nr_max = 4\n"
+                       "velocities = 1\nnum_trials = 10\n")
+        assert self.rows(out / "stream_errors.csv")
+        assert [row[4] for row in self.rows(out / "stream_bounds.csv")] == ["1"]
+
+    def test_packet_of_600_bits(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "packet",
+                       "scheme = single_packet\npacket_bits = 600\nr_max = 3\n")
+        # 2^1201 M overflows: every bound clamps to 1 and q to 0, which has no diagonal
+        assert [row[5:] for row in self.rows(out / "packet.csv")] == [["1", "1", "1", ""]] * 2
+
+    def test_packet_where_the_decoded_cell_underflows(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "packet",
+                       "scheme = single_packet\nsnr = 10\npacket_bits = 2\nr_max = 700\n"
+                       "num_trials = 200\n")
+        grid = mse_mod.solve_grid(make_channel_params(10.0), mse_mod.SingleSampleBoundary(),
+                                  700, 700)
+        rows = self.rows(out / "packet.csv")
+        assert grid.at(700, 700) == 0.0 and rows[-1][5:] == ["0", "0", "0", "inf"]
+        for r, t, *_, cheb, gauss, pref, diag in rows:
+            m = grid.at(int(r), int(t))
+            if m == 0.0:
+                assert (cheb, gauss, pref, diag) == ("0", "0", "0", "inf")
+            else:  # the former expression, inf where 3 / (2^5 M) overflows
+                assert float(diag) == math.log(3.0 / (2.0**5 * m) - math.log(2.0))
 
 
 class TestRatesBeyondExpRange:

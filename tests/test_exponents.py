@@ -217,6 +217,57 @@ class TestProbabilityBounds:
                 c = xp.packet_error_bound_chebyshev(float(mse), psi)
                 assert g <= c + 1e-300
 
+    def test_gaussian_exponent_examples(self):
+        assert xp.gaussian_packet_exponent(3.0 / 8.0, 1) == 1.0
+        assert xp.gaussian_packet_exponent(0.0, 2) == math.inf
+
+    # zero, subnormal cells and cells of a lattice that has not underflowed
+    MSE = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308),
+                    st.floats(1e-300, 1.0))
+
+    @given(mse=MSE, psi=st.integers(1, 511), n=st.integers(0, 1023))
+    @settings(max_examples=300)
+    def test_bit_identical_to_the_power_of_two_expressions(self, mse, psi, n):
+        """Each bound and q equal, by float.hex, the ``2.0 ** k * x`` forms they
+        replaced wherever those returned (all of psi <= 511 and n <= 1023)."""
+        cheb = _clamp01((2.0 ** (2 * psi)) * mse / 3.0)
+        pref = _clamp01((2.0 / math.sqrt(3.0)) * (2.0**n) * math.sqrt(mse))
+        if mse == 0.0:
+            q, gauss = math.inf, 0.0  # the old q divided by zero
+        else:
+            q = 3.0 / (2.0 ** (2 * psi + 1) * mse)
+            gauss = _clamp01(2.0 * math.exp(-q))
+        assert xp.packet_error_bound_chebyshev(mse, psi).hex() == cheb.hex()
+        assert xp.gaussian_packet_exponent(mse, psi).hex() == q.hex()
+        assert xp.packet_error_bound_gaussian(mse, psi).hex() == gauss.hex()
+        assert xp.prefix_error_bound(mse, n).hex() == pref.hex()
+
+    @pytest.mark.parametrize("mse", [5e-324, 1e-300, 0.5, 1.0])
+    def test_beyond_the_power_of_two_range(self, mse):
+        """psi = 512 and n = 1024, the first where ``2.0 ** k`` raises, match
+        50-digit references, clamped; q is 0 where 2^1025 mse overflows."""
+        with pytest.raises(OverflowError):
+            2.0 ** (2 * 512)
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mse)
+            q = 3 / (2**1025 * m)
+            want = [min(1, 2**1024 * m / 3), min(1, 2 * mpmath.exp(-q)),
+                    min(1, 2 / mpmath.sqrt(3) * 2**1024 * mpmath.sqrt(m))]
+        got = [xp.packet_error_bound_chebyshev(mse, 512), xp.packet_error_bound_gaussian(mse, 512),
+               xp.prefix_error_bound(mse, 1024)]
+        assert got == pytest.approx([float(w) for w in want], rel=1e-15)
+        if mse >= 0.5:
+            assert got == [1.0, 1.0, 1.0]
+            assert xp.gaussian_packet_exponent(mse, 512) == 0.0
+        else:
+            assert xp.gaussian_packet_exponent(mse, 512) == pytest.approx(float(q), rel=1e-15)
+
+    def test_zero_mse_beyond_the_power_of_two_range(self):
+        assert xp.packet_error_bound_chebyshev(0.0, 512) == 0.0
+        assert xp.gaussian_packet_exponent(0.0, 512) == math.inf
+        assert xp.packet_error_bound_gaussian(0.0, 512) == 0.0
+        assert xp.prefix_error_bound(0.0, 1024) == 0.0
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             xp.packet_error_bound_chebyshev(-0.1, 1)
@@ -224,6 +275,12 @@ class TestProbabilityBounds:
             xp.packet_error_bound_gaussian(0.1, 0)
         with pytest.raises(ValueError):
             xp.prefix_error_bound(-1e-9, 2)
+        with pytest.raises(ValueError):
+            xp.gaussian_packet_exponent(-1e-9, 2)
+
+
+def _clamp01(x):
+    return min(1.0, max(0.0, x))
 
 
 def _mp_inputs(snr, rate, v):
@@ -471,6 +528,11 @@ class TestCurves:
     def test_rate_required_for_es(self):
         with pytest.raises(ValueError):
             xp.sample_exponent_curve("ES", CH10, [1.0])
+
+    @pytest.mark.parametrize("rate", [None, 0.5])
+    def test_unknown_kind_on_an_empty_grid(self, rate):
+        with pytest.raises(ValueError, match="unknown curve kind 'BOGUS'"):
+            xp.sample_exponent_curve("BOGUS", CH10, [], rate_nats=rate)
 
     def test_per_time_normalization(self):
         grid = np.geomspace(1e-6, 1.0, 10)
