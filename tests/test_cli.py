@@ -1022,7 +1022,7 @@ class TestLargePacketsAndUnderflowedCells:
     def test_packet_where_the_decoded_cell_underflows(self, tmp_path, capsys):
         out = self.run(tmp_path, capsys, "packet",
                        "scheme = single_packet\nsnr = 10\npacket_bits = 2\nr_max = 700\n"
-                       "num_trials = 200\n")
+                       "num_trials = 20\n")
         grid = mse_mod.solve_grid(make_channel_params(10.0), mse_mod.SingleSampleBoundary(),
                                   700, 700)
         rows = self.rows(out / "packet.csv")
