@@ -3,14 +3,15 @@
 ``write_table(path, header, columns)`` writes a header line and one row per
 element of its columns, fields joined by commas.  A column is an integer
 array, written as ``'%d' % v``, a float array, written as ``'%.17g' % x``,
-or a text array (``str`` or ``bytes``), written as it is.  All columns share
-one shape, 1-D or 2-D, and rows follow the elements in C order.  A text
-column carries the cells no number format covers: the censored ``<10/n``
-rates, empty cells and labels; ``g17_text`` gives the ``%.17g`` text of
-its numeric cells.  ``write_lattice_csv`` prefixes 2-D columns with their
-``r,t`` indices.  ``open_table`` writes one table in pieces, and
-``g17_fields`` formats floats block by block into text that two tables of
-the same values can share, so each value is formatted once.
+or a text array (``bytes``, or ``str``, encoded once), written as it is.
+All columns share one shape, 1-D or 2-D, and rows follow the elements in C
+order.  A text column carries the cells no number format covers: the
+censored ``<10/n`` rates, empty cells and labels; ``g17_text`` gives the
+``%.17g`` bytes of its numeric cells, one value at a time.
+``write_lattice_csv`` prefixes 2-D columns with their ``r,t`` indices.
+``open_table`` writes one table in pieces, and ``g17_fields`` formats
+floats block by block into text that two tables of the same values can
+share, so each value is formatted once.
 
 Files: the columns are checked before the file is opened with
 ``open(path, "wb")``, so a rejected call leaves an existing file as it was.
@@ -384,17 +385,12 @@ def g17_fields(values: np.ndarray):
 
 
 def g17_text(values) -> np.ndarray:
-    """``'%.17g' % x`` of every float in ``values``, as a str array of the same shape.
+    """``b'%.17g' % x`` of every float in ``values``, as a bytes array of the same shape.
 
-    For the numeric cells of text columns; a float column of ``write_table``
-    is formatted block by block instead.
+    For the few numeric cells of text columns, formatted one value at a
+    time; a float column of ``write_table`` is formatted block by block by
+    the kernel instead.
     """
     values = np.asarray(values, dtype=np.float64)
-    flat = values.reshape(-1)
-    text = np.zeros((flat.size, _G17_WIDTH + 1), dtype=np.uint8)
-    text[:, -1] = ord("\n")
-    tables = _tables()
-    for lo in range(0, flat.size, _BLOCK_ROWS):
-        _format_floats(flat[lo : lo + _BLOCK_ROWS], text[lo : lo + _BLOCK_ROWS, :-1], tables)
-    cells = text.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
-    return np.array(cells, dtype=str).reshape(values.shape)
+    cells = [b"%.17g" % x for x in values.ravel().tolist()]
+    return np.array(cells, dtype=np.bytes_).reshape(values.shape)

@@ -87,8 +87,8 @@ def cmd_exponents(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     write_table(path, "v,exponent,kind,convention", [
         np.concatenate([c.velocities for c in curves]),
         np.concatenate([c.values for c in curves]),
-        np.repeat([c.label for c in curves], sizes),
-        np.repeat([c.convention.value for c in curves], sizes),
+        np.repeat([c.label.encode() for c in curves], sizes),
+        np.repeat([c.convention.value.encode() for c in curves], sizes),
     ])
     return [path]
 
@@ -225,7 +225,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     gains = sim.precompute_gains(grid)
     agg = sim.run_monte_carlo(gains, source, cfg.noise, cfg.num_trials, cfg.master_seed)
     # node r_max transmits on no simulated hop: its power cells are empty
-    power = np.concatenate([g17_text(agg.power_mean), np.full((1, cfg.t_max + 1), "")])
+    power = np.concatenate([g17_text(agg.power_mean), np.full((1, cfg.t_max + 1), b"")])
     path = os.path.join(out_dir, "simulate.csv")
     write_lattice_csv(path, "r,t,emp_mse,emp_power,stderr_mse,n_trials", [
         agg.mse_mean, power, agg.mse_stderr, np.broadcast_to(agg.n_trials, power.shape),
@@ -262,9 +262,9 @@ def _raise_failures(checks: list[dict], paths: list[str], out_dir: str) -> None:
 
 
 def _censored(rates, n) -> np.ndarray:
-    """Error rates over ``n`` trials as text, ``<10/n`` below ten expected errors."""
+    """Error rates over ``n`` trials as bytes, ``<10/n`` below ten expected errors."""
     threshold = 10.0 / np.asarray(n, dtype=float)
-    return np.where(rates < threshold, np.char.add("<", g17_text(threshold)), g17_text(rates))
+    return np.where(rates < threshold, np.char.add(b"<", g17_text(threshold)), g17_text(rates))
 
 
 def _scheme_lattice(cfg: ExperimentConfig) -> None:
@@ -327,7 +327,7 @@ def cmd_packet(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         path,
         "r,t,n_trials,errors,packet_err,bound_chebyshev,bound_gaussian,bound_prefix,loglog_diag",
         [r, t, n, errors, _censored(errors / n, n), cheb, gauss, pref,
-         np.where(has_diag, g17_text(diag), "")],
+         np.where(has_diag, g17_text(diag), b"")],
     )
     return [path]
 
@@ -394,7 +394,7 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         for r in r_list:
             delta = deltas[r]
             cell = stats.cells.get((r, delta))
-            worst = ""
+            worst = b""
             if cell is not None and cell.per_bit:
                 n_obs = next(iter(cell.per_bit.values()))[1]
                 worst = _censored(cell.worst_bit_rate(), n_obs)
@@ -407,7 +407,7 @@ def cmd_stream(cfg: ExperimentConfig, out_dir: str) -> list[str]:
             bpath,
             "r,delta,v,worst_bit_pe,exact_envelope_bound,envelope_exponent_per_delta",
             [r_list, [deltas[r] for r in r_list], np.full(n_rows, v),
-             np.array(worst_cells, dtype=str), exact, np.full(n_rows, env)],
+             np.array(worst_cells, dtype=np.bytes_), exact, np.full(n_rows, env)],
         )
         paths += [err_path, bpath]
     return paths

@@ -49,7 +49,10 @@ blocks of about 16 MiB of noise (``_BLOCK_BUDGET``), so memory does not
 grow with the batch.  The blocks are leaves of the pairwise tree in which
 numpy sums a row of the batch's trials, so the float sums of
 ``run_monte_carlo``, added along that tree, are the bits of one
-whole-batch sum; decoding counts are integers and do not depend on it.
+whole-batch sum; a summed block holds 128 trials at the least, numpy's
+leaf, whatever the lattice.  Decoding counts are integers and do not
+depend on the cut, so a decode block holds down to one trial and its noise
+stays within the budget on any lattice that one trial's noise fits.
 """
 
 from __future__ import annotations
@@ -172,8 +175,11 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
 
 
 # Trials whose r-major noise is drawn before one transposed copy into the
-# trial-contiguous batch array; about 1 MB on the criterion-8 lattice.
+# trial-contiguous batch array; about 1 MB on the criterion-8 lattice.  On a
+# bigger lattice the chunk holds at most _CHUNK_BYTES of noise, and one trial
+# at the least.
 _NOISE_CHUNK = 128
+_CHUNK_BYTES = 2 << 20
 
 
 def _draw_inputs(source, noise_kind, master_seed, start, out, chunk,
@@ -725,8 +731,9 @@ class _Moments:
         prev[lo:hi] = est[lo:hi]
 
 
-# Noise bytes of one block, about 2k trials on the criterion-8 lattice; a
-# block may exceed it only at numpy's leaf of 128 values, summed in one pass.
+# Noise bytes of one block, about 2k trials on the criterion-8 lattice.  A
+# summed block may exceed it only at numpy's leaf of 128 values, summed in
+# one pass; a decode block only when one trial does.
 _BLOCK_BUDGET = 16 << 20
 _PAIRWISE_LEAF = 128
 
@@ -738,13 +745,17 @@ def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
 
     Each block is drawn into one noise buffer, sized to the largest block,
     through one staging chunk; ``leaf(trials, src, z, dither)``, given its
-    slice of the batch, returns its ``_sweep`` observer.
+    slice of the batch, returns its ``_sweep`` observer.  Summed runs
+    (``join`` given) cut no block below numpy's leaf; decoding counts do
+    not depend on the cut, so decode runs cut down to one trial.
     """
     r_max, T = gains.r_max, gains.t_max + 1
-    size = max(_BLOCK_BUDGET // (8 * r_max * T), _PAIRWISE_LEAF)
+    trial_bytes = 8 * r_max * T
+    size = max(_BLOCK_BUDGET // trial_bytes, _PAIRWISE_LEAF if join else 1)
     largest = _pairwise(lambda first, n: n, max, size, 0, count)
     noise = np.empty(r_max * T * largest)
-    chunk = np.empty((min(_NOISE_CHUNK, largest), r_max, T))
+    staged = max(min(_NOISE_CHUNK, largest, _CHUNK_BYTES // trial_bytes), 1)
+    chunk = np.empty((staged, r_max, T))
     plan = _wavefront(gains)
 
     def block(first, n):
@@ -761,13 +772,15 @@ def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
 def _pairwise(block, join, size, first, n):
     """``block(first, n)``, or, above ``size``, the halves where numpy's pairwise
     sum splits a row of n values, cut again and joined by ``join`` (None without).
+    Below 16 values, which only a decode run cuts, numpy splits no row and
+    the halves are n // 2 and the rest.
 
     This is not nested in ``_run_blocks``: a closure that calls itself is a
     reference cycle, which would hold the noise buffer until gc collects it.
     """
     if n <= size:
         return block(first, n)
-    half = n // 2 - n // 2 % 8
+    half = n // 2 - n // 2 % 8 or n // 2
     left = _pairwise(block, join, size, first, half)
     right = _pairwise(block, join, size, first + half, n - half)
     return join(left, right) if join else None

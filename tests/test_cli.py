@@ -395,13 +395,13 @@ class TestMseWriter:
     """``cmd_mse`` formats each lattice value once and holds no text of the whole lattice."""
 
     # the 201x202 lattice once, then either mse_closed and rel_discrepancy over
-    # its 200x201 cells r >= 1, t >= 0 and the one summary value, or the
-    # staircase's 201 boundary values M_0(t), t >= 0
+    # its 200x201 cells r >= 1, t >= 0 and the one summary value, or nothing:
+    # the staircase's boundary values M_0(t) are formatted by ``g17_text``
     @pytest.mark.parametrize("scheme, keys, beside", [
         ("single_sample", {}, 2 * 200 * 201 + 1),
         ("single_packet", {"packet_bits": 3}, 2 * 200 * 201 + 1),
         ("refined_source", {"rate_nats": 0.5}, 2 * 200 * 201 + 1),
-        ("packet_stream", {"packet_bits": 2, "period": 3}, 201),
+        ("packet_stream", {"packet_bits": 2, "period": 3}, 0),
     ], ids=["single_sample", "single_packet", "refined_source", "packet_stream"])
     def test_formats_each_lattice_value_once(self, tmp_path, monkeypatch, scheme, keys, beside):
         sizes = []
@@ -639,9 +639,48 @@ class TestSimulateBytePinsInLeafBlocks(TestSimulateBytePins):
 class TestCensored:
     def test_threshold_is_ten_expected_errors(self):
         # 10 errors in 400 trials is reported; 9 is censored
-        assert cli._censored(10 / 400, 400) == "0.025000000000000001"
-        assert cli._censored(9 / 400, 400) == "<0.025000000000000001"
-        assert cli._censored(0.0, 400) == "<0.025000000000000001"
+        assert cli._censored(10 / 400, 400) == b"0.025000000000000001"
+        assert cli._censored(9 / 400, 400) == b"<0.025000000000000001"
+        assert cli._censored(0.0, 400) == b"<0.025000000000000001"
+
+    def test_cells_of_an_array_keep_its_shape(self):
+        got = cli._censored(np.array([[0.5, 0.0], [1e-4, 0.25]]),
+                            np.array([[100, 100], [10_000, 40]]))
+        assert got.dtype.kind == "S"
+        assert got.tolist() == [[b"0.5", b"<0.10000000000000001"], [b"<0.001", b"0.25"]]
+
+
+class TestTextColumnsAreBytes:
+    """Every text column a command hands the table writer is bytes, so the
+    writer never re-encodes a ``str`` cell."""
+
+    CASES = {
+        "mse": dict(scheme="packet_stream", packet_bits=2, period=3, r_max=5, t_max=6),
+        "simulate": dict(r_max=3, t_max=4, num_trials=2_000),
+        "packet": dict(scheme="single_packet", packet_bits=2, r_max=4, num_trials=2_000),
+        "stream": dict(scheme="packet_stream", packet_bits=2, period=2, r_max=8,
+                       num_trials=2_000),
+        "exponents": dict(velocities=(0.5, 1.0, 2.0)),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_no_str_column(self, command, tmp_path, monkeypatch):
+        kinds = []
+        real = _table._checked
+
+        def checked(columns):
+            columns = list(columns)
+            kinds.append([np.asarray(c).dtype.kind for c in columns])
+            return real(columns)
+
+        monkeypatch.setattr(_table, "_checked", checked)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **self.CASES[command])
+        try:
+            getattr(cli, f"cmd_{command}")(cfg, str(tmp_path))
+        except cli.VerificationFailure:
+            pass  # the files are written before the verdicts
+        assert kinds and all("U" not in call for call in kinds), kinds
+        assert any("S" in call for call in kinds), kinds
 
 
 class TestSimulateVerdicts:

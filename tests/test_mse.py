@@ -710,8 +710,16 @@ class TestWriteTable:
 
     def test_g17_text_keeps_shape(self):
         text = _table.g17_text(np.array([[0.1, -np.inf], [1e22, 123.0]]))
-        assert text.tolist() == [["0.10000000000000001", "-inf"], ["1e+22", "123"]]
-        assert _table.g17_text(2.0**-25) == "2.9802322387695312e-08"
+        assert text.tolist() == [[b"0.10000000000000001", b"-inf"], [b"1e+22", b"123"]]
+        assert _table.g17_text(2.0**-25) == b"2.9802322387695312e-08"
+        assert _table.g17_text(np.empty((0, 3))).shape == (0, 3)
+
+    def test_g17_text_is_percent_formatting(self):
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf, np.nan,
+                  1e22, 2.0**-25, 0.1, -123.456, 1e16, 9.999999999999999e16]
+        text = _table.g17_text(np.array(values).reshape(1, -1, 1))
+        assert text.dtype.kind == "S" and text.shape == (1, len(values), 1)
+        assert text.ravel().tolist() == [("%.17g" % x).encode() for x in values]
 
 
 class TestLatticeCsvMemory:

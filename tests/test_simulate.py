@@ -328,15 +328,17 @@ class TestRegressionPins:
 
 
 class TestRegressionPinsInLeafBlocks(TestRegressionPins):
-    """The same pins with every batch cut into blocks of at most 128 trials.
+    """The same pins with every batch cut into its smallest blocks.
 
-    Each batch of 1,000 then runs as eight blocks, whose sums
-    ``_Moments.join`` adds along numpy's pairwise tree.
+    A summed batch of 1,000 then runs as eight blocks of at most 128
+    trials, whose sums ``_Moments.join`` adds along numpy's pairwise tree;
+    a decoded batch runs one trial a block.
     """
 
     @pytest.fixture(autouse=True)
     def leaf_blocks(self, monkeypatch):
-        # a budget below one trial leaves only numpy's 128-value floor
+        # a budget below one trial leaves only the floors: numpy's 128-value
+        # leaf for summed runs, one trial for decode runs
         monkeypatch.setattr(sim, "_BLOCK_BUDGET", 0)
 
     @pytest.mark.parametrize("noise", sim.NOISE_KINDS)
@@ -549,7 +551,8 @@ def _decode_inputs(gains, source, noise_kind, master_seed, start, count, cells, 
 
 
 def _set_block(monkeypatch, gains, trials):
-    """Give a block of ``gains``' lattice a budget of ``trials`` trials (128 at the least)."""
+    """Give a block of ``gains``' lattice a budget of ``trials`` trials (at the least
+    128 in summed runs and 1 in decode runs)."""
     monkeypatch.setattr(sim, "_BLOCK_BUDGET", trials * 8 * gains.r_max * (gains.t_max + 1))
 
 
@@ -623,17 +626,18 @@ class TestWavefrontMatchesTimeMajor:
         self._check(gains, sim.KnownSampleSource(), "gaussian", monkeypatch, trials=40)
 
 
-def _tree_blocks(n, trials):
+def _tree_blocks(n, trials, floor=128):
     """Trials per block of a batch of ``n`` at a budget of ``trials`` a block.
 
     numpy sums a row of more than 128 values as the sum of its first
     n//2 - (n//2) % 8 values plus the sum of the rest; a batch is cut at
-    those splits until its blocks fit the budget or reach 128 trials.
+    those splits until its blocks fit the budget or reach ``floor`` trials:
+    128 in summed runs, 1 in decode runs, which cut below 16 trials at n//2.
     """
-    if n <= max(trials, 128):
+    if n <= max(trials, floor):
         return [n]
-    half = n // 2 - n // 2 % 8
-    return _tree_blocks(half, trials) + _tree_blocks(n - half, trials)
+    half = n // 2 - n // 2 % 8 or n // 2
+    return _tree_blocks(half, trials, floor) + _tree_blocks(n - half, trials, floor)
 
 
 class _RowSums:
@@ -728,24 +732,32 @@ class TestBlockIndependence:
             gains, source, noise, 2_500, seed, cells, spec, batch_size=1_000, threads=threads
         )
         calls, trials, largest = counts[:]
-        # batches of 1,000, 1,000 and 500 trials, each cut along numpy's pairwise tree
-        blocks = 2 * _tree_blocks(1_000, block) + _tree_blocks(500, block)
+        # batches of 1,000, 1,000 and 500 trials, each cut along numpy's pairwise
+        # tree down to the budget, one trial at the least
+        blocks = 2 * _tree_blocks(1_000, block, 1) + _tree_blocks(500, block, 1)
         assert trials == 2_500 and largest == max(blocks)
         assert calls == len(blocks)
         got = (_rows_digest(primary), secondary and _rows_digest(secondary))
         assert got == TestRegressionPins.PINNED_ROWS[kind]
 
 
-def test_decoding_memory_is_bounded_by_blocks():
-    # criterion-8 shape: stream decoding at v = IV/2 over r = 4..24.  A batch
-    # holds its captures and bits; the noise lives one block at a time.
-    psi, period, tau_cap, n = 2, 2, 8, 20_000
+def _criterion8_case():
+    """Gains, source and cells of criterion 8: stream decoding at v = IV/2 over r = 4..24."""
+    psi, period, tau_cap = 2, 2, 8
     v = 0.5 * xp.iv_lower_bound_stream(CH10, make_stream_params(psi, period, CH10).rate_nats)
     deltas = {r: math.floor(r / v) for r in (4, 8, 12, 16, 20, 24)}
     t_max = tau_cap * period + max(deltas.values())
     gains = sim.precompute_gains(solve_grid(CH10, PacketStreamBoundary(psi, period), 24, t_max))
     cells = [(r, tau * period + d) for r, d in deltas.items() for tau in range(tau_cap + 1)]
-    source = sim.PacketStreamSource(psi, period)
+    return gains, sim.PacketStreamSource(psi, period), cells
+
+
+def test_decoding_memory_is_bounded_by_blocks():
+    # A criterion-8 batch holds its captures and bits; the noise lives one
+    # block at a time.
+    psi, period, n = 2, 2, 20_000
+    gains, source, cells = _criterion8_case()
+    t_max = gains.t_max
     tracemalloc.start()
     try:
         sim.run_decoding_monte_carlo(gains, source, "gaussian", n, 14, cells,
@@ -756,6 +768,58 @@ def test_decoding_memory_is_bounded_by_blocks():
     batch_noise = 8 * 24 * (t_max + 1) * n  # what one whole-batch sweep held: 169 MB
     captures_and_bits = 8 * len(cells) * n + source.depth(t_max) * n
     assert peak <= 3 * sim._BLOCK_BUDGET + captures_and_bits < batch_noise / 2, peak
+
+
+@pytest.mark.parametrize("join", [None, max], ids=["decode", "summed"])
+def test_criterion8_blocks_and_chunk(join, monkeypatch):
+    """At 8,448 bytes of noise a trial, a batch of 20,000 is cut into the same
+    blocks of about 1,250 trials whether decoded or summed, each staged 128
+    trials at a time."""
+    gains, _, _ = _criterion8_case()
+    assert 8 * gains.r_max * (gains.t_max + 1) == 8_448
+    blocks, chunks = [], set()
+
+    def zero_draw(source, noise_kind, master_seed, start, out, chunk, *args):
+        blocks.append(out.shape[-1])
+        chunks.add(chunk.shape[0])
+        out.fill(0.0)
+        _, T, count = out.shape
+        return sim.SourceBatch(s=np.zeros(count), shat0=np.zeros((T, count))), None
+
+    monkeypatch.setattr(sim, "_draw_inputs", zero_draw)
+    monkeypatch.setattr(sim, "_sweep", lambda *args: None)
+    sim._run_blocks(gains, None, "zero", 0, 0, 20_000, lambda *args: 0, join)
+    assert blocks == _tree_blocks(20_000, sim._BLOCK_BUDGET // 8_448)
+    assert blocks == _tree_blocks(20_000, sim._BLOCK_BUDGET // 8_448, 1)
+    assert 1_240 <= min(blocks) <= max(blocks) <= 1_256 and chunks == {128}
+
+
+def test_decoding_memory_on_a_big_lattice(monkeypatch):
+    """722 KB of noise a trial: decode blocks go below 128 trials, and the
+    staging chunk below 128, so the noise stays within the block budget.
+    Cut so, 200 trials decode as they do in one block."""
+    source = sim.SinglePacketSource(2)
+    gains = sim.precompute_gains(solve_grid(CH10, source.boundary(), 300, 300))
+    assert 8 * gains.r_max * (gains.t_max + 1) == 722_400
+    cells = [(1, 0), (2, 1), (2, 2), (5, 3)] + [(r, r) for r in range(10, 301, 58)]
+    spec = sim.DecodeSpec("packet", 2)
+
+    def rows():
+        primary, _ = sim.run_decoding_monte_carlo(gains, source, "gaussian", 200, 21, cells,
+                                                  spec, threads=1)
+        return list(primary.rows())
+
+    tracemalloc.start()
+    try:
+        cut = rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sim._BLOCK_BUDGET, peak
+    monkeypatch.setattr(sim, "_BLOCK_BUDGET", 200 * 722_400)  # one block of 200 trials
+    whole = rows()
+    assert cut == whole
+    assert any(row[3] > 0 for row in cut)  # some packet errors, so the rows compare counts
 
 
 class TestGains:
