@@ -30,8 +30,6 @@ _SECTION = "[experiment]"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, tuple):

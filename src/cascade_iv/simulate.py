@@ -36,13 +36,14 @@ Linux) the batches run in-process, one after another.
 
 One recursion, ``_sweep``, serves every caller.  It is a wavefront over
 the anti-diagonals e = r + t of the lattice: cell (r, t) reads only
-(r-1, t) and (r, t-1), so one step updates every node of a diagonal with
-one numpy call per stage, whatever the number of trials.  What each caller
-keeps is an observer of the diagonals: the moments and probes of
-``run_monte_carlo``, the captured estimates of ``run_decoding_monte_carlo``
-(nothing else), or the full traces of ``run_trial``.  The probes are always
-on and cover only the output pairs of ``probe_pairs``, so only y(0) and
-y(t-1) are kept.
+(r-1, t) and (r, t-1), so one in-place step updates every node of a
+diagonal with one numpy call per stage, whatever the number of trials.
+Silent hops take that step too, on the +0.0 gains ``precompute_gains``
+gives them.  What each caller keeps is an observer that reads only the
+state after each diagonal: the moments and probes of ``run_monte_carlo``,
+the captured estimates of ``run_decoding_monte_carlo`` (nothing else), or
+the full traces of ``run_trial``.  The probes are always on and cover only
+the output pairs of ``probe_pairs``, so only y(0) and y(t-1) are kept.
 
 Every caller runs its batches through one driver, ``_run_blocks``, in
 blocks of about 16 MiB of noise (``_BLOCK_BUDGET``), so memory does not
@@ -57,7 +58,6 @@ stays within the budget on any lattice that one trial's noise fits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
@@ -461,8 +461,10 @@ class GainTable:
     """Precomputed beta/gamma per hop and time, with silent-hop markers.
 
     ``beta[r, t]`` scales the transmission on hop r (node r toward node r+1)
-    and ``gamma[r, t]`` the innovation at node r >= 1 (row 0 unused).  Silent
-    cells transmit 0 and skip the update.  Any cell whose expected input
+    and ``gamma[r, t]`` the innovation at node r >= 1 (row 0 unused).  A
+    silent cell has beta and gamma exactly +0.0, so it transmits nothing and
+    leaves its receiver's estimate bit for bit; the engine relies on that
+    and runs silent hops through its one step.  Any cell whose expected input
     power lands above P is rescaled down; ``clamp_count`` reports only the
     cells that exceeded P beyond ordinary rounding (1e-12 relative), which
     indicates a defective lattice rather than float noise.
@@ -540,78 +542,55 @@ def _diagonal(a: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
 def _wavefront(gains: GainTable):
     """The anti-diagonals e = n + t of the (r_max+1, T) lattice, in order.
 
-    Each entry is ``(e, lo, hi, runs)``: rows lo..hi-1 hold the diagonal's
-    cells (n, e - n), and each run ``(p, q, beta, gamma)`` covers receiving
-    nodes p..q-1 whose hops (p-1..q-2, at time e - n) are either all active,
-    with their (k, 1) gain columns, or all silent, with gains None.
+    Each entry is ``(e, lo, hi, p, beta, gamma)``: rows lo..hi-1 hold the
+    diagonal's cells (n, e - n), and receiving nodes p..hi-1, p = max(lo, 1),
+    take hops p-1..hi-2 (hop n-1 at time e - n) with the (k, 1) gain columns
+    ``beta`` and ``gamma``.  A silent hop's gains are +0.0 and ride along.
     """
     T = gains.t_max + 1
     plan = []
     for e in range(gains.r_max + T):
         lo, hi = max(0, e - T + 1), min(gains.r_max, e) + 1
-        runs = []
         p = max(lo, 1)
-        silent = _diagonal(gains.silent, e - 1, p - 1, hi - 1).tolist()
-        for quiet, group in itertools.groupby(silent):
-            q = p + len(list(group))
-            if quiet:
-                runs.append((p, q, None, None))
-            else:
-                runs.append((p, q, _diagonal(gains.beta, e - 1, p - 1, q - 1)[:, None],
-                             _diagonal(gains.gamma, e, p, q)[:, None]))
-            p = q
-        plan.append((e, lo, hi, runs))
+        plan.append((e, lo, hi, p, _diagonal(gains.beta, e - 1, p - 1, hi - 1)[:, None],
+                     _diagonal(gains.gamma, e, p, hi)[:, None]))
     return plan
 
 
-def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal,
-           first_trial: int, hops: bool = False) -> None:
+def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal, first_trial: int) -> None:
     """Run the lattice recursion for a batch, in place on one (r_max+1, B) state.
 
     ``plan`` is the gain table's ``_wavefront``, ``shat0`` the (T, B)
     node-0 estimate and ``z`` the (r_max, T, B) hop noise.  Cell (n, t)
     reads only (n-1, t) and (n, t-1), so the cells of one anti-diagonal
     e = n + t depend only on the diagonal before it: a wavefront step
-    updates all of them at once, with one numpy call per stage on a (k, B)
-    slab, each node reading its hop noise z[n-1, e-n] through a strided
-    view.  Row n of the state holds Shat_n(e - n - 1)
-    before the step and Shat_n(e - n) after it; node 0 is set to
-    ``shat0[e]`` after the update, which reads its previous value.
+    updates all of them at once, with one numpy call per stage on one
+    (k, B) slab, each node reading its hop noise z[n-1, e-n] through a
+    strided view.  Row n of the state holds Shat_n(e - n - 1) before the
+    step and Shat_n(e - n) after it; node 0 is set to ``shat0[e]`` after
+    the update, which reads its previous value.
 
-    After step e, ``on_diagonal(e, lo, hi, est, x, y)`` sees the state,
-    whose rows lo..hi-1 are the diagonal's cells.  With ``hops`` it also
-    sees the (r_max, B) channel inputs x and outputs y, whose rows
-    max(lo, 1)-1..hi-2 are the hops of the step (hop r at time e-1-r);
-    without, x and y are None and the stages run in place on one slab.  A
-    silent hop transmits +0.0, receives its noise alone and leaves the
-    state untouched.
+    A silent hop runs the same step on its +0.0 gains and adds +0.0 or
+    -0.0 to its receiver.  That leaves the receiver's bits, because a
+    receiver's estimate is never -0.0: it starts at +0.0, and a sum is -0.0
+    only when both terms are.
+
+    After step e, ``on_diagonal(e, lo, hi, est)`` sees the state, whose rows
+    lo..hi-1 are the diagonal's cells.
     """
     r_max, T, count = z.shape
     est = np.zeros((r_max + 1, count))
     x = np.empty((r_max, count))
-    if hops:
-        y, scaled = np.empty((r_max, count)), np.empty((r_max, count))
-        seen = (x, y)
-    else:  # every stage in place on x
-        y = scaled = x
-        seen = (None, None)
-    for e, lo, hi, runs in plan:
+    for e, lo, hi, p, beta, gamma in plan:
+        step = x[p - 1 : hi - 1]
         # an inf state makes transient nan arithmetic before the finite-state
         # guard below raises; keep that path quiet
         with np.errstate(invalid="ignore"):
-            for p, q, beta, gamma in runs:
-                xs, ys = x[p - 1 : q - 1], y[p - 1 : q - 1]
-                zs = _diagonal(z, e - 1, p - 1, q - 1)
-                if beta is None:
-                    xs.fill(0.0)
-                    ys[...] = zs
-                    continue
-                np.subtract(est[p - 1 : q - 1], est[p:q], out=xs)
-                xs *= beta
-                np.add(xs, zs, out=ys)
-                step = scaled[p - 1 : q - 1]
-                np.multiply(ys, gamma, out=step)
-                est[p:q] += step
+            np.subtract(est[p - 1 : hi - 1], est[p:hi], out=step)
+            step *= beta
+            step += _diagonal(z, e - 1, p - 1, hi - 1)
+            step *= gamma
+            est[p:hi] += step
         if lo == 0:
             est[0] = shat0[e]
         finite = np.isfinite(est[lo:hi])
@@ -621,7 +600,7 @@ def _sweep(plan, shat0: np.ndarray, z: np.ndarray, on_diagonal,
                 f"non-finite estimate at node r={bad_r}, t={e - bad_r} "
                 f"(trials {first_trial}..{first_trial + count - 1})"
             )
-        on_diagonal(e, lo, hi, est, *seen)
+        on_diagonal(e, lo, hi, est)
 
 
 def probe_pairs(T: int) -> list[tuple[int, int]]:
@@ -639,16 +618,20 @@ class _Moments:
     Each quantity is reduced over the trials row by row on the diagonal's
     cells and scattered into its (node, time) array, so every cell's sum is
     the same pairwise sum over the same values as in a time-major pass.
-    ``prev`` is the state before the diagonal, which the per-hop identity
-    reads.  The output probes keep only y(0) and y(t-1) per hop: hop r at
-    time t adds the products of y(t) with each, the two pairs of
-    ``probe_pairs`` that end at t.
+    ``prev`` is the state before the diagonal.  From it the hop inputs
+    x = beta (prev[r] - prev[r+1]) and outputs y = x + z are formed again,
+    the sweep's own operands in its own order, so they are its bits; the
+    per-hop identity reads it as well.  The output probes keep only y(0)
+    and y(t-1) per hop: hop r at time t adds the products of y(t) with
+    each, the two pairs of ``probe_pairs`` that end at t.
     """
 
     def __init__(self, gains: GainTable, s: np.ndarray, z: np.ndarray):
         r_max, T, count = z.shape
         self.gains, self.s, self.z = gains, s, z
         self.prev = np.zeros((r_max + 1, count))
+        self.x = np.empty((r_max, count))
+        self.y = np.empty((r_max, count))
         self.y0 = np.empty((r_max, count))
         self.y_prev = np.empty((r_max, count))
         n_pairs = len(probe_pairs(T))
@@ -684,7 +667,7 @@ class _Moments:
         prod *= prod
         self._scatter("y2y2_sum", d, lo, hi, prod)
 
-    def __call__(self, e, lo, hi, est, x, y) -> None:
+    def __call__(self, e, lo, hi, est) -> None:
         s, prev = self.s, self.prev
         r_max, T = self.z.shape[:2]
         err = s - est[lo:hi]
@@ -700,21 +683,24 @@ class _Moments:
             self._scatter("d2_sum", e, n0, n1, d * d)
         h0, h1 = n0 - 1, hi - 1  # hop r, from node r to r+1, at time e-1-r
         if h0 < h1:
-            xs, ys = x[h0:h1], y[h0:h1]
+            xs, ys, zs = self.x[h0:h1], self.y[h0:h1], _diagonal(self.z, e - 1, h0, h1)
+            np.subtract(prev[h0:h1], prev[h0 + 1 : h1 + 1], out=xs)
+            xs *= _diagonal(self.gains.beta, e - 1, h0, h1)[:, None]
+            np.add(xs, zs, out=ys)
             x2 = xs * xs
             self._scatter("pow_sum", e - 1, h0, h1, x2)
             self._scatter("pow2_sum", e - 1, h0, h1, x2 * x2)
             # per-hop identity:
             # Shat_{r+1}(t) = pbar Shat_r(t) + (1-pbar) Shat_{r+1}(t-1) + gamma Z
-            active = ~_diagonal(self.gains.silent, e - 1, h0, h1)
-            if active.any():
+            silent = _diagonal(self.gains.silent, e - 1, h0, h1)
+            quiet = np.count_nonzero(silent)
+            if quiet < h1 - h0:
                 pbar = self.gains.channel.snr_bar
-                rows = slice(None) if active.all() else active  # a slice copies nothing
+                rows = ~silent if quiet else slice(None)  # a slice copies nothing
                 resid = est[h0 + 1 : h1 + 1][rows] - (
                     pbar * prev[h0:h1][rows]
                     + (1.0 - pbar) * prev[h0 + 1 : h1 + 1][rows]
-                    + _diagonal(self.gains.gamma, e, h0 + 1, h1 + 1)[rows, None]
-                    * _diagonal(self.z, e - 1, h0, h1)[rows]
+                    + _diagonal(self.gains.gamma, e, h0 + 1, h1 + 1)[rows, None] * zs[rows]
                 )
                 self.sums["identity_max"] = max(self.sums["identity_max"],
                                                 float(np.abs(resid).max()))
@@ -726,8 +712,9 @@ class _Moments:
             if h0 < origin:
                 self._add_pair(T + e - 4, h0, origin, ys[: origin - h0], self.y0[h0:origin])
             if h1 == e:  # hop e-1 is at t = 0
-                self.y0[e - 1] = y[e - 1]
-            self.y_prev[h0:h1] = ys
+                self.y0[e - 1] = self.y[e - 1]
+            # the next diagonal's hops at t >= 1 are rows of this one's
+            self.y, self.y_prev = self.y_prev, self.y
         prev[lo:hi] = est[lo:hi]
 
 
@@ -739,7 +726,7 @@ _PAIRWISE_LEAF = 128
 
 
 def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
-                start_trial: int, count: int, leaf, join=None, hops: bool = False,
+                start_trial: int, count: int, leaf, join=None,
                 n_dither: int = 0, dither_half: float = 0.0):
     """Draw and sweep ``count`` trials in blocks cut by ``_pairwise``.
 
@@ -763,7 +750,7 @@ def _run_blocks(gains: GainTable, source, noise_kind: str, master_seed: int,
         src, dither = _draw_inputs(source, noise_kind, master_seed, start_trial + first, z,
                                    chunk, n_dither, dither_half)
         observer = leaf(slice(first, first + n), src, z, dither)
-        _sweep(plan, src.shat0, z, observer, start_trial + first, hops)
+        _sweep(plan, src.shat0, z, observer, start_trial + first)
         return observer
 
     return _pairwise(block, join, size, 0, count)
@@ -791,7 +778,7 @@ def _simulate_batch(gains: GainTable, source, noise_kind: str, master_seed: int,
     """Run ``count`` trials and return partial sums (see run_monte_carlo)."""
     return _run_blocks(gains, source, noise_kind, master_seed, start_trial, count,
                        lambda trials, src, z, dither: _Moments(gains, src.s, z),
-                       _Moments.join, hops=True).sums
+                       _Moments.join).sums
 
 
 def _compensated_sum(parts) -> np.ndarray:
@@ -977,26 +964,27 @@ def run_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
 
     The trial reads its own stream (master_seed, trial_index), so its values
     are those it has in any Monte Carlo run of the same gains and source.
+    Its channel inputs and outputs are formed from its estimates with the
+    sweep's own operations, so they are the sweep's bits.
     """
     r_max, T = gains.r_max, gains.t_max + 1
     est = np.empty((r_max + 1, T))
-    x = np.empty((r_max, T))
-    y = np.empty((r_max, T))
     inputs = []
 
-    def record(e, lo, hi, state, hop_x, hop_y):
+    def record(e, lo, hi, state):
         _diagonal(est, e, lo, hi)[...] = state[lo:hi, 0]
-        h0, h1 = max(lo, 1) - 1, hi - 1
-        _diagonal(x, e - 1, h0, h1)[...] = hop_x[h0:h1, 0]
-        _diagonal(y, e - 1, h0, h1)[...] = hop_y[h0:h1, 0]
 
     def leaf(trials, src, z, dither):
         inputs.extend((src, z[..., 0]))
         return record
 
-    _run_blocks(gains, source, noise_kind, master_seed, trial_index, 1, leaf, hops=True)
+    _run_blocks(gains, source, noise_kind, master_seed, trial_index, 1, leaf)
     src, z = inputs
     s = float(src.s[0])
+    # hop r at time t sends beta (Shat_r(t) - Shat_{r+1}(t-1)), Shat_{r+1}(-1) = 0;
+    # + 0.0 turns the -0.0 of a silent hop with a negative difference into +0.0
+    x = (est[:-1] - np.pad(est[1:, :-1], ((0, 0), (1, 0)))) * gains.beta + 0.0
+    y = x + z
     return TrialResult(
         source_value=s,
         estimates=est,
@@ -1092,7 +1080,7 @@ def _decode_batch(gains: GainTable, source, noise_kind: str, master_seed: int, c
         if n_dither:
             dither[:, trials] = block_dither
 
-        def capture(e, lo, hi, est, x, y):
+        def capture(e, lo, hi, est):
             for idx, r in by_e.get(e, ()):
                 captures[idx, trials] = est[r]
 

@@ -510,6 +510,13 @@ class TestOutputBytePins:
             "stream_errors_v1.csv": "e47540c62261ff4fadc30415522a502dff7dc4ef0143cee2b96ffb2240cf61c1",
             "stream_bounds_v1.csv": "0379e297f0c8d23f8bb08619130e16c1b4b8ef9a818ad012318545357fd41cbe",
         }),
+        # 44 silent hops on the decoded lattice
+        "packet-silent": ("packet", {
+            "scheme": "single_packet", "packet_bits": 2, "snr": 10.0, "r_max": 300,
+            "num_trials": 200, "master_seed": 3,
+        }, {
+            "packet.csv": "b88146bfdc3c2f337b0ebae7d8e68f1be8eb2dc8f91f6e7850dc0e19b63cb826",
+        }),
     }
     TRACE_SHA256 = "e681139e1d173e960db44fcf519647b61e08386ea7dc28043dd497e0ada2d0d2"
 
@@ -611,6 +618,13 @@ class TestSimulateBytePins:
                                  "t_max": 12, "num_trials": 30_000, "master_seed": 3}, {
             "report.json": "9acc6498809cb34914382cc6e4f58a6f3938b7cd82a906180651f2ff2c90a6d4",
             "simulate.csv": "8621680c1019270be80959d190eee70b2a38a16d6108a221223166136642fe38",
+        }),
+        # 2,708 silent hops, on diagonals that also hold active ones; it
+        # fails where the lattice falls below about 1e-30, like the 3x40 run
+        "silent-30x400": ({"r_max": 30, "t_max": 400, "num_trials": 600, "master_seed": 14}, {
+            "failures.json": "8141d508a9ff997aa647b57c85aa8c5d6f469f9b63df521c9f59e3ab24c38a69",
+            "report.json": "3adf1ca94654735dd5fa18493be196fd8f9bb7ef06e8b9ae2027613f44adabe0",
+            "simulate.csv": "15a9e46b8a6ac5ad1877efc25830f2b40f08301dd2e1052699259c533454dc9c",
         }),
     }
 
