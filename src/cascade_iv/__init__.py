@@ -24,7 +24,6 @@ from .mse import (
 )
 from .exponents import (
     ExponentCurve,
-    delta_star,
     e1,
     e2,
     e_tilde,

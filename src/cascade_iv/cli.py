@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -113,35 +112,14 @@ def cmd_iv(cfg: ExperimentConfig, out_dir: str) -> list[str]:
 
 def cmd_mse(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     channel = make_channel_params(cfg.snr)
-    boundary = _source_for(cfg).boundary()
-    grid = mse_mod.solve_grid(channel, boundary, cfg.r_max, cfg.t_max)
+    grid = mse_mod.solve_grid(channel, _source_for(cfg).boundary(), cfg.r_max, cfg.t_max)
     path = os.path.join(out_dir, "mse.csv")
     paths = [path]
-    log_cf = None
-    if isinstance(boundary, mse_mod.ExponentialRefinementBoundary):
-        log_cf = np.logaddexp(*mse_mod.log_closed_form_streaming_grid(
-            channel, boundary.rate_nats, cfg.r_max, cfg.t_max
-        ))
-    elif isinstance(boundary, mse_mod.SingleSampleBoundary):
-        log_cf = mse_mod.log_closed_form_single_grid(channel, cfg.r_max, cfg.t_max)
-    if log_cf is not None:
-        dp = grid.values[1:, 1:]
-        log_cf = log_cf[1:]
-        # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.  One
-        # row at a time as Python floats, not the whole grid (32 bytes a cell).
-        rows = itertools.chain.from_iterable(map(np.ndarray.tolist, log_cf))
-        cf = np.fromiter(map(math.exp, rows), float, dp.size).reshape(dp.shape)
-        linear = dp >= mse_mod.UNDERFLOW_LINEAR
-        rel = np.zeros_like(dp)
-        np.divide(np.abs(cf - dp), dp, out=rel, where=linear)
-        for i in np.flatnonzero(~linear):
-            # compare in the log domain below linear resolution; exact zeros are skipped
-            d = dp.flat[i]
-            if d > 0:
-                rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
-        max_rel = rel.max()  # NaN in any cell propagates
+    closed = mse_mod.closed_form_discrepancy(grid)
+    if closed is not None:
+        cf, rel = closed
         summary = os.path.join(out_dir, "mse_summary.csv")
-        write_table(summary, "max_rel_discrepancy", [max_rel])
+        write_table(summary, "max_rel_discrepancy", [rel.max()])  # NaN in any cell propagates
         paths.append(summary)
         header, r0, extra = "r,t,mse_dp,mse_closed,rel_discrepancy", 1, [cf, rel]
     else:  # packet_stream: no closed form; the boundary row M_0(t) beside each row
@@ -428,21 +406,14 @@ def _verify_checks() -> list[dict]:
 
     # lattice recursion and closed forms
     grid = mse_mod.solve_grid(channel, mse_mod.SingleSampleBoundary(), 40, 60)
-    pbar = channel.snr_bar
     m = grid.values
-    resid = np.abs(m[1:, 1:] - (pbar * m[:-1, 1:] + (1 - pbar) * m[1:, :-1])).max()
+    resid = np.abs(m[1:, 1:] - (channel.snr_bar * m[:-1, 1:] + channel.qbar * m[1:, :-1])).max()
     record("recursion_identity", resid <= 1e-12, f"max residual {resid:.2e}")
-
-    log_cf = mse_mod.log_closed_form_single_grid(channel, 40, 60)
-    rel = np.abs(np.exp(log_cf[1:]) - m[1:, 1:]) / m[1:, 1:]
-    record("closed_form_single", rel.max() <= 1e-9, f"max rel {rel.max():.2e}")
-
-    rate = math.log(2.0)
-    sgrid = mse_mod.solve_grid(channel, mse_mod.ExponentialRefinementBoundary(rate), 40, 60)
-    li, lii = mse_mod.log_closed_form_streaming_grid(channel, rate, 40, 60)
-    total = np.exp(np.logaddexp(li, lii))
-    rel = np.abs(total[1:] - sgrid.values[1:, 1:]) / sgrid.values[1:, 1:]
-    record("closed_form_streaming", rel.max() <= 1e-9, f"max rel {rel.max():.2e}")
+    sgrid = mse_mod.solve_grid(channel, mse_mod.ExponentialRefinementBoundary(math.log(2.0)),
+                               40, 60)
+    for name, g in (("closed_form_single", grid), ("closed_form_streaming", sgrid)):
+        rel = mse_mod.closed_form_discrepancy(g)[1].max()
+        record(name, rel <= 1e-9, f"max rel {rel:.2e}")
 
     pgrid = mse_mod.solve_grid(channel, mse_mod.PacketStreamBoundary(2, 2), 40, 60)
     dominated = (pgrid.values <= sgrid.values + 1e-15).all()

@@ -48,7 +48,6 @@ __all__ = [
     "e1",
     "es",
     "e_tilde",
-    "delta_star",
     "e2",
     "stream_region_boundary",
     "packet_error_bound_chebyshev",
@@ -126,16 +125,7 @@ def e_tilde(channel: ChannelParams, rate_nats: float, delta: float) -> float:
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     dbar = delta / (1.0 + delta)
-    return (1.0 + delta) * kl_divergence(dbar, 1.0 - channel.snr_bar) - 2.0 * rate_nats * delta
-
-
-def delta_star(channel: ChannelParams, rate_nats: float) -> float:
-    """Unconstrained minimizer eta/(1-eta) of e_tilde; only exists for eta < 1.
-
-    The reciprocal of ``stream_region_boundary``, so it is as accurate near
-    capacity.
-    """
-    return 1.0 / stream_region_boundary(channel, rate_nats)
+    return (1.0 + delta) * kl_divergence(dbar, channel.qbar) - 2.0 * rate_nats * delta
 
 
 def e2(channel: ChannelParams, rate_nats: float, v: float) -> float:

@@ -36,6 +36,7 @@ exponentials go through ``np.logaddexp``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -62,6 +63,7 @@ __all__ = [
     "log_closed_form_streaming",
     "log_closed_form_single_grid",
     "log_closed_form_streaming_grid",
+    "closed_form_discrepancy",
     "write_grid_csv",
 ]
 
@@ -227,7 +229,7 @@ def solve_grid(
     # 0-d arrays spare each ufunc call converting a Python float; the
     # products are the same
     pbar = np.array(channel.snr_bar)
-    qbar = np.array(1.0 - channel.snr_bar)
+    qbar = np.array(channel.qbar)
     n_cols = t_max + 2
     n_diags = r_max + n_cols
     values = np.zeros((r_max + 1, n_cols))
@@ -311,11 +313,10 @@ def log_closed_form_single(channel: ChannelParams, r: int, t: int) -> float:
     M_r(t) = (1-pbar)^(t+1) * sum_{k=1}^{r} C(t+r-k, r-k) pbar^(r-k).
     """
     _check_cell(r, t)
-    pbar = channel.snr_bar
     j = np.arange(r)  # j = r - k
     lf = _log_factorials(t + r - 1)
-    terms = lf[t + j] - lf[j] - lf[t] + j * math.log(pbar)
-    return (t + 1) * math.log1p(-pbar) + float(np.logaddexp.reduce(terms))
+    terms = lf[t + j] - lf[j] - lf[t] + j * channel.log_pbar
+    return (t + 1) * channel.log_qbar + float(np.logaddexp.reduce(terms))
 
 
 def log_closed_form_streaming(
@@ -332,7 +333,6 @@ def log_closed_form_streaming(
     _check_cell(r, t)
     if rate_nats <= 0.0:
         raise ValueError("rate_nats must be positive")
-    pbar = channel.snr_bar
     s = np.arange(t + 1)
     lf = _log_factorials(r + t - 1)
     terms = (
@@ -340,9 +340,9 @@ def log_closed_form_streaming(
         + lf[r + s - 1]
         - lf[s]
         - lf[r - 1]
-        + s * math.log1p(-pbar)
+        + s * channel.log_qbar
     )
-    log_ii = r * math.log(pbar) + float(np.logaddexp.reduce(terms))
+    log_ii = r * channel.log_pbar + float(np.logaddexp.reduce(terms))
     return log_closed_form_single(channel, r, t), log_ii
 
 
@@ -354,14 +354,13 @@ def log_closed_form_single_grid(
     Row 0 is the boundary (-inf since M_0 = 0).  The cumulative log-sum-exp
     over the path-count terms makes the whole grid O(r_max * t_max).
     """
-    pbar = channel.snr_bar
     t = np.arange(t_max + 1)[None, :]
     j = np.arange(r_max)[:, None]  # j = r - k
     lf = _log_factorials(t_max + r_max - 1)
-    terms = lf[t + j] - lf[j] - lf[t] + j * math.log(pbar)
+    terms = lf[t + j] - lf[j] - lf[t] + j * channel.log_pbar
     cum = np.logaddexp.accumulate(terms, axis=0)
     out = np.full((r_max + 1, t_max + 1), -np.inf)
-    out[1:] = (t + 1) * math.log1p(-pbar) + cum
+    out[1:] = (t + 1) * channel.log_qbar + cum
     return out
 
 
@@ -371,18 +370,48 @@ def log_closed_form_streaming_grid(
     """(ln MSE_I, ln MSE_II) grids, shape (r_max+1, t_max+1); row 0 is the boundary."""
     if rate_nats <= 0.0:
         raise ValueError("rate_nats must be positive")
-    pbar = channel.snr_bar
     log_i = log_closed_form_single_grid(channel, r_max, t_max)
     s = np.arange(t_max + 1)[None, :]
     r = np.arange(1, r_max + 1)[:, None]
     # 2Rs absorbs the t-dependence so one accumulation serves every t.
     lf = _log_factorials(r_max + t_max - 1)
-    terms = 2.0 * rate_nats * s + lf[r + s - 1] - lf[s] - lf[r - 1] + s * math.log1p(-pbar)
+    terms = 2.0 * rate_nats * s + lf[r + s - 1] - lf[s] - lf[r - 1] + s * channel.log_qbar
     cum = np.logaddexp.accumulate(terms, axis=1)
     log_ii = np.full((r_max + 1, t_max + 1), -np.inf)
-    log_ii[1:] = r * math.log(pbar) - 2.0 * rate_nats * (s + 1) + cum
+    log_ii[1:] = r * channel.log_pbar - 2.0 * rate_nats * (s + 1) + cum
     log_ii[0] = -2.0 * rate_nats * (np.arange(t_max + 1) + 1)
     return log_i, log_ii
+
+
+def closed_form_discrepancy(grid: MseGrid) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed form M_r(t), r >= 1, t >= 0, of ``grid``'s boundary and its
+    relative discrepancy from the lattice, or None for a boundary without one.
+
+    Cells below ``UNDERFLOW_LINEAR`` compare in the log domain, and cells
+    that underflowed to exactly 0 read 0.  NaN in the closed form propagates.
+    """
+    channel, boundary, r_max, t_max = grid.channel, grid.boundary, grid.r_max, grid.t_max
+    if isinstance(boundary, ExponentialRefinementBoundary):
+        log_cf = np.logaddexp(*log_closed_form_streaming_grid(
+            channel, boundary.rate_nats, r_max, t_max))
+    elif isinstance(boundary, SingleSampleBoundary):
+        log_cf = log_closed_form_single_grid(channel, r_max, t_max)
+    else:
+        return None
+    dp = grid.values[1:, 1:]
+    log_cf = log_cf[1:]
+    # math.exp, not np.exp: numpy's SIMD exp may differ by an ulp.  One
+    # row at a time as Python floats, not the whole grid (32 bytes a cell).
+    rows = itertools.chain.from_iterable(map(np.ndarray.tolist, log_cf))
+    cf = np.fromiter(map(math.exp, rows), float, dp.size).reshape(dp.shape)
+    linear = dp >= UNDERFLOW_LINEAR
+    rel = np.zeros_like(dp)
+    np.divide(np.abs(cf - dp), dp, out=rel, where=linear)
+    for i in np.flatnonzero(~linear):
+        d = dp.flat[i]
+        if d > 0:
+            rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
+    return cf, rel
 
 
 def write_grid_csv(grid: MseGrid, path, on_block=None) -> None:

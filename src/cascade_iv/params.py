@@ -6,6 +6,8 @@ once from ``P`` and cached on immutable value objects:
 
 * ``snr_bar``       P / (1 + P), the one-step LMMSE contraction factor
 * ``capacity_nats`` 0.5 * ln(1 + P)
+* ``qbar``, ``log_pbar``, ``log_qbar``  1 - snr_bar, ln snr_bar and ln(1 - snr_bar),
+  formed here only and left out of ``repr``
 * ``eta``           (1 - snr_bar) * exp(2 R) at rate R (``eta_factor``), < 1 iff R < C
 
 Rates are handled internally in nats; bit-denominated inputs (packet sizes)
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 LN2 = math.log(2.0)
@@ -53,6 +55,9 @@ class ChannelParams:
     snr: float
     snr_bar: float
     capacity_nats: float
+    qbar: float = field(repr=False)
+    log_pbar: float = field(repr=False)
+    log_qbar: float = field(repr=False)
 
 
 def make_channel_params(snr: float) -> ChannelParams:
@@ -60,10 +65,14 @@ def make_channel_params(snr: float) -> ChannelParams:
     snr = float(snr)
     if not math.isfinite(snr) or snr <= 0.0:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
+    snr_bar = snr / (1.0 + snr)
     return ChannelParams(
         snr=snr,
-        snr_bar=snr / (1.0 + snr),
+        snr_bar=snr_bar,
         capacity_nats=0.5 * math.log1p(snr),
+        qbar=1.0 - snr_bar,
+        log_pbar=math.log(snr_bar),
+        log_qbar=math.log1p(-snr_bar),
     )
 
 
@@ -75,7 +84,7 @@ def eta_factor(channel: ChannelParams, rate_nats: float) -> float:
     """
     if 2.0 * rate_nats > _LOG_FLOAT_MAX:
         return math.inf
-    return (1.0 - channel.snr_bar) * math.exp(2.0 * rate_nats)
+    return channel.qbar * math.exp(2.0 * rate_nats)
 
 
 @dataclass(frozen=True)

@@ -695,11 +695,11 @@ class _Moments:
             silent = _diagonal(self.gains.silent, e - 1, h0, h1)
             quiet = np.count_nonzero(silent)
             if quiet < h1 - h0:
-                pbar = self.gains.channel.snr_bar
+                channel = self.gains.channel
                 rows = ~silent if quiet else slice(None)  # a slice copies nothing
                 resid = est[h0 + 1 : h1 + 1][rows] - (
-                    pbar * prev[h0:h1][rows]
-                    + (1.0 - pbar) * prev[h0 + 1 : h1 + 1][rows]
+                    channel.snr_bar * prev[h0:h1][rows]
+                    + channel.qbar * prev[h0 + 1 : h1 + 1][rows]
                     + _diagonal(self.gains.gamma, e, h0 + 1, h1 + 1)[rows, None] * zs[rows]
                 )
                 self.sums["identity_max"] = max(self.sums["identity_max"],

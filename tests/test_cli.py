@@ -390,6 +390,42 @@ class TestMseBytePins:
                for p in paths}
         assert got == self.PINNED[f"{scheme}-{snr}-{r_max}x{t_max}"]
 
+    # high and low SNR, where 1 - pbar formed by subtraction loses about
+    # log10(1 + P) digits: these bytes move when it is formed otherwise
+    EXTREME_SNR = {
+        ("single_sample", 1e6): {
+            "mse.csv": "2ee963cf53b0cc3fe59cf69b2ceba21680703bc2379fb4f7efaf26d3c6ddc2c8",
+            "mse_grid.csv": "01e556c0cfcdd38e0f1b19377fe7d29a88e4bd25cc67254da61b85f6320ec4df",
+            "mse_summary.csv": "b95ba21f6dae9b7c7361b442c39732fea7ad6589ef11c5b228d3ca3b7a3de014",
+        },
+        ("single_sample", 0.3): {
+            "mse.csv": "e79b8ea52f15f75ecf7509cf5036210153a109b5fd8651c43e8d88c6cac67e2d",
+            "mse_grid.csv": "7a9312bcf72835d8689322b37bc9081b51f04793b269e7c3dffaf960b761bda6",
+            "mse_summary.csv": "8124825759f3fa561f2af5634c9f816ed2fb98b837954f04b37b07efa6bae659",
+        },
+        ("refined_source", 1e6): {
+            "mse.csv": "e1add956ad97378e66a2e296a2a67c54d60582ad1b2e3967543795607544767f",
+            "mse_grid.csv": "2fe2af8e56d16be9410e3ed02e9c6dab8f88007f4f555b1f86b2d486752621a8",
+            "mse_summary.csv": "c43e757c1baf9d6d2c4d274b389603e110c018c7ea9ca50111a2b3c21a17ddf2",
+        },
+        ("refined_source", 0.3): {
+            "mse.csv": "faf90eba6b1a3b7b38f0c21c2f14cef1e846c4265498978c3412ad48e7bfea28",
+            "mse_grid.csv": "58147c38e6836499519aa3fa09927ac254c16dd5c675a144c83c5176a23311c1",
+            "mse_summary.csv": "91ad9936634f5ead95c020db8ea5a61d7f2529422745f970fc58850257b66e4e",
+        },
+    }
+    EXTREME_SHAPES = {"single_sample": ({}, 30, 200), "refined_source": ({"rate_nats": 0.5}, 60, 80)}
+
+    @pytest.mark.parametrize("scheme,snr", list(EXTREME_SNR))
+    def test_extreme_snr_digests(self, scheme, snr, tmp_path):
+        keys, r_max, t_max = self.EXTREME_SHAPES[scheme]
+        cfg = ExperimentConfig(scheme=scheme, snr=snr, r_max=r_max, t_max=t_max,
+                               out_dir=str(tmp_path), **keys)
+        paths = cli.cmd_mse(cfg, str(tmp_path))
+        got = {os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for p in paths}
+        assert got == self.EXTREME_SNR[scheme, snr]
+
 
 class TestMseWriter:
     """``cmd_mse`` formats each lattice value once and holds no text of the whole lattice."""
@@ -509,6 +545,13 @@ class TestOutputBytePins:
             "stream_bounds_v0.csv": "e5bf22b011eb3a387f22acd683bf434dcb4a8fbcaaa22ca4672c301499fb0a15",
             "stream_errors_v1.csv": "e47540c62261ff4fadc30415522a502dff7dc4ef0143cee2b96ffb2240cf61c1",
             "stream_bounds_v1.csv": "0379e297f0c8d23f8bb08619130e16c1b4b8ef9a818ad012318545357fd41cbe",
+        }),
+        # high and low SNR, where 1 - pbar formed by subtraction loses digits
+        "exponents-snr1e6": ("exponents", {"snr": 1e6}, {
+            "exponents.csv": "eb93b456acbaf4cef413fa7c715cdd7a6fd3b6352dbcdd7c33261ca3e2a4e945",
+        }),
+        "exponents-snr0.3": ("exponents", {"snr": 0.3}, {
+            "exponents.csv": "113781af491d8ad684371e894e6318e211ecc1c7d6404f2663d382baa3edb961",
         }),
         # 44 silent hops on the decoded lattice
         "packet-silent": ("packet", {

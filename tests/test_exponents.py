@@ -25,6 +25,11 @@ CH10 = make_channel_params(10.0)
 PBAR = 10.0 / 11.0
 
 
+def _delta_star(channel, rate_nats):
+    """The unconstrained minimizer eta/(1-eta) of e_tilde, 1 / stream_region_boundary."""
+    return 1.0 / xp.stream_region_boundary(channel, rate_nats)
+
+
 class TestDivergence:
     def test_divergence_zero_iff_equal(self):
         assert xp.kl_divergence(0.3, 0.3) == 0.0
@@ -114,18 +119,18 @@ class TestETildeAndE2:
         assert xp.e_tilde(CH10, 0.5, 0.0) == pytest.approx(-math.log(PBAR), rel=1e-13)
 
     def test_stationarity_of_delta_star(self):
-        ds = xp.delta_star(CH10, 0.5)
+        ds = _delta_star(CH10, 0.5)
         h = 1e-6
         deriv = (xp.e_tilde(CH10, 0.5, ds + h) - xp.e_tilde(CH10, 0.5, ds - h)) / (2 * h)
         assert abs(deriv) <= 1e-6
 
     def test_delta_star_formula(self):
         eta = math.exp(1.0) / 11.0
-        assert xp.delta_star(CH10, 0.5) == pytest.approx(eta / (1 - eta), rel=1e-13)
+        assert _delta_star(CH10, 0.5) == pytest.approx(eta / (1 - eta), rel=1e-13)
 
     def test_delta_star_rejects_rate_above_capacity(self):
         with pytest.raises(xp.RateAboveCapacityError):
-            xp.delta_star(CH10, 1.3)
+            _delta_star(CH10, 1.3)
 
     @given(
         st.floats(min_value=0.0, max_value=5.0),
@@ -164,7 +169,7 @@ class TestETildeAndE2:
         rate = 0.5
         v = 0.5 * xp.stream_region_boundary(CH10, rate)  # delta* interior
         dmin = self._numeric_minimizer(rate, v)
-        assert dmin == pytest.approx(xp.delta_star(CH10, rate), abs=1e-8)
+        assert dmin == pytest.approx(_delta_star(CH10, rate), abs=1e-8)
 
     def test_edge_minimizer_at_one_over_v(self):
         rate = 0.5
@@ -489,7 +494,7 @@ class TestIvBounds:
             # exp(2(C-R)) - 1 at the channel's own capacity C, for the float rate
             want = mpmath.expm1(2 * (mpmath.mpf(ch.capacity_nats) - mpmath.mpf(rate)))
             assert abs(vb / want - 1) <= 1e-14
-            assert abs(xp.delta_star(ch, rate) * want - 1) <= 1e-14
+            assert abs(_delta_star(ch, rate) * want - 1) <= 1e-14
 
 
 class TestCurves:

@@ -392,6 +392,70 @@ class TestClosedFormStreaming:
         assert log_ii[4, 6] == pytest.approx(sii, rel=1e-12)
 
 
+def inline_comparison(grid):
+    """``cli.cmd_mse``'s comparison as it was written inline there, the oracle of
+    ``mse.closed_form_discrepancy``."""
+    channel, boundary, r_max, t_max = grid.channel, grid.boundary, grid.r_max, grid.t_max
+    if isinstance(boundary, ExponentialRefinementBoundary):
+        log_cf = np.logaddexp(*mse.log_closed_form_streaming_grid(
+            channel, boundary.rate_nats, r_max, t_max))
+    elif isinstance(boundary, SingleSampleBoundary):
+        log_cf = mse.log_closed_form_single_grid(channel, r_max, t_max)
+    else:
+        return None
+    dp = grid.values[1:, 1:]
+    log_cf = log_cf[1:]
+    cf = np.array([math.exp(x) for x in log_cf.ravel().tolist()]).reshape(dp.shape)
+    linear = dp >= mse.UNDERFLOW_LINEAR
+    rel = np.zeros_like(dp)
+    np.divide(np.abs(cf - dp), dp, out=rel, where=linear)
+    for i in np.flatnonzero(~linear):
+        d = dp.flat[i]
+        if d > 0:
+            rel.flat[i] = abs(log_cf.flat[i] - math.log(d))
+    return cf, rel
+
+
+class TestClosedFormDiscrepancy:
+    """``closed_form_discrepancy`` equals the inline comparison bit for bit."""
+
+    @staticmethod
+    def _assert_same(grid):
+        got, want = mse.closed_form_discrepancy(grid), inline_comparison(grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        return got
+
+    def test_single_sample_with_log_domain_cells_and_zeros(self):
+        grid = solve_grid(CH10, SingleSampleBoundary(), 30, 400)
+        dp = grid.values[1:, 1:]
+        assert np.count_nonzero(dp == 0) == 2046
+        assert np.count_nonzero((dp > 0) & (dp < mse.UNDERFLOW_LINEAR)) == 692
+        _, rel = self._assert_same(grid)
+        # subnormal cells carry a few bits: the 0.532 of ROADMAP item 14
+        assert np.isfinite(rel).all() and round(rel.max(), 3) == 0.532
+
+    def test_refined_source(self):
+        self._assert_same(solve_grid(CH10, ExponentialRefinementBoundary(0.5), 200, 200))
+
+    def test_nan_in_the_closed_form(self, monkeypatch):
+        real = mse.log_closed_form_single_grid
+
+        def with_nan(channel, r_max, t_max):
+            out = real(channel, r_max, t_max)
+            out[2, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(mse, "log_closed_form_single_grid", with_nan)
+        cf, rel = self._assert_same(solve_grid(CH10, SingleSampleBoundary(), 4, 6))
+        assert math.isnan(cf[1, 3]) and math.isnan(rel[1, 3])
+        assert np.count_nonzero(np.isnan(rel)) == 1
+
+    @pytest.mark.parametrize("boundary", [PacketStreamBoundary(2, 3),
+                                          SequenceBoundary((0.5,) * 7)])
+    def test_no_closed_form(self, boundary):
+        assert mse.closed_form_discrepancy(solve_grid(CH10, boundary, 4, 6)) is None
+
+
 def _mp_single(pbar, r, t):
     """50-digit M_r(t) = (1-pbar)^(t+1) sum_{j<r} C(t+j, j) pbar^j from exact binomials."""
     p = mpmath.mpf(pbar)

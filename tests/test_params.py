@@ -40,6 +40,25 @@ class TestChannelParams:
         assert ch.capacity_nats > 0.0
 
 
+class TestDerivedConstants:
+    """1 - snr_bar and the logs of snr_bar and 1 - snr_bar, formed in ``make_channel_params``."""
+
+    @pytest.mark.parametrize("snr", [0.1, 0.3, 1.0, 10.0, 1e3, 1e6])
+    def test_bit_for_bit(self, snr):
+        ch = make_channel_params(snr)
+        assert ch.qbar.hex() == (1.0 - ch.snr_bar).hex()
+        assert ch.log_pbar.hex() == math.log(ch.snr_bar).hex()
+        assert ch.log_qbar.hex() == math.log1p(-ch.snr_bar).hex()
+
+    def test_repr_unchanged(self):
+        # the Monte Carlo aggregate digests hash repr(channel); ROADMAP item 14
+        # updates this pin on purpose
+        assert repr(make_channel_params(10.0)) == (
+            "ChannelParams(snr=10.0, snr_bar=0.9090909090909091, "
+            "capacity_nats=1.1989476363991853)"
+        )
+
+
 class TestStreamParams:
     def test_rate_four_bits_every_four_steps(self):
         ch = make_channel_params(10.0)

@@ -3,6 +3,7 @@
 README's "Removed names" lists each removal below with what replaces it.
 """
 
+import ast
 import importlib
 import inspect
 import types
@@ -16,6 +17,7 @@ REMOVED_NAMES = [
     ("params", "stream_params_from_rate"),
     ("exponents", "binary_entropy"),
     ("exponents", "ExponentCurve.per_time_values"),
+    ("exponents", "delta_star"),
     ("mse", "closed_form_single"),
     ("mse", "closed_form_streaming"),
     ("mse", "SingleSampleBoundary.kind"),
@@ -89,3 +91,68 @@ class TestPublicSurface:
             assert param.default is inspect.Parameter.empty, f"{path}({keyword}=)"
         hints = importlib.import_module("cascade_iv.params").StreamParams.__annotations__
         assert (hints["packet_bits"], hints["period"]) == ("int", "int")
+
+
+def _pbar_form(node) -> str | None:
+    """The source of ``node`` if it forms 1 - pbar, ln pbar or ln(1 - pbar) from
+    pbar (a name or attribute ``pbar`` or ``snr_bar``), or the generic
+    complement ``1 - q``; else None."""
+
+    def is_pbar(expr):
+        name = expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+        return name in ("pbar", "snr_bar")
+
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and (is_pbar(node.right) or ast.unparse(node.right) == "q")):
+        return ast.unparse(node)
+    if isinstance(node, ast.Call) and len(node.args) == 1:
+        func, (arg,) = ast.unparse(node.func), node.args
+        if func.endswith("log1p") and isinstance(arg, ast.UnaryOp) and is_pbar(arg.operand):
+            return ast.unparse(node)
+        if func.endswith(("math.log", "np.log")) and is_pbar(arg):
+            return ast.unparse(node)
+    return None
+
+
+class TestOneHome:
+    """``params.make_channel_params`` is the one home of 1 - pbar, ln pbar and
+    ln(1 - pbar), and ``mse.closed_form_discrepancy`` the one comparison of the
+    lattice with its closed form.  Only code is scanned, not docstrings."""
+
+    # exponents.kl_divergence(p, q) forms 1 - q for q = snr_bar (e1, es) and
+    # q = qbar (e_tilde): ROADMAP item 14 is to fix it
+    ALLOWED = [("exponents", "1.0 - q")]
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(inspect.getsource(importlib.import_module(f"cascade_iv.{module}")))
+
+    def test_pbar_forms_only_in_params(self):
+        found = []
+        for module in MODULES:
+            if module == "params":
+                continue
+            found += [(module, form) for node in ast.walk(self._tree(module))
+                      if (form := _pbar_form(node))]
+        assert found == self.ALLOWED
+
+    def test_the_scan_sees_each_form(self):
+        for code in ("1.0 - channel.snr_bar", "1 - pbar", "math.log1p(-pbar)",
+                     "math.log(pbar)", "np.log(self.channel.snr_bar)", "1.0 - q"):
+            assert _pbar_form(ast.parse(code, mode="eval").body) == code
+        for code in ("1.0 - eta", "math.log(q - x)", "math.log1p(snr)", "channel.qbar",
+                     "math.log(x / channel.snr_bar)"):
+            assert _pbar_form(ast.parse(code, mode="eval").body) is None
+
+    def test_cli_leaves_the_closed_form_to_mse(self):
+        boundaries = {name for name in importlib.import_module("cascade_iv.mse").__all__
+                      if name.endswith("Boundary") or name == "BoundaryCondition"}
+        for node in ast.walk(self._tree("cli")):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+                classes = {n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", None)
+                           for n in ast.walk(node.args[1])}
+                assert not classes & boundaries, ast.unparse(node)
+            if isinstance(node, ast.Attribute):
+                assert "closed_form" not in node.attr or \
+                    node.attr == "closed_form_discrepancy", ast.unparse(node)
