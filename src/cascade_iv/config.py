@@ -123,11 +123,16 @@ class ExperimentConfig:
             raise ValueError(f"missing {_SECTION} section header")
 
         kwargs = {}
-        known = {f.name: f for f in fields(cls)}
-        for key, (_, value) in raw.items():
+        known = {f.name for f in fields(cls)}
+        for key, (lineno, value) in raw.items():
+            where = f"line {lineno}: config key {key!r}"
             if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_field(key, value)
+                raise ValueError(f"{where} is unknown")
+            parse, expected = _PARSERS.get(key, (str, "text"))
+            try:
+                kwargs[key] = parse(value)
+            except ValueError:
+                raise ValueError(f"{where} expects {expected}, got {value!r}") from None
         return cls(**kwargs)
 
     def save(self, path) -> None:
@@ -140,15 +145,10 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
 
-_INT_KEYS = {"packet_bits", "period", "r_max", "t_max", "num_trials", "master_seed"}
-_FLOAT_KEYS = {"snr", "rate_nats"}
-
-
-def _parse_field(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key == "velocities":
-        return tuple(float(tok) for tok in value.split())
-    return value
+# Each typed key's parser and what its value must be; other keys keep their text.
+_PARSERS = {
+    **dict.fromkeys(("packet_bits", "period", "r_max", "t_max", "num_trials", "master_seed"),
+                    (int, "an integer")),
+    **dict.fromkeys(("snr", "rate_nats"), (float, "a number")),
+    "velocities": (lambda text: tuple(map(float, text.split())), "numbers separated by spaces"),
+}

@@ -5,11 +5,12 @@ The lattice obeys the two-term recursion
     M_r(t) = snr_bar * M_{r-1}(t) + (1 - snr_bar) * M_r(t-1),   r >= 1, t >= 0
 
 with initial condition M_r(-1) = 1 for every r and a pluggable boundary row
-M_0(t).  Three boundaries are supported:
+M_0(t), given with its exact logarithm.  Four boundaries are supported:
 
 * ``SingleSampleBoundary``            M_0(t) = 0 (source known upfront)
 * ``ExponentialRefinementBoundary``   M_0(t) = exp(-2 R (t+1))
 * ``PacketStreamBoundary``            M_0(t) = 2^(-2 psi (floor(t/T) + 1))
+* ``SequenceBoundary``                M_0(t) given as a sequence
 
 The packet staircase incorporates the packet arriving at t = tau*T
 immediately, so it sits on or below the exponential-refinement profile with
@@ -27,7 +28,8 @@ rows.  Cells that underflow to +0.0 keep the lattice's initial zero: a band
 starts where its carry diagonal's run of +0.0 ends, and one scan of its last
 diagonal finds where the next band starts.
 
-Closed forms are evaluated in the log domain because the binomial factors
+Closed forms, one per-cell sum over lattice paths for every boundary and two
+grid forms, are evaluated in the log domain because the binomial factors
 overflow float64 long before r = t = 200.  Log-binomials at integer
 arguments index one table of ln k!, built as a Neumaier-compensated running
 sum of ln k (within one ulp of the exact value for k <= 4000), and sums of
@@ -59,8 +61,8 @@ __all__ = [
     "MseGrid",
     "check_grid_size",
     "solve_grid",
+    "log_closed_form",
     "log_closed_form_single",
-    "log_closed_form_streaming",
     "log_closed_form_single_grid",
     "log_closed_form_streaming_grid",
     "closed_form_discrepancy",
@@ -87,6 +89,9 @@ class SingleSampleBoundary:
     def profile(self, t_max: int) -> np.ndarray:
         return np.zeros(t_max + 1)
 
+    def log_profile(self, t_max: int) -> np.ndarray:
+        return np.full(t_max + 1, -np.inf)
+
 
 @dataclass(frozen=True)
 class ExponentialRefinementBoundary:
@@ -99,8 +104,10 @@ class ExponentialRefinementBoundary:
             raise ValueError(f"rate_nats must be positive, got {self.rate_nats!r}")
 
     def profile(self, t_max: int) -> np.ndarray:
-        t = np.arange(t_max + 1)
-        return np.exp(-2.0 * self.rate_nats * (t + 1))
+        return np.exp(self.log_profile(t_max))
+
+    def log_profile(self, t_max: int) -> np.ndarray:
+        return -2.0 * self.rate_nats * (np.arange(t_max + 1) + 1)
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,12 @@ class PacketStreamBoundary:
         if self.packet_bits < 1 or self.period < 1:
             raise ValueError("packet_bits and period must be >= 1")
 
-    def profile(self, t_max: int) -> np.ndarray:
+    def profile(self, t_max: int) -> np.ndarray:  # exact, unlike exp of log_profile
         t = np.arange(t_max + 1)
         return np.exp2(-2.0 * self.packet_bits * (t // self.period + 1.0))
+
+    def log_profile(self, t_max: int) -> np.ndarray:
+        return -2.0 * self.packet_bits * math.log(2.0) * (np.arange(t_max + 1) // self.period + 1)
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,12 @@ class SequenceBoundary:
     def profile(self, t_max: int) -> np.ndarray:
         vals = np.asarray(self.values, dtype=float)
         if vals.size < t_max + 1:
-            raise ValueError(
-                f"boundary profile of length {vals.size} too short for t_max={t_max}"
-            )
+            raise ValueError(f"boundary profile of length {vals.size} too short for t_max={t_max}")
         return vals[: t_max + 1].copy()
+
+    def log_profile(self, t_max: int) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            return np.log(self.profile(t_max))
 
 
 BoundaryCondition = Union[
@@ -302,48 +314,35 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array(out)
 
 
-def _check_cell(r: int, t: int) -> None:
+def log_closed_form(channel: ChannelParams, boundary: BoundaryCondition, r: int, t: int) -> float:
+    """ln M_r(t) for any boundary: a sum over lattice paths, O(r + t) per cell.
+
+    The lattice is linear in its boundary.  The unit column M_r(-1) = 1 gives
+    MSE_I = (1-pbar)^(t+1) sum_{j<r} C(t+j, j) pbar^j, and each boundary cell
+    M_0(t-s) steps down to (1, t-s), then along C(r+s-1, s) paths of weight
+    pbar^r (1-pbar)^s:
+
+        M_r(t) = MSE_I + pbar^r sum_{s=0}^{t} M_0(t-s) C(r+s-1, s) (1-pbar)^s.
+
+    All terms are positive, so the log-sum-exp loses nothing to cancellation,
+    and ``log_profile`` keeps deep boundary cells from underflowing.
+    """
     if r < 1 or t < 0:
         raise ValueError(f"closed forms require r >= 1 and t >= 0, got (r={r}, t={t})")
+    lf = _log_factorials(r + t - 1)
+    j = np.arange(r)
+    terms = lf[t + j] - lf[j] - lf[t] + j * channel.log_pbar
+    log_i = (t + 1) * channel.log_qbar + float(np.logaddexp.reduce(terms))
+    s = np.arange(t + 1)
+    terms = (boundary.log_profile(t)[::-1] + lf[r + s - 1] - lf[s] - lf[r - 1]
+             + s * channel.log_qbar)
+    log_ii = r * channel.log_pbar + float(np.logaddexp.reduce(terms))
+    return float(np.logaddexp(log_i, log_ii))
 
 
 def log_closed_form_single(channel: ChannelParams, r: int, t: int) -> float:
-    """ln M_r(t) for the single-sample boundary.
-
-    M_r(t) = (1-pbar)^(t+1) * sum_{k=1}^{r} C(t+r-k, r-k) pbar^(r-k).
-    """
-    _check_cell(r, t)
-    j = np.arange(r)  # j = r - k
-    lf = _log_factorials(t + r - 1)
-    terms = lf[t + j] - lf[j] - lf[t] + j * channel.log_pbar
-    return (t + 1) * channel.log_qbar + float(np.logaddexp.reduce(terms))
-
-
-def log_closed_form_streaming(
-    channel: ChannelParams, rate_nats: float, r: int, t: int
-) -> tuple[float, float]:
-    """(ln MSE_I, ln MSE_II) for the exponential-refinement boundary.
-
-    MSE_I is the single-sample closed form (effect of the unit initial
-    conditions); MSE_II collects the boundary cells M_0(x) = exp(-2R(x+1)),
-    each reaching (r, t) through C(r+s-1, s) lattice paths:
-
-        MSE_II = pbar^r * sum_{s=0}^{t} exp(-2R(t-s+1)) C(r+s-1, s) (1-pbar)^s.
-    """
-    _check_cell(r, t)
-    if rate_nats <= 0.0:
-        raise ValueError("rate_nats must be positive")
-    s = np.arange(t + 1)
-    lf = _log_factorials(r + t - 1)
-    terms = (
-        -2.0 * rate_nats * (t - s + 1)
-        + lf[r + s - 1]
-        - lf[s]
-        - lf[r - 1]
-        + s * channel.log_qbar
-    )
-    log_ii = r * channel.log_pbar + float(np.logaddexp.reduce(terms))
-    return log_closed_form_single(channel, r, t), log_ii
+    """ln M_r(t) for the single-sample boundary, where MSE_II is 0."""
+    return log_closed_form(channel, SingleSampleBoundary(), r, t)
 
 
 def log_closed_form_single_grid(

@@ -78,6 +78,26 @@ class TestConfig:
         assert printed.err == "error: line 4: config key 'master_seed' already set on line 2\n"
         assert printed.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("r_max = 5 # relays", "config key 'r_max' expects an integer, got '5 # relays'"),
+        ("r_max = 2.5", "config key 'r_max' expects an integer, got '2.5'"),
+        ("snr = ten", "config key 'snr' expects a number, got 'ten'"),
+        ("velocities = 1,2",
+         "config key 'velocities' expects numbers separated by spaces, got '1,2'"),
+        ("warp = 9", "config key 'warp' is unknown"),
+    ])
+    def test_bad_value_names_key_and_line(self, line, message, tmp_path, capsys):
+        text = f"[experiment]\n# a comment\nmaster_seed = 3\n{line}\n"
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_text(text)
+        assert str(info.value) == f"line 4: {message}"
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+        cfg.write_text(text)
+        assert cli.main(["mse", "--config", str(cfg), "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == f"error: line 4: {message}\n"
+        assert printed.out == "" and not out.exists()
+
     def test_packet_stream_requires_structure(self):
         with pytest.raises(ValueError):
             ExperimentConfig(scheme="packet_stream")

@@ -20,9 +20,9 @@ from cascade_iv.mse import (
     PacketStreamBoundary,
     SequenceBoundary,
     SingleSampleBoundary,
+    log_closed_form,
     log_closed_form_single,
     log_closed_form_single_grid,
-    log_closed_form_streaming,
     log_closed_form_streaming_grid,
     solve_grid,
     write_grid_csv,
@@ -344,25 +344,28 @@ class TestClosedFormSingle:
 
 
 class TestClosedFormStreaming:
+    """The refinement boundary: ``log_closed_form`` and the grid form."""
+
     def test_time_zero_boundary_contribution(self):
         # at t=0 the only boundary cell is M_0(0) = e^{-2R}, reached through
-        # r relay steps: MSE_II(r, 0) = pbar^r e^{-2R}
+        # r relay steps: M_r(0) = 1 - pbar^r + pbar^r e^{-2R}
         rate = 0.5
         for r in (1, 2, 5):
-            mse_ii = math.exp(log_closed_form_streaming(CH10, rate, r, 0)[1])
-            assert mse_ii == pytest.approx(PBAR**r * math.exp(-2 * rate), rel=1e-13)
+            m = math.exp(log_closed_form(CH10, ExponentialRefinementBoundary(rate), r, 0))
+            assert m == pytest.approx(1 - PBAR**r + PBAR**r * math.exp(-2 * rate), rel=1e-13)
 
     def test_term_enumeration_oracle_r1_t2(self):
-        # boundary cells (0,0),(0,1),(0,2) with values e^{-2R(x+1)} reach (1,2)
-        # via one relay step and 2-x time steps:
+        # M_1(-1) = 1 reaches (1,2) through three time steps; boundary cells
+        # (0,0),(0,1),(0,2) with values e^{-2R(x+1)} through one relay step
+        # and 2-x time steps:
         rate = 0.5
-        oracle = PBAR * (
+        oracle = (1.0 / 11.0) ** 3 + PBAR * (
             math.exp(-2 * rate * 3) * 1.0
             + math.exp(-2 * rate * 2) * (1.0 / 11.0)
             + math.exp(-2 * rate * 1) * (1.0 / 11.0) ** 2
         )
-        mse_ii = math.exp(log_closed_form_streaming(CH10, rate, 1, 2)[1])
-        assert mse_ii == pytest.approx(oracle, rel=1e-13)
+        m = math.exp(log_closed_form(CH10, ExponentialRefinementBoundary(rate), 1, 2))
+        assert m == pytest.approx(oracle, rel=1e-13)
 
     def test_total_matches_hand_unrolled_dp(self):
         rate = 0.5
@@ -370,12 +373,13 @@ class TestClosedFormStreaming:
         m10 = PBAR * b[0] + (1 - PBAR) * 1.0
         m11 = PBAR * b[1] + (1 - PBAR) * m10
         m12 = PBAR * b[2] + (1 - PBAR) * m11
-        mse_i, mse_ii = map(math.exp, log_closed_form_streaming(CH10, rate, 1, 2))
-        assert mse_i + mse_ii == pytest.approx(m12, rel=1e-13)
+        m = math.exp(log_closed_form(CH10, ExponentialRefinementBoundary(rate), 1, 2))
+        assert m == pytest.approx(m12, rel=1e-13)
 
     def test_part_one_is_single_sample_closed_form(self):
-        log_i, _ = log_closed_form_streaming(CH10, 0.8, 4, 7)
-        assert log_i == log_closed_form_single(CH10, 4, 7)
+        # a boundary row of zeros adds nothing: the unit column's part alone
+        zeros = SequenceBoundary((0.0,) * 8)
+        assert log_closed_form(CH10, zeros, 4, 7) == log_closed_form_single(CH10, 4, 7)
 
     def test_matches_grid_everywhere(self):
         rate = math.log(2.0)
@@ -387,9 +391,49 @@ class TestClosedFormStreaming:
 
     def test_grid_variant_matches_scalar(self):
         log_i, log_ii = log_closed_form_streaming_grid(CH10, 0.4, 5, 8)
-        si, sii = log_closed_form_streaming(CH10, 0.4, 4, 6)
-        assert log_i[4, 6] == pytest.approx(si, rel=1e-12)
-        assert log_ii[4, 6] == pytest.approx(sii, rel=1e-12)
+        scalar = log_closed_form(CH10, ExponentialRefinementBoundary(0.4), 4, 6)
+        assert np.logaddexp(log_i, log_ii)[4, 6] == pytest.approx(scalar, rel=1e-12)
+
+
+def _pin_cells():
+    """Fixed cells of a 300 x 300 lattice: its corners and 60 drawn with seed 31."""
+    rng = np.random.default_rng(31)
+    cells = [(1, 0), (1, 300), (300, 0), (300, 300)]
+    return cells + list(zip(rng.integers(1, 301, 60).tolist(), rng.integers(0, 301, 60).tolist()))
+
+
+def _hex_digest(values):
+    return hashlib.sha256("\n".join(map(float.hex, values)).encode()).hexdigest()
+
+
+class TestClosedFormPins:
+    """Per-cell closed forms, bit for bit.  The digests were recorded before the
+    refinement form became a case of ``log_closed_form``: the single-sample form
+    as it was, and the refinement one as ``np.logaddexp`` of its former (MSE_I,
+    MSE_II) pair, at R = 0.5."""
+
+    SINGLE = {
+        0.3: "9ea335e94ddcc270eda9f7687d7b2e6c9aaeab37f7a2163214745528fa346c2d",
+        10.0: "bc116b1ce44cf87658013a98b98f8dcd7f27b85da5860199873f8f3d428c13a8",
+        1e6: "a100b2a1d2f83f41b63e97563eee6aa0c563dcca316da87cd6bd22454e672996",
+    }
+    REFINEMENT = {
+        0.3: "e1980b8797534a1bb6639d291b3cdf3f1e2f920f2c820b0728dc224bd0ce95ff",
+        10.0: "25364039534a92ff1e4a271b3de4905710e31854f6406dbd09c8ba0bda327098",
+        1e6: "bf5ac43b21cc6229ef74148910110ca873179576ca5e858fa6386faa6ded00b1",
+    }
+
+    @pytest.mark.parametrize("snr", [0.3, 10.0, 1e6])
+    def test_single_sample(self, snr):
+        ch = make_channel_params(snr)
+        values = [log_closed_form_single(ch, r, t) for r, t in _pin_cells()]
+        assert _hex_digest(values) == self.SINGLE[snr]
+
+    @pytest.mark.parametrize("snr", [0.3, 10.0, 1e6])
+    def test_refinement(self, snr):
+        ch, boundary = make_channel_params(snr), ExponentialRefinementBoundary(0.5)
+        values = [log_closed_form(ch, boundary, r, t) for r, t in _pin_cells()]
+        assert _hex_digest(values) == self.REFINEMENT[snr]
 
 
 def inline_comparison(grid):
@@ -462,13 +506,18 @@ def _mp_single(pbar, r, t):
     return (1 - p) ** (t + 1) * mpmath.fsum(math.comb(t + j, j) * p**j for j in range(r))
 
 
-def _mp_boundary_part(pbar, rate, r, t):
-    """50-digit MSE_II = pbar^r sum_{s<=t} exp(-2R(t-s+1)) C(r+s-1, s) (1-pbar)^s."""
-    p, two_r = mpmath.mpf(pbar), 2 * mpmath.mpf(rate)
+def _mp_boundary_part(pbar, m0, r, t):
+    """50-digit MSE_II = pbar^r sum_{s<=t} M_0(t-s) C(r+s-1, s) (1-pbar)^s, with
+    ``m0(x)`` the boundary cell M_0(x) as an mpmath number."""
+    p = mpmath.mpf(pbar)
     return p**r * mpmath.fsum(
-        mpmath.exp(-two_r * (t - s + 1)) * math.comb(r + s - 1, s) * (1 - p) ** s
-        for s in range(t + 1)
+        m0(t - s) * math.comb(r + s - 1, s) * (1 - p) ** s for s in range(t + 1)
     )
+
+
+def _mp_rel(log_value, exact):
+    """|M / exact - 1| for M = exp(log_value), in mpmath."""
+    return abs(mpmath.expm1(mpmath.mpf(float(log_value)) - mpmath.log(exact)))
 
 
 class TestMpmathReference:
@@ -515,21 +564,103 @@ class TestMpmathReference:
         cells += [(int(r), int(t)) for r, t in zip(rng.integers(1, 201, 24),
                                                    rng.integers(0, 201, 24))]
 
-        def rel(log_value, exact):
-            return abs(mpmath.expm1(mpmath.mpf(float(log_value)) - mpmath.log(exact)))
-
+        boundary = ExponentialRefinementBoundary(rate)
+        m0 = lambda x: mpmath.exp(-2 * mpmath.mpf(rate) * (x + 1))
         for r, t in cells:
             m_i = _mp_single(ch.snr_bar, r, t)
-            m_ii = _mp_boundary_part(ch.snr_bar, rate, r, t)
-            s_i, s_ii = log_closed_form_streaming(ch, rate, r, t)
+            m_ii = _mp_boundary_part(ch.snr_bar, m0, r, t)
             errs = [
-                rel(log_single[r, t], m_i),
-                rel(log_total[r, t], m_i + m_ii),
-                rel(log_closed_form_single(ch, r, t), m_i),
-                rel(s_i, m_i),
-                rel(s_ii, m_ii),
+                _mp_rel(log_single[r, t], m_i),
+                _mp_rel(log_total[r, t], m_i + m_ii),
+                _mp_rel(log_closed_form_single(ch, r, t), m_i),
+                _mp_rel(log_closed_form(ch, boundary, r, t), m_i + m_ii),
             ]
             assert max(errs) <= 1e-12, (r, t, errs)
+
+
+U = 2.0**-53
+ZERO_TAIL = tuple(0.5**k for k in range(1, 301)) + (0.0,) * 1701
+
+
+def _path_sum_bound(ch, boundary, r, t, log_m):
+    """First-order bound on |exp(log_closed_form) / M - 1| at a cell (r, t) where
+    ``solve_grid`` holds a normal M with ln M = ``log_m``.
+
+    An error in ln M is a relative error in M.  u = 2^-53; L = ln (r+t-1)!, the
+    largest table entry a term reads; B = L + max |ln M_0| + t |ln qbar| +
+    r |ln pbar| bounds every partial sum of a log term.  ulp(x) <= 2u x, and
+    k ulp(x) <= 2 ulp(k x).
+
+    - A log term reads three ln k! entries, each within one ulp of ln k!
+      (``test_table_within_one_ulp``): 3 ulp(L).
+    - Its four additions and one product round by 1/2 ulp(B) each; ln pbar or
+      ln qbar (within one ulp) carried by j or s adds 2 ulp(B), and
+      ``log_profile`` (within 4 ulp) 4 ulp(B).  A log-sum-exp passes its terms'
+      errors through no larger.
+    - (t+1) ln qbar and r ln pbar take 2.5 ulp(B) each, as a term's product;
+      the two additions, the final logaddexp and ln M above take 1/2 ulp(B)
+      each: 7 ulp(B).
+    - Each of the r and t + 1 logaddexp steps of the two reductions rounds the
+      log of its running sum S by at most u |ln S| + 2u.  Weighted by S's share
+      of M, that is at most u (|a| + 3), with a = ln M - (t+1) ln qbar for the
+      unit column's part and a = ln M - r ln pbar for the boundary's.
+    - ``solve_grid``: each of the r + t steps of a path to (r, t) rounds one
+      product and one sum, a boundary cell is within 2 ulp, and qbar = 1 - pbar
+      rounds once if pbar < 1/2, which up to t + 1 steps of a path carry:
+      at most 3 (r + t + 2) u.
+    """
+    big_l = float(_log_factorials(r + t - 1)[-1])
+    log_m0 = np.abs(boundary.log_profile(t))
+    big_b = (big_l + log_m0[np.isfinite(log_m0)].max(initial=0.0)
+             + t * abs(ch.log_qbar) + r * abs(ch.log_pbar))
+    reductions = U * (r * (abs(log_m) + (t + 1) * abs(ch.log_qbar) + 3)
+                      + (t + 1) * (abs(log_m) + r * abs(ch.log_pbar) + 3))
+    return 3 * math.ulp(big_l) + 16 * math.ulp(big_b) + reductions + 3 * (r + t + 2) * U
+
+
+class TestPathSum:
+    """``log_closed_form`` on every boundary kind: against ``solve_grid`` at
+    normal cells, and against a 50-digit path sum at cells of any depth."""
+
+    BOUNDARIES = [SingleSampleBoundary(), ExponentialRefinementBoundary(0.5),
+                  PacketStreamBoundary(2, 2), PacketStreamBoundary(3, 5),
+                  SequenceBoundary(ZERO_TAIL)]
+
+    @pytest.mark.parametrize("shape", [(300, 500), (2000, 2000)])
+    @pytest.mark.parametrize("snr", [0.3, 10.0, 1e6])
+    def test_matches_lattice_at_normal_cells(self, snr, shape):
+        ch = make_channel_params(snr)
+        rng = np.random.default_rng(17)
+        for boundary in self.BOUNDARIES:
+            values = solve_grid(ch, boundary, *shape).values
+            checked = 0
+            while checked < 30:
+                r, t = int(rng.integers(1, shape[0] + 1)), int(rng.integers(0, shape[1] + 1))
+                if values[r, t + 1] < sys.float_info.min:
+                    continue
+                checked += 1
+                log_m = math.log(values[r, t + 1])
+                err = abs(math.expm1(log_closed_form(ch, boundary, r, t) - log_m))
+                assert err <= _path_sum_bound(ch, boundary, r, t, log_m), (boundary, r, t, err)
+            del values  # free this lattice (32 MB at 2000 x 2000) before the next is solved
+
+    @pytest.mark.parametrize("boundary, m0", [
+        (PacketStreamBoundary(2, 2), lambda x: mpmath.mpf(2) ** (-4 * (x // 2 + 1))),
+        (PacketStreamBoundary(3, 5), lambda x: mpmath.mpf(2) ** (-6 * (x // 5 + 1))),
+        (SequenceBoundary(ZERO_TAIL), lambda x: mpmath.mpf(ZERO_TAIL[x])),
+    ], ids=["staircase_2_2", "staircase_3_5", "zero_tail"])
+    def test_against_mpmath_at_any_depth(self, boundary, m0):
+        ch = make_channel_params(10.0)
+        rng = np.random.default_rng(5)
+        cells = [(1, 0), (1, 1000), (300, 0), (300, 1000), (40, 500)]
+        cells += zip(rng.integers(1, 301, 20).tolist(), rng.integers(0, 1001, 20).tolist())
+        logs = []
+        with mpmath.workdps(50):
+            for r, t in cells:
+                exact = _mp_single(ch.snr_bar, r, t) + _mp_boundary_part(ch.snr_bar, m0, r, t)
+                logs.append(log_closed_form(ch, boundary, r, t))
+                assert _mp_rel(logs[-1], exact) <= 1e-12, (r, t)
+        assert min(logs) < math.log(sys.float_info.min)  # cells the lattice cannot hold
 
 
 class TestBoundaries:
@@ -580,6 +711,28 @@ class TestBoundaries:
     def test_refinement_profile(self):
         b = ExponentialRefinementBoundary(0.25)
         assert b.profile(3)[2] == pytest.approx(math.exp(-2 * 0.25 * 3), rel=1e-15)
+
+    def test_log_profiles(self):
+        t = np.arange(9)
+        assert (SingleSampleBoundary().log_profile(8) == -np.inf).all()
+        refined = ExponentialRefinementBoundary(0.25)
+        assert refined.log_profile(8).tobytes() == (-2.0 * 0.25 * (t + 1)).tobytes()
+        # the row is the expression it was before it went through log_profile
+        assert refined.profile(8).tobytes() == np.exp(-2.0 * 0.25 * (t + 1)).tobytes()
+        stair = PacketStreamBoundary(2, 3)
+        assert np.allclose(stair.log_profile(8), np.log(stair.profile(8)), rtol=1e-15, atol=0)
+        with np.errstate(all="raise"):
+            logs = SequenceBoundary((0.5, 0.25, 0.0, 0.0)).log_profile(3)
+        assert logs[:2].tobytes() == np.log([0.5, 0.25]).tobytes()
+        assert (logs[2:] == -np.inf).all()
+
+    def test_log_profiles_do_not_underflow(self):
+        # 2^-2400 and e^-2000 are 0.0 in float64; their logs are not
+        stair = PacketStreamBoundary(600, 1)
+        assert stair.profile(1)[1] == 0.0
+        assert stair.log_profile(1)[1] == pytest.approx(-2400 * math.log(2.0), rel=1e-15)
+        refined = ExponentialRefinementBoundary(500.0)
+        assert refined.profile(1)[1] == 0.0 and refined.log_profile(1)[1] == -2000.0
 
 
 class TestGridCsv:

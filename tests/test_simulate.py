@@ -898,7 +898,7 @@ class TestSingleTrial:
         tr = sim.run_trial(small_gains, sim.KnownSampleSource(), "zero", 42, 0)
         s = tr.source_value
         assert tr.estimates[1, 0] == pytest.approx(PBAR * s, rel=1e-13)
-        assert tr.squared_errors[1, 0] == pytest.approx((1 - PBAR) ** 2 * s * s, rel=1e-12)
+        assert (s - tr.estimates[1, 0]) ** 2 == pytest.approx((1 - PBAR) ** 2 * s * s, rel=1e-12)
 
     def test_estimate_recursion_identity_per_step(self, small_gains):
         for kind in ("gaussian", "uniform", "rademacher"):

@@ -1,12 +1,17 @@
-"""The public surface: what the modules export resolves, and what was removed stays gone.
+"""The public surface: what the modules export resolves, what was removed stays
+gone, and README's examples run.
 
 README's "Removed names" lists each removal below with what replaces it.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import re
 import types
+from pathlib import Path
 
 import cascade_iv
 
@@ -20,6 +25,7 @@ REMOVED_NAMES = [
     ("exponents", "delta_star"),
     ("mse", "closed_form_single"),
     ("mse", "closed_form_streaming"),
+    ("mse", "log_closed_form_streaming"),
     ("mse", "SingleSampleBoundary.kind"),
     ("mse", "ExponentialRefinementBoundary.kind"),
     ("mse", "PacketStreamBoundary.kind"),
@@ -27,6 +33,7 @@ REMOVED_NAMES = [
     ("simulate", "_TrialStreams"),
     ("simulate", "_draw_bits"),
     ("simulate", "_capture_batch"),
+    ("simulate", "TrialResult.squared_errors"),
     ("cli", "_convention"),
     ("cli", "_packet_velocity"),
 ]
@@ -80,7 +87,10 @@ class TestPublicSurface:
     def test_removed_names_and_keywords_are_gone(self):
         for module, path in REMOVED_NAMES:
             owner, _, attr = path.rpartition(".")
-            assert not hasattr(_resolve(module, owner), attr), path
+            owner = _resolve(module, owner)
+            # a dataclass field without a default is no class attribute
+            assert not hasattr(owner, attr), path
+            assert attr not in getattr(owner, "__dataclass_fields__", {}), path
             if not owner:
                 assert not hasattr(cascade_iv, attr), path
         for module, path, keyword in REMOVED_KEYWORDS:
@@ -156,3 +166,20 @@ class TestOneHome:
             if isinstance(node, ast.Attribute):
                 assert "closed_form" not in node.attr or \
                     node.attr == "closed_form_discrepancy", ast.unparse(node)
+
+
+class TestReadmeExamples:
+    """README's ``python`` blocks run in order, in one namespace, as a reader
+    would paste them: the later block reads ``agg`` and ``np`` from the first."""
+
+    def test_python_examples_run(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert len(blocks) == 2
+        namespace, out = {}, io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for block in blocks:
+                exec(compile(block, "README.md", "exec"), namespace)
+        printed = out.getvalue().splitlines()
+        assert [line.split(":")[0] for line in printed] == [
+            "worst deviation from theory", "exponent at unit velocity", "pairs"]
