@@ -152,7 +152,9 @@ class SequenceBoundary:
     def profile(self, t_max: int) -> np.ndarray:
         vals = np.asarray(self.values, dtype=float)
         if vals.size < t_max + 1:
-            raise ValueError(f"boundary profile of length {vals.size} too short for t_max={t_max}")
+            raise ValueError(
+                f"boundary profile of length {vals.size} too short for t_max={t_max}"
+            )
         return vals[: t_max + 1].copy()
 
     def log_profile(self, t_max: int) -> np.ndarray:

@@ -979,10 +979,18 @@ def run_trial(gains: GainTable, source, noise_kind: str, master_seed: int,
 
     _run_blocks(gains, source, noise_kind, master_seed, trial_index, 1, leaf)
     src, z = inputs
+    s = float(src.s[0])
     # hop r at time t sends beta (Shat_r(t) - Shat_{r+1}(t-1)), Shat_{r+1}(-1) = 0;
     # + 0.0 turns the -0.0 of a silent hop with a negative difference into +0.0
     x = (est[:-1] - np.pad(est[1:, :-1], ((0, 0), (1, 0)))) * gains.beta + 0.0
-    return TrialResult(source_value=float(src.s[0]), estimates=est, x=x, y=x + z, z=z)
+    y = x + z
+    return TrialResult(
+        source_value=s,
+        estimates=est,
+        x=x,
+        y=y,
+        z=z,
+    )
 
 
 def coefficient_trial(gains: GainTable) -> np.ndarray:

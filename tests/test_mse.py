@@ -571,6 +571,7 @@ class TestMpmathReference:
             m_ii = _mp_boundary_part(ch.snr_bar, m0, r, t)
             errs = [
                 _mp_rel(log_single[r, t], m_i),
+                _mp_rel(log_ii[r, t], m_ii),
                 _mp_rel(log_total[r, t], m_i + m_ii),
                 _mp_rel(log_closed_form_single(ch, r, t), m_i),
                 _mp_rel(log_closed_form(ch, boundary, r, t), m_i + m_ii),

@@ -87,10 +87,10 @@ class TestPublicSurface:
     def test_removed_names_and_keywords_are_gone(self):
         for module, path in REMOVED_NAMES:
             owner, _, attr = path.rpartition(".")
-            owner = _resolve(module, owner)
+            obj = _resolve(module, owner)
             # a dataclass field without a default is no class attribute
-            assert not hasattr(owner, attr), path
-            assert attr not in getattr(owner, "__dataclass_fields__", {}), path
+            assert not hasattr(obj, attr), path
+            assert attr not in getattr(obj, "__dataclass_fields__", {}), path
             if not owner:
                 assert not hasattr(cascade_iv, attr), path
         for module, path, keyword in REMOVED_KEYWORDS:
